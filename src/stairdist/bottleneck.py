@@ -23,10 +23,28 @@ class CostProfile:
     triv_n: list
 
 
-def _summand_cost(mi, nj):
-    # bounded rectangles inside the partner's bounding rectangle hit the
-    # closed form; everything else goes through the decision procedure
+def _rect_pair_cost(A, B, triv_a, triv_b):
+    """Interleaving distance of two rectangle modules, in closed form.
+
+    A morphism between rectangle modules is a scalar multiple of the
+    canonical one.  A nonzero eps-interleaving exists exactly when both
+    corner gaps ||r_A - r_B||_inf and ||s_A - s_B||_inf are at most eps;
+    otherwise both maps vanish, so each rectangle has to be 2 eps-trivial.
+    Hence d_I = min(max(triv_A, triv_B), max corner gap).  With INF - INF = 0
+    a coordinate infinite in both rectangles adds no gap.
+    """
+    (ra,), (sa,), (rb,), (sb,) = A.mins, A.maxs, B.mins, B.maxs
+    gap = max(abs(ra.x1 - rb.x1), abs(ra.x2 - rb.x2),
+              abs(sa.x1 - sb.x1), abs(sa.x2 - sb.x2))
+    return min(max(triv_a, triv_b), gap)
+
+
+def _summand_cost(mi, nj, triv_i, triv_j):
+    # rectangle pairs, and bounded rectangles inside the partner's bounding
+    # rectangle, hit closed forms; the rest goes through the decision procedure
     if nj.is_rectangle():
+        if mi.is_rectangle():
+            return _rect_pair_cost(mi, nj, triv_i, triv_j)
         rb, sb = mi.bounding_r, mi.bounding_s
         r, s = nj.bounding_r, nj.bounding_s
         coords = (rb.x1, rb.x2, sb.x1, sb.x2, r.x1, r.x2, s.x1, s.x2)
@@ -38,10 +56,11 @@ def _summand_cost(mi, nj):
 
 
 def pairwise_costs(M, N) -> CostProfile:
-    costs = [[_summand_cost(mi, nj) for nj in N] for mi in M]
-    return CostProfile(costs,
-                       [triv_distance(mi) for mi in M],
-                       [triv_distance(nj) for nj in N])
+    triv_m = [triv_distance(mi) for mi in M]
+    triv_n = [triv_distance(nj) for nj in N]
+    costs = [[_summand_cost(mi, nj, ti, tj) for nj, tj in zip(N, triv_n)]
+             for mi, ti in zip(M, triv_m)]
+    return CostProfile(costs, triv_m, triv_n)
 
 
 @dataclass
@@ -62,15 +81,32 @@ def _max_matching(nl, nr, adj):
     return match_l, match_r
 
 
-def _augment(l, adj, seen, match_l, match_r):
-    for r in adj[l]:
-        if seen[r]:
+def _augment(root, adj, seen, match_l, match_r):
+    """Depth-first augmenting path from root in adj order, flipped if found.
+
+    An explicit stack, so path length is not bounded by the recursion limit.
+    """
+    ls, its, rs = [root], [iter(adj[root])], []  # rs[k] leads ls[k] to ls[k+1]
+    while its:
+        for r in its[-1]:
+            if not seen[r]:
+                break
+        else:
+            ls.pop()
+            its.pop()
+            if rs:
+                rs.pop()
             continue
         seen[r] = True
-        if match_r[r] is None or _augment(match_r[r], adj, seen, match_l, match_r):
-            match_l[l] = r
-            match_r[r] = l
+        rs.append(r)
+        l = match_r[r]
+        if l is None:
+            for lv, rv in zip(ls, rs):
+                match_l[lv] = rv
+                match_r[rv] = lv
             return True
+        ls.append(l)
+        its.append(iter(adj[l]))
     return False
 
 

@@ -391,14 +391,13 @@ def staircase_from_region(reg: DiagRegion) -> "StaircaseInterval":
 
 
 class StaircaseInterval:
-    __slots__ = ("mins", "maxs", "lower", "upper", "_region")
+    __slots__ = ("mins", "maxs", "_region")
 
     def __init__(self, mins, maxs, _internal=False):
         if not _internal:
             raise TypeError("use validate_interval / from_antichains / rect")
         self.mins = tuple(mins)
         self.maxs = tuple(maxs)
-        self.lower, self.upper = _canonical_chains(self.mins, self.maxs)
         self._region = None
 
     @classmethod
@@ -459,27 +458,6 @@ def _by_x1(p: Point2):
     if is_inf(a):
         return (-1 if a < 0 else 1, Fraction(0))
     return (0, a)
-
-
-def _canonical_chains(mins, maxs):
-    lower = [mins[0]]
-    for v, v2 in zip(mins, mins[1:]):
-        lower.append(Point2(v2.x1, v.x2))
-        lower.append(v2)
-    x1min, x2min = mins[0].x1, mins[-1].x2
-    x1max, x2max = maxs[-1].x1, maxs[0].x2
-    upper = []
-    tl = Point2(x1min, x2max)
-    if tl != maxs[0]:
-        upper.append(tl)
-    upper.append(maxs[0])
-    for w, w2 in zip(maxs, maxs[1:]):
-        upper.append(Point2(w.x1, w2.x2))
-        upper.append(w2)
-    br = Point2(x1max, x2min)
-    if br != upper[-1]:
-        upper.append(br)
-    return tuple(lower), tuple(upper)
 
 
 def validate_interval(lower, upper) -> StaircaseInterval:

@@ -44,16 +44,12 @@ def slice_di(s1, s2):
     if s1.intercept != s2.intercept:
         raise PreconditionError("slices lie on different diagonals")
     half_longest = max(_seg_len(s1), _seg_len(s2)) / 2
-    shift = max(_absdiff(s1.t_lo, s2.t_lo), _absdiff(s1.t_hi, s2.t_hi))
+    shift = max(abs(s1.t_lo - s2.t_lo), abs(s1.t_hi - s2.t_hi))
     return min(half_longest, shift)
 
 
 def _seg_len(s):
     return INF if (is_inf(s.t_lo) or is_inf(s.t_hi)) else s.length
-
-
-def _absdiff(a, b):
-    return abs(a - b)
 
 
 def triv_distance(M):
@@ -103,13 +99,7 @@ def _sup_half_length(A, lo, hi):
     g = A.length_fn()
     if g is INF:
         return INF, None
-    r = g.restrict(lo, hi)
-    if r is None:
-        return Fraction(0), None
-    v, a = r.sup()
-    if v <= 0:
-        return Fraction(0), a
-    return v / 2, a
+    return _sup_half_length_strip(g, lo, hi)
 
 
 def _sup_both(A, B, lo, hi):
@@ -318,39 +308,66 @@ def di_decision(M, N, delta) -> DecisionReport:
 _di_cache: dict = {}
 
 
-def _dual_parts(x):
-    if isinstance(x, Dual):
-        return x.a, x.b
-    return Fraction(x), Fraction(0)
-
-
-def _gap_root(A, B, a, b):
+def _gap_root(A, B, a, upper):
     """Least shift in the open gap (a, b) accepted by the kill requirement.
 
     Inside a gap the combinatorics of the overlaps is fixed, so the kill
     requirement K is convex piecewise linear there.  Acceptance (K < delta)
     therefore first occurs either immediately above a or at the leftmost
     root of K(delta) - delta, which a tangent-line chase reaches exactly in
-    finitely many steps.  Returns None when the gap contains no accepted
-    shift.
+    finitely many steps.  The gap's right end b comes from upper() (None
+    for an unbounded gap), called only once the chase moves.  Returns None
+    when the gap contains no accepted shift.
     """
     cur = a
-    for _ in range(64):
+    b = None
+    for step in range(64):
         K = _kill_requirement(A, B, Dual(cur, 1))
         if K is None:
             return cur
         if K is INF:
             return None
-        hr, hs = _dual_parts(K - Dual(cur, 1))
+        h = K - Dual(cur, 1)
+        hr, hs = (h.a, h.b) if isinstance(h, Dual) else (h, 0)
         if hr < 0 or (hr == 0 and hs < 0):
             return cur
         if hs >= 0:
             return None
         nxt = cur - hr / hs
+        if step == 0:
+            b = upper()
         if b is not None and nxt >= b:
             return None
         cur = nxt
     raise RuntimeError("tangent chase did not terminate")
+
+
+def _least_accepted(A, B, dd):
+    """Least accepted shift at or above dd, or INF.
+
+    Scans dd and then the candidate shifts above it, chasing tangents inside
+    each gap.  Most searches end at dd or in the first tangent step, so the
+    O(V^2) candidates are built only when first needed.
+    """
+    cands = None
+
+    def cand(i):
+        nonlocal cands
+        if cands is None:
+            cands = [dd] + [c for c in _candidate_deltas(A, B) if c > dd]
+        return cands[i] if i < len(cands) else None
+
+    i, a = 0, dd
+    while a is not None:
+        K = _kill_requirement(A, B, a)
+        if K is None or K < a:
+            return a
+        r = _gap_root(A, B, a, lambda: cand(i + 1))
+        if r is not None:
+            return r
+        i += 1
+        a = cand(i)
+    return INF
 
 
 def di_interval(M, N):
@@ -373,22 +390,7 @@ def di_interval(M, N):
             return hit
     A, B = _as_region(M), _as_region(N)
     dd, _ = _di_diag(A, B)
-    out = INF
-    if dd is not INF:
-        cands = sorted({dd} | {c for c in _candidate_deltas(A, B) if c > dd})
-        out = None
-        for i, a in enumerate(cands):
-            K = _kill_requirement(A, B, a)
-            if K is None or K < a:
-                out = a
-                break
-            b = cands[i + 1] if i + 1 < len(cands) else None
-            r = _gap_root(A, B, a, b)
-            if r is not None:
-                out = r
-                break
-        if out is None:
-            out = INF
+    out = INF if dd is INF else _least_accepted(A, B, dd)
     if key is not None:
         _di_cache[key] = out
         _di_cache[(key[1], key[0])] = out
@@ -462,15 +464,12 @@ def di_interval_vs_rect(M, R):
         v, _ = _sup_half_length_strip(g, cq, cp)
         t_in = v
     t_pinch = min(R.width, R.height) / 2
-    shift_terms = []
-    for val in (_sub_or_inf(_hi_at(reg, cp), tval(p)),
-                _sub_or_inf(_hi_at(reg, cq), tval(q)),
-                _sub_or_inf(_lo_at(reg, cr), tval(r)),
-                _sub_or_inf(tval(p), _lo_at(reg, cp)),
-                _sub_or_inf(tval(q), _lo_at(reg, cq)),
-                _sub_or_inf(tval(s), _hi_at(reg, cs))):
-        shift_terms.append(val)
-    t_shift = max(max(shift_terms), Fraction(0))
+    t_shift = max(_sub_or_inf(_hi_at(reg, cp), tval(p)),
+                  _sub_or_inf(_hi_at(reg, cq), tval(q)),
+                  _sub_or_inf(_lo_at(reg, cr), tval(r)),
+                  _sub_or_inf(tval(p), _lo_at(reg, cp)),
+                  _sub_or_inf(tval(q), _lo_at(reg, cq)),
+                  _sub_or_inf(tval(s), _hi_at(reg, cs)), Fraction(0))
     return max(t_out, min(max(t_in, t_pinch), t_shift))
 
 

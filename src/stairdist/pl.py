@@ -78,23 +78,24 @@ class PL:
     def __call__(self, x):
         x = _nm(x)
         xs = self.xs
-        if x <= xs[0]:
-            if x == xs[0]:
-                return self.vs[0]
-            if self.lslope is None:
-                raise ValueError("argument below domain")
-            return self.vs[0] + self.lslope * (x - xs[0])
-        if x >= xs[-1]:
-            if x == xs[-1]:
-                return self.vs[-1]
-            if self.rslope is None:
-                raise ValueError("argument above domain")
-            return self.vs[-1] + self.rslope * (x - xs[-1])
         i = bisect.bisect_left(xs, x)
-        if xs[i] == x:
+        if i < len(xs) and xs[i] == x:
             return self.vs[i]
+        if i == 0 and self.lslope is None:
+            raise ValueError("argument below domain")
+        if i == len(xs) and self.rslope is None:
+            raise ValueError("argument above domain")
+        return self._between(i, x)
+
+    def _between(self, i, x):
+        """Value strictly between knots i - 1 and i (0, len(xs): the tails)."""
+        xs, vs = self.xs, self.vs
+        if i == 0:
+            return vs[0] + self.lslope * (x - xs[0])
+        if i == len(xs):
+            return vs[-1] + self.rslope * (x - xs[-1])
         x0, x1 = xs[i - 1], xs[i]
-        v0, v1 = self.vs[i - 1], self.vs[i]
+        v0, v1 = vs[i - 1], vs[i]
         return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
 
     def __repr__(self):
@@ -152,14 +153,13 @@ class PL:
         hi = min(hi, self.dom_hi)
         if lo > hi:
             return None
-        inner = [x for x in self.xs if lo < x < hi]
-        xs, vs = [], []
+        # interior knots keep their stored values; only the ends are evaluated
+        i = bisect.bisect_right(self.xs, lo)
+        j = bisect.bisect_left(self.xs, hi)
+        xs, vs = list(self.xs[i:j]), list(self.vs[i:j])
         if not is_inf(lo):
-            xs.append(lo)
-            vs.append(self(lo))
-        for x in inner:
-            xs.append(x)
-            vs.append(self(x))
+            xs.insert(0, lo)
+            vs.insert(0, self(lo))
         if not is_inf(hi) and (not xs or hi > xs[-1]):
             xs.append(hi)
             vs.append(self(hi))
@@ -231,7 +231,7 @@ class PL:
                     else:
                         segs.append((thr, INF))
         segs = [(a, b) for a, b in segs if a <= b]
-        segs.sort(key=_seg_key)
+        segs.sort(key=lambda seg: seg[0])
         merged = []
         for a, b in segs:
             if merged and a <= merged[-1][1]:
@@ -239,13 +239,6 @@ class PL:
             else:
                 merged.append([a, b])
         return [(a, b) for a, b in merged]
-
-
-def _seg_key(seg):
-    a, _ = seg
-    if is_inf(a):
-        return (-1 if a < 0 else 1, Fraction(0))
-    return (0, a)
 
 
 # -- binary combinations ---------------------------------------------------
@@ -259,12 +252,31 @@ def align(f, g):
     hi = min(f.dom_hi, g.dom_hi)
     if lo > hi:
         return None
-    f2 = f.restrict(lo, hi)
-    g2 = g.restrict(lo, hi)
-    xs = sorted(set(f2.xs) | set(g2.xs))
-    fv = [f2(x) for x in xs]
-    gv = [g2(x) for x in xs]
-    return xs, fv, gv, f2.lslope, g2.lslope, f2.rslope, g2.rslope
+    f, g = f.restrict(lo, hi), g.restrict(lo, hi)
+    fx, fv, gx, gv = f.xs, f.vs, g.xs, g.vs
+    nf, ng = len(fx), len(gx)
+    xs, fo, go = [], [], []
+    i = j = 0
+    # two-pointer merge; each side is evaluated on the piece the merge is in
+    while i < nf or j < ng:
+        if j == ng or (i < nf and fx[i] < gx[j]):
+            x = fx[i]
+            fo.append(fv[i])
+            go.append(g._between(j, x))
+            i += 1
+        elif i == nf or gx[j] < fx[i]:
+            x = gx[j]
+            fo.append(f._between(i, x))
+            go.append(gv[j])
+            j += 1
+        else:
+            x = fx[i]
+            fo.append(fv[i])
+            go.append(gv[j])
+            i += 1
+            j += 1
+        xs.append(x)
+    return xs, fo, go, f.lslope, g.lslope, f.rslope, g.rslope
 
 
 def pl_add(f, g):
@@ -339,23 +351,3 @@ def pl_min(f, g):
 
 def pl_abs(f):
     return pl_max(f, -f)
-
-
-def pl_max_list(fs):
-    it = iter(fs)
-    acc = next(it)
-    for f in it:
-        acc = pl_max(acc, f)
-        if acc is None:
-            return None
-    return acc
-
-
-def pl_min_list(fs):
-    it = iter(fs)
-    acc = next(it)
-    for f in it:
-        acc = pl_min(acc, f)
-        if acc is None:
-            return None
-    return acc

@@ -82,6 +82,8 @@ class _Infinite:
         # only division by finite nonzero scalars is meaningful here
         if isinstance(other, _Infinite):
             raise ZeroDivisionError("inf / inf")
+        if other == 0:
+            raise ZeroDivisionError("inf / 0")
         return self if other > 0 else -self
 
     def __rtruediv__(self, other):
@@ -239,10 +241,6 @@ def is_inf(x):
     return isinstance(x, _Infinite)
 
 
-def is_finite(x):
-    return not isinstance(x, _Infinite)
-
-
 def ext(x):
     """Coerce a user-supplied number into an extended real."""
     if isinstance(x, (_Infinite, Fraction, Dual)):
@@ -270,10 +268,6 @@ def ext(x):
             return NINF
         return Fraction(x)
     raise TypeError("cannot interpret %r as an extended real" % (x,))
-
-
-def as_float(x):
-    return float(x)
 
 
 def fmt(x):

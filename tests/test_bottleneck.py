@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import exhaustive_bottleneck
 from stairdist.bottleneck import (CostProfile, bottleneck_distance,
                                   delta_matched, interleaving_lower_bound,
                                   pairwise_costs)
 from stairdist.generate import random_rectangles, random_staircase
+from stairdist.geometry import StaircaseInterval, point
+from stairdist.gmd import bars_bottleneck
 from stairdist.interleaving import di_interval, triv_distance
-from stairdist.scalars import INF, is_inf
+from stairdist.scalars import INF, NINF, is_inf
 
 from conftest import square
 
@@ -84,11 +89,52 @@ class TestBottleneckDistance:
             assert cert == got.delta
 
     def test_infinite_when_shapes_cannot_pair(self):
-        from stairdist.geometry import StaircaseInterval, point
         Q = StaircaseInterval.from_antichains([point(0, 0)],
                                               [point(INF, INF)])
         res = bottleneck_distance([Q], [square(0, 1)])
         assert is_inf(res.delta)
+
+
+# which corner coordinates go infinite: none (a finite rectangle), an upper
+# or a lower quadrant, the plane, or one side of a half-strip
+_OPEN = [(), ("s1", "s2"), ("r1", "r2"), ("r1", "r2", "s1", "s2"),
+         ("s1",), ("s2",), ("r1",), ("r2",), ("r1", "s1"), ("r2", "s2")]
+
+
+@st.composite
+def rectangles(draw):
+    half = st.integers(-10, 10).map(lambda k: Fraction(k, 2))
+    r1, s1 = sorted([draw(half), draw(half)])
+    r2, s2 = sorted([draw(half), draw(half)])
+    c = dict(r1=r1, r2=r2, s1=s1, s2=s2)
+    for name in draw(st.sampled_from(_OPEN)):
+        c[name] = NINF if name[0] == "r" else INF
+    return StaircaseInterval.rect(point(c["r1"], c["r2"]),
+                                  point(c["s1"], c["s2"]))
+
+
+class TestRectanglePairs:
+    @given(rectangles(), rectangles())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_search(self, A, B):
+        prof = pairwise_costs([A, B], [B, A])
+        assert prof.costs[0][0] == prof.costs[1][1] == di_interval(A, B)
+        assert prof.costs[0][0] == di_interval(B, A)
+
+    def test_quadrants_and_strips(self):
+        q0 = StaircaseInterval.rect(point(0, 0), point(INF, INF))
+        q1 = StaircaseInterval.rect(point(1, 3), point(INF, INF))
+        strip = StaircaseInterval.rect(point(0, 0), point(INF, 2))
+        prof = pairwise_costs([q0, strip], [q1, square(0, 1)])
+        assert prof.costs == [[3, INF], [INF, 1]]
+
+
+class TestMatcher:
+    def test_seven_hundred_bars_per_side(self):
+        # augmenting paths here grow to about 1400 vertices, past the
+        # default recursion limit
+        bars = [(Fraction(0), Fraction(1))] * 700
+        assert bars_bottleneck(bars, bars) == 0
 
 
 class TestLowerBound:

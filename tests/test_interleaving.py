@@ -129,6 +129,21 @@ class TestDiInterval:
                                                [point(INF, INF)])
         assert di_interval(q0, q1) == 1
 
+    def test_translation_invariant(self, rng):
+        def moved(I, t1, t2):
+            return StaircaseInterval.from_antichains(
+                [point(p.x1 + t1, p.x2 + t2) for p in I.mins],
+                [point(p.x1 + t1, p.x2 + t2) for p in I.maxs])
+
+        shifts = [(Fraction(7, 2), Fraction(7, 2)), (1000, 1000),
+                  (3, Fraction(-5, 2)), (-11, 4)]
+        for _ in range(6):
+            a = random_staircase(rng, size=4)
+            b = random_staircase(rng, size=4)
+            d = di_interval(a, b)
+            for t1, t2 in shifts:
+                assert di_interval(moved(a, t1, t2), moved(b, t1, t2)) == d
+
     def test_bounded_by_hausdorff(self, rng):
         for _ in range(20):
             a = random_staircase(rng, size=6)

@@ -1,0 +1,18 @@
+from fractions import Fraction
+
+import pytest
+
+from stairdist.scalars import INF, NINF
+
+
+@pytest.mark.parametrize("x", [INF, NINF])
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_infinity_over_zero_raises(x, zero):
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+
+
+def test_infinity_over_finite_keeps_sign():
+    assert INF / Fraction(2) is INF
+    assert INF / Fraction(-2) is NINF
+    assert NINF / 3 is NINF
