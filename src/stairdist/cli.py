@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bottleneck as bn
@@ -27,28 +26,12 @@ from .rect_approx import construction1, optimal_rectangle
 from .scalars import fmt, is_inf
 
 
-@dataclass
-class RunConfig:
-    command: str
-    paths: list
-    method: str = "optimal"
-    directions: int = 16
-    alpha: object = None
-    seed: int = 0
-    size: int = 6
-    kind: str = "staircase"
-    output: str = "json"
-    explain: bool = False
-    jobs: int = 1
-
-
 def _parser():
     p = argparse.ArgumentParser(prog="stairdist")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
         sp.add_argument("--output", choices=("json", "csv"), default="json")
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("interval-di", help="interleaving distance of two intervals")
     sp.add_argument("pathA")
@@ -126,7 +109,7 @@ def _rect_json(rect):
     return [mio.point_json(rect.r), mio.point_json(rect.s)]
 
 
-def cmd_interval_di(cfg, args):
+def cmd_interval_di(args):
     A = mio.parse_module(mio.load_json(args.pathA))
     B = mio.parse_module(mio.load_json(args.pathB))
     if len(A) != 1 or len(B) != 1:
@@ -147,7 +130,7 @@ def cmd_interval_di(cfg, args):
     return report
 
 
-def cmd_rect_approx(cfg, args):
+def cmd_rect_approx(args):
     M = mio.parse_module(mio.load_json(args.path))
     fn = construction1 if args.method == "construction1" else optimal_rectangle
     results = [fn(s) for s in M]
@@ -162,7 +145,7 @@ def cmd_rect_approx(cfg, args):
     return report
 
 
-def cmd_bottleneck(cfg, args):
+def cmd_bottleneck(args):
     M = mio.parse_module(mio.load_json(args.pathA))
     N = mio.parse_module(mio.load_json(args.pathB))
     res = bn.bottleneck_distance(M, N)
@@ -174,7 +157,7 @@ def cmd_bottleneck(cfg, args):
     }
 
 
-def cmd_lower_bound(cfg, args):
+def cmd_lower_bound(args):
     M = mio.parse_module(mio.load_json(args.pathA))
     N = mio.parse_module(mio.load_json(args.pathB))
     rep = bn.interleaving_lower_bound(M, N)
@@ -193,7 +176,7 @@ def _band_json(C):
     return [fmt(C.lo), fmt(C.hi)]
 
 
-def cmd_gmd(cfg, args):
+def cmd_gmd(args):
     P = mio.parse_presentation(mio.load_json(args.pathA))
     Q = mio.parse_presentation(mio.load_json(args.pathB))
     alpha = mio.parse_scalar(args.alpha) if args.alpha is not None else None
@@ -214,7 +197,7 @@ def cmd_gmd(cfg, args):
     return report
 
 
-def cmd_dmatch(cfg, args):
+def cmd_dmatch(args):
     P = mio.parse_presentation(mio.load_json(args.pathA))
     Q = mio.parse_presentation(mio.load_json(args.pathB))
     dirs = default_directions((P, Q), args.directions)
@@ -225,7 +208,7 @@ def cmd_dmatch(cfg, args):
             "intercepts": len(cs)}
 
 
-def cmd_generate(cfg, args):
+def cmd_generate(args):
     rng = random.Random(args.seed)
     if args.kind == "staircase":
         inst = mio.serialize_module([gen.random_staircase(rng, args.size)])
@@ -249,9 +232,8 @@ _COMMANDS = {
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, paths=[])
     try:
-        report = _COMMANDS[args.command](cfg, args)
+        report = _COMMANDS[args.command](args)
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

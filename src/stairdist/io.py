@@ -6,6 +6,7 @@ form; reports add a float alongside for spreadsheet use.
 """
 
 import json
+import math
 
 from .errors import ParseError, ValidationError
 from .geometry import StaircaseInterval, validate_interval
@@ -13,7 +14,37 @@ from .gmd import GradedMatrix, validate_presentation
 from .scalars import ext, fmt, is_inf
 
 
+# decimal digits a numeral may spell out, exponent included: "1e2000000"
+# would otherwise become a 6.6-million-bit integer
+MAX_DIGITS = 1000
+
+
+def _numeral_digits(v):
+    """Decimal digits needed to write the exact value of a JSON number or
+    a numeral string: its digits plus the size of its exponent."""
+    s = str(v)
+    digits = sum(ch.isdigit() for ch in s)
+    _, e, exp = s.lower().partition("e")
+    exp = exp.strip().lstrip("+-")
+    if e and exp.isdigit() and digits <= MAX_DIGITS:
+        digits += int(exp)
+    return digits
+
+
 def parse_scalar(v):
+    """An extended real from a JSON value or a CLI string.
+
+    JSON floats must be finite, and infinity is written as the string "inf"
+    or "-inf", so an overflowing literal such as 1e999 is an error rather
+    than an infinite coordinate.  Numerals needing more than MAX_DIGITS
+    decimal digits are rejected.
+    """
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ParseError("bad number %r: JSON numbers must be finite; "
+                         'write "inf" or "-inf" for infinity' % (v,))
+    if isinstance(v, (int, float, str)) and _numeral_digits(v) > MAX_DIGITS:
+        raise ParseError("bad number %s...: more than %d digits"
+                         % (str(v)[:20], MAX_DIGITS))
     try:
         return ext(v)
     except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -66,7 +97,7 @@ def parse_presentation(obj) -> GradedMatrix:
             raise ParseError("nonzero entry %r is not an [i, j] pair" % (e,))
         try:
             nz.add((int(e[0]), int(e[1])))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("nonzero entry %r is not an index pair" % (e,))
     return validate_presentation(rows, cols, nz)
 
@@ -83,7 +114,7 @@ def load_json(path):
         raise ParseError("cannot read %s: %s" % (path, e))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer past the int-string limit
         raise ParseError("malformed JSON in %s: %s" % (path, e))
 
 

@@ -5,9 +5,10 @@ extreme bounding-rectangle corners halfway onto the boundary staircases) and
 the optimal rectangle, found by partitioning the bounding rectangle into
 diagonal bands, placing the four rectangle corners into bands in every
 combination, and solving each placement exactly as a handful of small linear
-programs over rationals.
+programs over rationals; placements that provably cannot win are skipped.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,16 +76,19 @@ class DiamTable:
         self.lengths = list(lengths)
         n = len(lengths)
         self.inside_max = {}
-        self.outside_max = {}
         for i in range(n):
             acc = NINF
             for j in range(i, n):
                 acc = max(acc, lengths[j])
                 self.inside_max[(i, j)] = acc
-        for i in range(n):
-            for j in range(i, n):
-                out = [lengths[k] for k in range(n) if k < i or k > j]
-                self.outside_max[(i, j)] = max(out) if out else NINF
+        # prefix[i] = max(lengths[:i]), suffix[j] = max(lengths[j:])
+        self.prefix = [NINF]
+        for v in lengths:
+            self.prefix.append(max(self.prefix[-1], v))
+        self.suffix = [NINF]
+        for v in reversed(lengths):
+            self.suffix.append(max(self.suffix[-1], v))
+        self.suffix.reverse()
 
     def diam(self, i, j):
         if j < i:
@@ -93,8 +97,8 @@ class DiamTable:
 
     def codiam(self, i, j):
         if j < i:
-            return max(self.lengths) if self.lengths else NINF
-        return self.outside_max[(i, j)]
+            return self.prefix[-1]
+        return max(self.prefix[i], self.suffix[j + 1])
 
 
 def diam_tables(M: StaircaseInterval) -> DiamTable:
@@ -123,6 +127,11 @@ def band_partition(M: StaircaseInterval):
 
 # --------------------------------------------------------------------------
 # exact rational simplex (min c.x, A x <= b, x >= 0)
+
+
+def _sub_multiple(u, f, v):
+    """u - f*v, skipping the zero entries of v."""
+    return [a - f * p if p else a for a, p in zip(u, v)]
 
 
 def solve_lp(c, A, b, duals=False):
@@ -164,19 +173,17 @@ def solve_lp(c, A, b, duals=False):
 
     def pivot(r, col):
         piv = T[r][col]
-        T[r] = [v / piv for v in T[r]]
+        T[r] = [v / piv if v else v for v in T[r]]
         for rr in range(len(T)):
             if rr != r and T[rr][col] != 0:
-                f = T[rr][col]
-                T[rr] = [a - f * p for a, p in zip(T[rr], T[r])]
+                T[rr] = _sub_multiple(T[rr], T[rr][col], T[r])
         basis[r] = col
 
     def run(obj, ncols):
         red = list(obj) + [Fraction(0)]
         for r, bv in enumerate(basis):
             if obj[bv] != 0:
-                f = obj[bv]
-                red = [a - f * p for a, p in zip(red, T[r])]
+                red = _sub_multiple(red, obj[bv], T[r])
         while True:
             col = None
             for j in range(ncols):
@@ -196,9 +203,8 @@ def solve_lp(c, A, b, duals=False):
             if row is None:
                 raise ArithmeticError("unbounded linear program")
             pivot(row, col)
-            f = red[col]
-            if f != 0:
-                red = [a - f * p for a, p in zip(red, T[row])]
+            if red[col] != 0:
+                red = _sub_multiple(red, red[col], T[row])
 
     if nart:
         obj1 = [Fraction(0)] * (n + m) + [Fraction(1)] * nart
@@ -226,7 +232,9 @@ def solve_lp(c, A, b, duals=False):
 # --------------------------------------------------------------------------
 # per-cell optimization
 
-# affine expressions a0 + a.(p1, p2, q1, q2); constants may be infinite
+# affine expressions a0 + a.(p1, p2, q1, q2): the rectangle has lower corner
+# r = (p1, q2) and upper corner s = (q1, p2), so p = (p1, p2) is its top-left
+# corner and q = (q1, q2) its bottom-right one
 _ZERO4 = (Fraction(0),) * 4
 
 
@@ -244,87 +252,167 @@ def _acomb(k1, e1, k2=0, e2=None, const=0):
     v2 = e2[1] if e2 is not None else _ZERO4
     return (c, tuple(k1 * a + k2 * b for a, b in zip(e1[1], v2)))
 
+# corner intercepts c = x2 - x1 and diagonal parameters t = (x1 + x2) / 2;
+# the intercepts satisfy c_r + c_s = c_p + c_q
+_CORNERS = {
+    "p": (_acomb(1, _P2, -1, _P1), _acomb(HALF, _P1, HALF, _P2)),
+    "q": (_acomb(1, _Q2, -1, _Q1), _acomb(HALF, _Q1, HALF, _Q2)),
+    "r": (_acomb(1, _Q2, -1, _P1), _acomb(HALF, _P1, HALF, _Q2)),
+    "s": (_acomb(1, _P2, -1, _Q1), _acomb(HALF, _Q1, HALF, _P2)),
+}
+_WIDTH = _acomb(HALF, _Q1, -HALF, _P1)
+_HEIGHT = _acomb(HALF, _P2, -HALF, _Q2)
+# the boundary gaps of the hull branch: (corner, boundary, sign) for
+# thi(c_p) - t_p, thi(c_q) - t_q, tlo(c_r) - t_r, t_p - tlo(c_p),
+# t_q - tlo(c_q) and t_s - thi(c_s)
+_GAPS = (("p", "hi", 1), ("q", "hi", 1), ("r", "lo", 1),
+         ("p", "lo", -1), ("q", "lo", -1), ("s", "hi", -1))
+# right-hand side of the dual LP: the four shifted corner coordinates are
+# free of cost and the epigraph variable costs 1
+_DUAL_RHS = [Fraction(0)] * 4 + [Fraction(1)]
+
 
 def _piece(f, lo, hi):
     """PL f as (alpha, beta) with f(c) = alpha + beta*c on the band [lo, hi]."""
-    if not is_inf(lo) and not is_inf(hi) and lo == hi:
+    if lo == hi:
         return (f(lo), Fraction(0))
-    if is_inf(lo):
-        beta = f.lslope
-        x0 = hi
-    elif is_inf(hi):
-        beta = f.rslope
-        x0 = lo
-    else:
-        beta = (f(hi) - f(lo)) / (hi - lo)
-        x0 = lo
-    return (f(x0) - beta * x0, beta)
+    beta = (f(hi) - f(lo)) / (hi - lo)
+    return (f(lo) - beta * lo, beta)
 
 
 class _CellGeometry:
-    """Per-band linear pieces of the boundary functions of one interval."""
+    """The rows of every cell LP of one bounded interval, built once.
+
+    The LP variables are (p1, p2, q1, q2), shifted to start at the bounding
+    corner, and the epigraph variable.  A row `a.x <= b` is kept as (-a, b),
+    the column it contributes to the dual LP that `_solve_rows` solves.
+    Constraints carry epigraph coefficient 0, atoms (`atom <= epigraph`) -1.
+    """
 
     def __init__(self, M: StaircaseInterval):
-        self.M = M
-        self.reg = M.region()
+        rb, sb = M.bounding_r, M.bounding_s
+        if any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
+            raise PreconditionError("cell optimization needs a bounded interval")
+        reg = M.region()
         self.bands = band_partition(M)
         self.tables = diam_tables(M)
-        self.lo_pieces = []
-        self.hi_pieces = []
+        self.lbs = (rb.x1, rb.x2, rb.x1, rb.x2)
+        ubs = (sb.x1, sb.x2, sb.x1, sb.x2)
+        self.box = [self._row(e) for e in (
+            _acomb(-1, _P1, const=rb.x1), _acomb(-1, _Q2, const=rb.x2),
+            _acomb(1, _Q1, const=-sb.x1), _acomb(1, _P2, const=-sb.x2),
+            _acomb(1, _P1, -1, _Q1), _acomb(1, _Q2, -1, _P2))]
+        self.var_box = []
+        for v in range(4):
+            col = [Fraction(0)] * 5
+            col[v] = Fraction(-1)
+            self.var_box.append((tuple(col), ubs[v] - self.lbs[v]))
+        self.width = self._row(_WIDTH, -1)
+        self.height = self._row(_HEIGHT, -1)
+        self.zero = self._row(_aff(0), -1)
+        # per band: the rows lo <= c and c <= hi of each corner intercept,
+        # half the slice length at c_p and c_q, the boundary gaps, and the
+        # least slice length
+        self.lo_rows = {name: [] for name in _CORNERS}
+        self.hi_rows = {name: [] for name in _CORNERS}
+        self.half_len = {"p": [], "q": []}
+        self.gaps = {g: [] for g in _GAPS}
         self.min_len = []
         for b in self.bands:
-            if self.reg.tlo is NINF:
-                self.lo_pieces.append(None)
-            else:
-                self.lo_pieces.append(_piece(self.reg.tlo, b.lo, b.hi))
-            if self.reg.thi is INF:
-                self.hi_pieces.append(None)
-            else:
-                self.hi_pieces.append(_piece(self.reg.thi, b.lo, b.hi))
-            lop, hip = self.lo_pieces[-1], self.hi_pieces[-1]
-            if lop is None or hip is None:
-                self.min_len.append(Fraction(0))
-            else:
-                # slice length is linear across a band: min at the ends
-                a, k = hip[0] - lop[0], hip[1] - lop[1]
-                ends = [a + k * e for e in (b.lo, b.hi) if not is_inf(e)]
-                self.min_len.append(max(min(ends), Fraction(0))
-                                    if ends else Fraction(0))
+            for name, (ce, _) in _CORNERS.items():
+                self.lo_rows[name].append(self._row(_acomb(-1, ce,
+                                                           const=b.lo)))
+                self.hi_rows[name].append(self._row(_acomb(1, ce,
+                                                           const=-b.hi)))
+            pieces = {"lo": _piece(reg.tlo, b.lo, b.hi),
+                      "hi": _piece(reg.thi, b.lo, b.hi)}
+            a = pieces["hi"][0] - pieces["lo"][0]
+            k = pieces["hi"][1] - pieces["lo"][1]
+            for name in self.half_len:
+                length = _acomb(k, _CORNERS[name][0], const=a)
+                self.half_len[name].append(self._row(_acomb(HALF, length),
+                                                     -1))
+            for g in _GAPS:
+                name, side, sign = g
+                (alpha, beta), (ce, te) = pieces[side], _CORNERS[name]
+                gap = _acomb(beta, ce, -1, te, const=alpha)
+                self.gaps[g].append(self._row(_acomb(sign, gap), -1))
+            # slice length is linear across a band: min at the ends
+            self.min_len.append(max(min(a + k * b.lo, a + k * b.hi),
+                                    Fraction(0)))
 
-    def boundary_eval(self, bi, corner_c, corner_t, which):
-        """dl-style gap atoms at a corner constrained to band bi."""
-        piece = self.hi_pieces[bi] if which == "hi" else self.lo_pieces[bi]
-        if piece is None:
-            return None  # infinite boundary: the gap is +-inf, caller decides
-        alpha, beta = piece
-        # alpha + beta*c - t  as an affine expression
-        e = _acomb(beta, corner_c, -1, corner_t, const=alpha)
-        return e
+    def _row(self, expr, epi=0):
+        """The dual column of the primal row expr - epi * t <= 0."""
+        c0, cv = expr
+        shift = c0 + sum(k * l for k, l in zip(cv, self.lbs))
+        return (tuple(-v for v in cv) + (Fraction(-epi),), -shift)
 
-    def slice_len(self, bi, corner_c):
-        lop, hip = self.lo_pieces[bi], self.hi_pieces[bi]
-        if lop is None or hip is None:
-            return None  # unbounded slice
-        a = hip[0] - lop[0]
-        b = hip[1] - lop[1]
-        return _acomb(b, corner_c, const=a)
+    def pair(self, i, j):
+        """Lower bound lb/2 on every cell with p in band i and q in band j,
+        and the two atom lists those cells share."""
+        cs = self.tables.intercepts
+        # the vertex diagonals certainly inside [c_q, c_p]
+        vi = bisect_left(cs, self.bands[j].hi)
+        vj = bisect_right(cs, self.bands[i].lo) - 1
+        out_d = self.tables.codiam(vi, vj)
+        in_d = self.tables.diam(vi, vj)
+        # every branch carries the outside diameter and both slice lengths
+        lb = max(self.min_len[i], self.min_len[j],
+                 out_d if out_d is not NINF else Fraction(0))
+        lens = [self.half_len["p"][i], self.half_len["q"][j]]
+        t1 = lens + ([self._row(_aff(out_d / 2), -1)]
+                     if out_d is not NINF else [])
+        t2a = lens + ([self._row(_aff(in_d / 2), -1)]
+                      if in_d is not NINF else [])
+        return lb / 2, t1, t2a
+
+    def sums_meet(self, i, j, k, l):
+        """Whether c_r + c_s = c_p + c_q can hold with the corners p, q, r,
+        s in the bands i, j, k, l."""
+        b = self.bands
+        return (b[k].hi + b[l].hi >= b[i].lo + b[j].lo
+                and b[k].lo + b[l].lo <= b[i].hi + b[j].hi)
+
+    def solve(self, cell, t1, t2a, which):
+        """Best (rect, value) of one band placement, or None.
+
+        which selects the solved branches: "all" (the per-cell problem),
+        "pinch" (the two width/height branches, with the r and s corner
+        intercepts relaxed to the contiguous band range j..i - they do not
+        appear in those objectives) or "hull" (the boundary-shift branch).
+        """
+        i, j, k, l = cell
+        rk, sl = ((j, i), (j, i)) if which == "pinch" else ((k, k), (l, l))
+        cons = [self.lo_rows["p"][i], self.hi_rows["p"][i],
+                self.lo_rows["q"][j], self.hi_rows["q"][j],
+                self.lo_rows["r"][rk[0]], self.hi_rows["r"][rk[1]],
+                self.lo_rows["s"][sl[0]], self.hi_rows["s"][sl[1]]] \
+            + self.box
+        branches = []
+        if which != "hull":
+            branches.append(t1 + t2a + [self.width])
+            branches.append(t1 + t2a + [self.height])
+        if which != "pinch":
+            bands = {"p": i, "q": j, "r": k, "s": l}
+            branches.append(t1 + [self.gaps[g][bands[g[0]]] for g in _GAPS]
+                            + [self.zero])
+        outs = []
+        for atoms in branches:
+            res = _solve_rows(cons + atoms + self.var_box, self.lbs)
+            if res is not None:
+                val, (p1, p2, q1, q2) = res
+                outs.append((RectangleSpec((p1, q2), (q1, p2)), val))
+        return min(outs, key=_rank, default=None)
 
 
-def _cell_ranges(geo, bi, bj):
-    """Index range of vertex diagonals certainly inside [c_q, c_p]."""
-    cs = geo.tables.intercepts
-    lo = geo.bands[bj].hi
-    hi = geo.bands[bi].lo
-    i = 0
-    while i < len(cs) and cs[i] < lo:
-        i += 1
-    j = len(cs) - 1
-    while j >= 0 and cs[j] > hi:
-        j -= 1
-    return i, j
+def _rank(out):
+    """Order of cell results (rect, value): value, then area, then the
+    corners lexicographically."""
+    rect, val = out
+    return (val, rect.area(), *rect.r, *rect.s)
 
 
-def optimize_cell(M, cell, tables=None, geo=None, best_bound=None):
+def optimize_cell(M, cell, geo=None, best_bound=None):
     """Best rectangle with its four corners in the given bands.
 
     cell = (i, j, k, l): the band indices for the top-left, bottom-right,
@@ -333,163 +421,24 @@ def optimize_cell(M, cell, tables=None, geo=None, best_bound=None):
     """
     if geo is None:
         geo = _CellGeometry(M)
-    return _optimize_bands(M, geo, cell, best_bound, which="all")
+    lb2, t1, t2a = geo.pair(cell[0], cell[1])
+    if best_bound is not None and lb2 > best_bound:
+        return None
+    return geo.solve(cell, t1, t2a, "all")
 
 
-def _optimize_bands(M, geo, cell, best_bound, which):
-    """Shared band-placement solver.
+def _solve_rows(rows, lbs):
+    """Minimize the epigraph variable t over the rows (max(atoms) <= t).
 
-    which selects the solved branches: "all" (the per-cell problem),
-    "pinch" (the two width/height branches, with the r and s corner
-    intercepts relaxed to the contiguous band range - they do not appear in
-    those objectives) or "hull" (the boundary-shift branch only).
+    Solved through the dual: min b.y  s.t.  -A^T y <= (0,0,0,0,1), y >= 0.
+    Its right-hand side is nonnegative, so no phase 1 is needed, and the
+    tableau has only five rows; the primal optimum is -value and the
+    primal point is the vector of row multipliers.
     """
-    bi, bj, bk, bl = cell
-    bands = geo.bands
-    rb, sb = M.bounding_r, M.bounding_s
-    if any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
-        raise PreconditionError("cell optimization needs a bounded interval")
-
-    cp = _acomb(1, _P2, -1, _P1)
-    cq = _acomb(1, _Q2, -1, _Q1)
-    cr = _acomb(1, _Q2, -1, _P1)
-    cs_ = _acomb(1, _P2, -1, _Q1)
-    tp = _acomb(HALF, _P1, HALF, _P2)
-    tq = _acomb(HALF, _Q1, HALF, _Q2)
-    tr = _acomb(HALF, _P1, HALF, _Q2)
-    ts = _acomb(HALF, _Q1, HALF, _P2)
-
-    cons = []  # affine <= 0
-
-    def bounds(bidx, ce):
-        bnd = bands[bidx]
-        if not is_inf(bnd.lo):
-            cons.append(_acomb(-1, ce, const=bnd.lo))
-        if not is_inf(bnd.hi):
-            cons.append(_acomb(1, ce, const=-bnd.hi))
-
-    bounds(bi, cp)
-    bounds(bj, cq)
-    if which == "pinch":
-        # the r and s intercepts only need to stay inside the cell's
-        # contiguous band range
-        for ce in (cr, cs_):
-            if not is_inf(bands[bj].lo):
-                cons.append(_acomb(-1, ce, const=bands[bj].lo))
-            if not is_inf(bands[bi].hi):
-                cons.append(_acomb(1, ce, const=-bands[bi].hi))
-    else:
-        bounds(bk, cr)
-        bounds(bl, cs_)
-    cons.append(_acomb(-1, _P1, const=rb.x1))
-    cons.append(_acomb(-1, _Q2, const=rb.x2))
-    cons.append(_acomb(1, _Q1, const=-sb.x1))
-    cons.append(_acomb(1, _P2, const=-sb.x2))
-    cons.append(_acomb(1, _P1, -1, _Q1))
-    cons.append(_acomb(1, _Q2, -1, _P2))
-
-    vi, vj = _cell_ranges(geo, bi, bj)
-    out_d = geo.tables.codiam(vi, vj)
-    in_d = geo.tables.diam(vi, vj)
-    if best_bound is not None:
-        # every branch carries the outside diameter and both slice lengths
-        lb = max(geo.min_len[bi], geo.min_len[bj],
-                 out_d if out_d is not NINF else Fraction(0))
-        if lb / 2 > best_bound:
-            return None
-
-    len_p = geo.slice_len(bi, cp)
-    len_q = geo.slice_len(bj, cq)
-    if len_p is None or len_q is None:
-        return None
-
-    t1 = [_acomb(HALF, len_p), _acomb(HALF, len_q)]
-    if out_d is not NINF:
-        t1.append(_aff(out_d / 2))
-    t2a = [_acomb(HALF, len_p), _acomb(HALF, len_q)]
-    if in_d is not NINF:
-        t2a.append(_aff(in_d / 2))
-    width = _acomb(HALF, _Q1, -HALF, _P1)
-    height = _acomb(HALF, _P2, -HALF, _Q2)
-
-    branches = []
-    if which in ("all", "pinch"):
-        branches.append(t1 + t2a + [width])
-        branches.append(t1 + t2a + [height])
-    if which in ("all", "hull"):
-        hull_terms = []
-        for bidx, ce, te, side, sign in ((bi, cp, tp, "hi", 1),
-                                         (bj, cq, tq, "hi", 1),
-                                         (bk, cr, tr, "lo", 1),
-                                         (bi, cp, tp, "lo", -1),
-                                         (bj, cq, tq, "lo", -1),
-                                         (bl, cs_, ts, "hi", -1)):
-            e = geo.boundary_eval(bidx, ce, te, side)
-            if e is None:
-                hull_terms = None
-                break
-            hull_terms.append(e if sign > 0 else _acomb(-1, e))
-        if hull_terms is not None:
-            branches.append(t1 + hull_terms + [_aff(0)])
-
-    best = None
-    lbs = (rb.x1, rb.x2, rb.x1, rb.x2)
-    ubs = (sb.x1, sb.x2, sb.x1, sb.x2)
-    for atoms in branches:
-        res = _solve_branch(atoms, cons, lbs, ubs)
-        if res is None:
-            continue
-        val, xs = res
-        p1, p2, q1, q2 = xs
-        rect = RectangleSpec((p1, q2), (q1, p2))
-        key = (val, rect.area(), (p1, q2, q1, p2))
-        if best is None or key < best[0]:
-            best = (key, rect, val)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _solve_branch(atoms, cons, lbs, ubs):
-    """Minimize max(atoms) under cons <= 0 and the variable box."""
-    usable = []
-    for a0, av in atoms:
-        if a0 is INF:
-            return None
-        if a0 is NINF:
-            continue
-        usable.append((a0, av))
-    if not usable:
-        return None
-    # variables: shifted (p1, p2, q1, q2) then the epigraph variable t
-    n = 5
-    A, b = [], []
-    for c0, cv in cons:
-        if c0 is NINF:
-            continue
-        if c0 is INF:
-            return None
-        shift = c0 + sum(k * l for k, l in zip(cv, lbs))
-        A.append(list(cv) + [Fraction(0)])
-        b.append(-shift)
-    for a0, av in usable:
-        shift = a0 + sum(k * l for k, l in zip(av, lbs))
-        A.append(list(av) + [Fraction(-1)])
-        b.append(-shift)
-    for v in range(4):
-        row = [Fraction(0)] * n
-        row[v] = Fraction(1)
-        A.append(row)
-        b.append(ubs[v] - lbs[v])
-    # solve through the dual: min b.y  s.t.  -A^T y <= (0,0,0,0,1), y >= 0.
-    # Its right-hand side is nonnegative, so no phase 1 is needed, and the
-    # tableau has only five rows; the primal optimum is -value and the
-    # primal point is the vector of row multipliers.
-    m = len(A)
-    Ad = [[-A[i][j] for i in range(m)] for j in range(n)]
-    bd = [Fraction(0)] * 4 + [Fraction(1)]
+    cols, rhs = zip(*rows)
     try:
-        dval, _, x = solve_lp(b, Ad, bd, duals=True)
+        dval, _, x = solve_lp(list(rhs), [list(c) for c in zip(*cols)],
+                              _DUAL_RHS, duals=True)
     except ArithmeticError:
         return None  # unbounded dual: the placement is infeasible
     return -dval, tuple(x[v] + lbs[v] for v in range(4))
@@ -502,10 +451,16 @@ def _solve_branch(atoms, cons, lbs, ubs):
 def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     """Best rectangle-or-zero approximation under the interleaving distance.
 
-    Enumerates every placement of the four corners into diagonal bands,
+    Searches every placement of the four corners into diagonal bands,
     solves each exactly, and keeps the best value; ties go to smaller area,
     then lexicographic corners, and the zero module wins whenever
     trivializing is at least as cheap as the best rectangle.
+
+    A placement is skipped, without changing the result, when its lower
+    bound lb/2 is above the best value so far or at least the midpoint
+    construction's epsilon (a cell only displaces that when strictly
+    better), and when its r and s intercept bands cannot sum to a value
+    of c_p + c_q.
     """
     triv = triv_distance(M)
     if M.is_rectangle():
@@ -518,34 +473,29 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     geo = _CellGeometry(M)
     nb = len(geo.bands)
     seed = construction1(M)
-    best = None  # best cell result: (key, rect, value)
-
-    def consider(out):
-        nonlocal best
-        if out is None:
-            return
-        rect, val = out
-        key = (val, rect.area(),
-               (rect.r.x1, rect.r.x2, rect.s.x1, rect.s.x2))
-        if best is None or key < best[0]:
-            best = (key, rect, val)
-
-    def bound():
-        return seed.epsilon if best is None else min(seed.epsilon, best[2])
+    best = None  # best cell result: (rect, value)
 
     for j in range(nb):
         for i in range(j, nb):
+            lb2, t1, t2a = geo.pair(i, j)
+            if lb2 >= seed.epsilon:
+                continue
             # the width/height branches ignore the r and s corner bands
-            consider(_optimize_bands(M, geo, (i, j, j, j), bound(),
-                                     which="pinch"))
-            for k in range(j, i + 1):
-                for l in range(j, i + 1):
-                    consider(_optimize_bands(M, geo, (i, j, k, l), bound(),
-                                             which="hull"))
+            cells = [((i, j, j, j), "pinch")]
+            cells += [((i, j, k, l), "hull")
+                      for k in range(j, i + 1) for l in range(j, i + 1)
+                      if geo.sums_meet(i, j, k, l)]
+            for cell, which in cells:
+                if best is not None and lb2 > best[1]:
+                    break
+                out = geo.solve(cell, t1, t2a, which)
+                if out is not None and (best is None
+                                        or _rank(out) < _rank(best)):
+                    best = out
     # a cell only displaces the midpoint construction when strictly better
     rect, eps = seed.rect, seed.epsilon
-    if best is not None and best[2] < eps:
-        rect, eps = best[1], best[2]
+    if best is not None and best[1] < eps:
+        rect, eps = best
     if rect.is_zero or triv <= eps:
         return RectApproxResult(RectangleSpec.zero(), triv)
     return RectApproxResult(rect, eps)

@@ -28,9 +28,11 @@ def run(tmp_path, capsys):
             p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
             paths.append(str(p))
         rc = main([command] + paths + list(args))
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert rc == code
-        return json.loads(out) if code == 0 and out else out
+        if code:
+            return err
+        return json.loads(out) if out else out
 
     return go
 
@@ -59,6 +61,40 @@ class TestIntervalDi:
     def test_multi_summand_rejected(self, run):
         two = {"summands": [SQ04, SQ13]}
         run("interval-di", two, SQ13, code=3)
+
+
+class TestNumberGuards:
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "Infinity",
+                                         "-Infinity", "NaN"])
+    def test_non_finite_json_float(self, run, literal):
+        text = '{"lower": [[0, 0]], "upper": [[%s, 4]]}' % literal
+        assert "finite" in run("interval-di", text, SQ13, code=2)
+
+    def test_inf_string_still_accepted(self, run):
+        quad = {"lower": [[0, 0]], "upper": [["inf", "inf"]]}
+        rep = run("interval-di", quad, quad)
+        assert rep["delta"]["exact"] == "0"
+
+    @pytest.mark.parametrize("literal", ['"1e2000000"', '"1e-2000000"',
+                                         '"1/1%s"' % ("0" * 1000),
+                                         "1%s" % ("0" * 1000)],
+                             ids=["exponent", "negative-exponent",
+                                  "denominator", "integer"])
+    def test_oversized_numeral(self, run, literal):
+        text = '{"lower": [[0, 0]], "upper": [[%s, 4]]}' % literal
+        assert "digits" in run("interval-di", text, SQ13, code=2)
+
+    def test_integer_past_string_limit(self, run):
+        text = '{"lower": [[0, 0]], "upper": [[1%s, 4]]}' % ("0" * 5000)
+        run("interval-di", text, SQ13, code=2)
+
+    def test_non_finite_nonzero_index(self, run):
+        text = ('{"row_grades": [[0, 0]], "col_grades": [[1, 1]], '
+                '"nonzeros": [[1e999, 0]]}')
+        assert "index pair" in run("gmd", text, QUAD0, code=2)
+
+    def test_oversized_alpha(self, run):
+        run("gmd", QUAD0, QUAD1, args=["--alpha", "1e2000000"], code=2)
 
 
 class TestRectApprox:

@@ -11,9 +11,10 @@ from stairdist.geometry import (RectangleSpec, StaircaseInterval, diag_shift,
                                 point)
 from stairdist.generate import random_staircase
 from stairdist.interleaving import di_interval_vs_rect, triv_distance
-from stairdist.rect_approx import (approx_decomposable, band_partition,
-                                   construction1, diam_tables,
-                                   optimal_rectangle, optimize_cell, solve_lp)
+from stairdist.rect_approx import (_CellGeometry, approx_decomposable,
+                                   band_partition, construction1,
+                                   diam_tables, optimal_rectangle,
+                                   optimize_cell, solve_lp)
 from stairdist.scalars import INF, NINF
 
 from conftest import square
@@ -74,6 +75,19 @@ class TestBandsAndTables:
         assert t.codiam(1, 3) == 0
         assert t.codiam(2, 1) == 3
         assert t.codiam(0, 4) is NINF
+
+    def test_range_maxima_match_slices(self, rng):
+        for _ in range(10):
+            t = diam_tables(random_staircase(rng, size=8))
+            n = len(t.lengths)
+            for i in range(n + 1):
+                for j in range(-1, n):
+                    inside = t.lengths[i:j + 1]
+                    outside = t.lengths if j < i else \
+                        t.lengths[:i] + t.lengths[j + 1:]
+                    assert t.diam(i, j) == (max(inside) if inside else NINF)
+                    assert t.codiam(i, j) == \
+                        (max(outside) if outside else NINF)
 
 
 class TestSolveLp:
@@ -190,6 +204,72 @@ class TestOptimalRectangle:
                 assert opt.epsilon == triv
             else:
                 assert di_interval_vs_rect(M, opt.rect) == opt.epsilon
+
+
+class TestSearchEquivalence:
+    """The pruned search against plain minima over every cell."""
+
+    @staticmethod
+    def settle(M, best):
+        """optimal_rectangle's rules on the best cell (rect, value), where
+        rect None stands for any rectangle: a cell only displaces the
+        midpoint construction when strictly better, and the zero module
+        wins when trivializing is as cheap."""
+        seed = construction1(M)
+        rect, eps = seed.rect, seed.epsilon
+        if best is not None and best[1] < eps:
+            rect, eps = best
+        triv = triv_distance(M)
+        if (rect is not None and rect.is_zero) or triv <= eps:
+            return RectangleSpec.zero(), triv
+        return rect, eps
+
+    def unpruned(self, M):
+        """(epsilon from optimize_cell over every cell, (rect, epsilon) from
+        the search's own branches over every cell without pruning)."""
+        geo = _CellGeometry(M)
+        nb = len(geo.bands)
+        vals, keyed = [], []
+        for j in range(nb):
+            for i in range(j, nb):
+                _, t1, t2a = geo.pair(i, j)
+                keyed.append(geo.solve((i, j, j, j), t1, t2a, "pinch"))
+                for k in range(j, i + 1):
+                    for l in range(j, i + 1):
+                        cell = (i, j, k, l)
+                        vals.append(optimize_cell(M, cell, geo=geo))
+                        # the intercept-sum test only drops infeasible cells
+                        assert geo.sums_meet(*cell) or vals[-1] is None
+                        keyed.append(geo.solve(cell, t1, t2a, "hull"))
+        vals = [out[1] for out in vals if out is not None]
+        eps = self.settle(M, (None, min(vals)) if vals else None)[1]
+        keyed = [out for out in keyed if out is not None]
+        best = min(keyed, default=None, key=lambda out: (
+            out[1], out[0].area(), *out[0].r, *out[0].s))
+        return eps, self.settle(M, best)
+
+    def check(self, M):
+        res = optimal_rectangle(M)
+        eps, (rect, val) = self.unpruned(M)
+        assert res.epsilon == eps == val
+        assert (res.rect.r, res.rect.s) == (rect.r, rect.s)
+        if res.rect.is_zero:
+            assert res.epsilon == triv_distance(M)
+        else:
+            assert di_interval_vs_rect(M, res.rect) == res.epsilon
+
+    def test_l_shapes(self, thick_l, thin_l):
+        self.check(thick_l)
+        self.check(thin_l)
+
+    def test_random_staircases(self, rng):
+        checked = 0
+        while checked < 15:
+            M = random_staircase(rng, size=4 + checked % 5)
+            if M.is_rectangle():
+                continue
+            self.check(M)
+            checked += 1
 
 
 class TestApproxDecomposable:
