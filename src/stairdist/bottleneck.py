@@ -10,7 +10,7 @@ pairwise costs and trivialization costs.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import RectangleSpec
+from .geometry import Point2, RectangleSpec
 from .interleaving import di_interval, di_interval_vs_rect, triv_distance
 from .rect_approx import approx_decomposable
 from .scalars import INF, is_inf
@@ -23,28 +23,75 @@ class CostProfile:
     triv_n: list
 
 
-def _rect_pair_cost(A, B, triv_a, triv_b):
-    """Interleaving distance of two rectangle modules, in closed form.
+def _one_relation(S):
+    """(g, rel) when S is the closure of k<g>/<rel>, else None.
 
-    A morphism between rectangle modules is a scalar multiple of the
-    canonical one.  A nonzero eps-interleaving exists exactly when both
-    corner gaps ||r_A - r_B||_inf and ||s_A - s_B||_inf are at most eps;
-    otherwise both maps vanish, so each rectangle has to be 2 eps-trivial.
-    Hence d_I = min(max(triv_A, triv_B), max corner gap).  With INF - INF = 0
-    a coordinate infinite in both rectangles adds no gap.
+    Such a summand has one finite minimal point g and only maximal points
+    at infinity: a hook (a, INF), (INF, b) has rel = (a, b); a vertical strip
+    (a, INF) has rel = (a, g.x2); a horizontal strip (INF, b) has
+    rel = (g.x1, b); a quadrant has rel = (INF, INF).
     """
-    (ra,), (sa,), (rb,), (sb,) = A.mins, A.maxs, B.mins, B.maxs
-    gap = max(abs(ra.x1 - rb.x1), abs(ra.x2 - rb.x2),
-              abs(sa.x1 - sb.x1), abs(sa.x2 - sb.x2))
+    if len(S.mins) != 1:
+        return None
+    g = S.mins[0]
+    if is_inf(g.x1) or is_inf(g.x2):
+        return None
+    a, b = g.x1, g.x2
+    for w in S.maxs:
+        if is_inf(w.x1) and is_inf(w.x2):
+            return g, w
+        if is_inf(w.x2):
+            a = w.x1
+        elif is_inf(w.x1):
+            b = w.x2
+        else:
+            return None
+    return g, Point2(a, b)
+
+
+def _corner_pair_cost(A, B, triv_a, triv_b):
+    """Interleaving distance of two cyclic summands, in closed form.
+
+    A = (p, q) is either a rectangle with corners r = p, s = q, or a
+    one-relation summand k<g>/<rel> with g = p, rel = q (see
+    _one_relation).  Either way a morphism A -> B(eps) is a scalar multiple
+    of the canonical one, which sends generator to generator.
+
+    Rectangles: a nonzero eps-interleaving exists exactly when both corner
+    gaps ||r_A - r_B||_inf and ||s_A - s_B||_inf are at most eps; otherwise
+    both maps vanish, so each rectangle has to be 2 eps-trivial.
+
+    One-relation summands: the canonical map k<g>/<rel> -> k<g'>/<rel'>(eps)
+    is nonzero only if g' <= g + eps (the generator lands in the support)
+    and rel' <= rel + eps (the relation is killed).  So when both maps of an
+    eps-interleaving are nonzero, ||g - g'||_inf and ||rel - rel'||_inf are
+    at most eps; when one is zero, both composites vanish and both modules
+    are 2 eps-trivial.  Conversely, when both gaps are at most eps the
+    canonical maps interleave, unless rel' <= g + eps makes the image zero;
+    but then rel <= g + 2 eps and rel' <= g' + 2 eps, so both trivs are
+    already at most eps.
+
+    Hence d_I = min(max(triv_A, triv_B), max of the two corner gaps).  With
+    INF - INF = 0 a coordinate infinite on both sides adds no gap; INF minus
+    a finite value is INF.
+    """
+    (pa, qa), (pb, qb) = A, B
+    gap = max(abs(pa.x1 - pb.x1), abs(pa.x2 - pb.x2),
+              abs(qa.x1 - qb.x1), abs(qa.x2 - qb.x2))
     return min(max(triv_a, triv_b), gap)
 
 
 def _summand_cost(mi, nj, triv_i, triv_j):
-    # rectangle pairs, and bounded rectangles inside the partner's bounding
-    # rectangle, hit closed forms; the rest goes through the decision procedure
+    # rectangle pairs, pairs of one-relation summands (hooks, strips and
+    # quadrants), and bounded rectangles inside the partner's bounding
+    # rectangle hit closed forms; the rest goes through the decision procedure
+    if nj.is_rectangle() and mi.is_rectangle():
+        return _corner_pair_cost((mi.mins[0], mi.maxs[0]),
+                                 (nj.mins[0], nj.maxs[0]), triv_i, triv_j)
+    a, b = _one_relation(mi), _one_relation(nj)
+    if a is not None and b is not None:
+        return _corner_pair_cost(a, b, triv_i, triv_j)
     if nj.is_rectangle():
-        if mi.is_rectangle():
-            return _rect_pair_cost(mi, nj, triv_i, triv_j)
         rb, sb = mi.bounding_r, mi.bounding_s
         r, s = nj.bounding_r, nj.bounding_s
         coords = (rb.x1, rb.x2, sb.x1, sb.x2, r.x1, r.x2, s.x1, s.x2)

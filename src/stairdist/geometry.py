@@ -402,8 +402,8 @@ class StaircaseInterval:
 
     @classmethod
     def from_antichains(cls, mins, maxs):
-        mins = sorted(_minimal(list(mins)), key=_by_x1)
-        maxs = sorted(_maximal(list(maxs)), key=_by_x1)
+        mins = sorted(_minimal(list(mins)), key=lambda p: p.x1)
+        maxs = sorted(_maximal(list(maxs)), key=lambda p: p.x1)
         if not mins or not maxs:
             raise ValidationError("empty corner set")
         for v in mins:
@@ -451,13 +451,6 @@ class StaircaseInterval:
 
     def __repr__(self):
         return "StaircaseInterval(mins=%r, maxs=%r)" % (list(self.mins), list(self.maxs))
-
-
-def _by_x1(p: Point2):
-    a = p.x1
-    if is_inf(a):
-        return (-1 if a < 0 else 1, Fraction(0))
-    return (0, a)
 
 
 def validate_interval(lower, upper) -> StaircaseInterval:

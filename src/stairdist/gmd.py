@@ -30,11 +30,6 @@ class GradedMatrix:
     col_perm: tuple = None
 
 
-def _grade_key(p: Point2):
-    k = lambda v: (0, v) if not is_inf(v) else ((-1, Fraction(0)) if v < 0 else (1, Fraction(0)))
-    return (k(p.x1), k(p.x2))
-
-
 def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
     """Check the grade condition and return a GradedMatrix with rows and
     columns sorted by grade (lexicographic, ties by original index)."""
@@ -48,8 +43,8 @@ def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
             raise ValidationError(
                 "entry (%d,%d) violates the grade order: %r vs %r"
                 % (i, j, rows[i], cols[j]))
-    rp = sorted(range(len(rows)), key=lambda i: (_grade_key(rows[i]), i))
-    cp = sorted(range(len(cols)), key=lambda j: (_grade_key(cols[j]), j))
+    rp = sorted(range(len(rows)), key=lambda i: (rows[i], i))
+    cp = sorted(range(len(cols)), key=lambda j: (cols[j], j))
     rinv = {old: new for new, old in enumerate(rp)}
     cinv = {old: new for new, old in enumerate(cp)}
     nz = frozenset((rinv[i], cinv[j]) for i, j in nonzeros)
@@ -251,9 +246,9 @@ def diagonalize(P: GradedMatrix, host=None):
     # birth/death order: for totally ordered grades the lexicographic sort
     # is the total order (pushing to a band may have perturbed it)
     rorder = sorted(range(len(P.row_grades)),
-                    key=lambda i: (_grade_key(P.row_grades[i]), i))
+                    key=lambda i: (P.row_grades[i], i))
     corder = sorted(range(len(P.col_grades)),
-                    key=lambda j: (_grade_key(P.col_grades[j]), j))
+                    key=lambda j: (P.col_grades[j], j))
     rows = [P.row_grades[i] for i in rorder]
     cols = [P.col_grades[j] for j in corder]
     rpos = {old: new for new, old in enumerate(rorder)}

@@ -305,9 +305,6 @@ def di_decision(M, N, delta) -> DecisionReport:
     return rep
 
 
-_di_cache: dict = {}
-
-
 def _gap_root(A, B, a, upper):
     """Least shift in the open gap (a, b) accepted by the kill requirement.
 
@@ -380,21 +377,12 @@ def di_interval(M, N):
     evaluated with infinitesimal perturbations, so infima that the decision
     itself only attains in the limit are still returned exactly.
     """
-    key = None
-    if isinstance(M, StaircaseInterval) and isinstance(N, StaircaseInterval):
-        if M == N:
-            return Fraction(0)
-        key = (M, N)
-        hit = _di_cache.get(key)
-        if hit is not None:
-            return hit
+    if (isinstance(M, StaircaseInterval) and isinstance(N, StaircaseInterval)
+            and M == N):
+        return Fraction(0)
     A, B = _as_region(M), _as_region(N)
     dd, _ = _di_diag(A, B)
-    out = INF if dd is INF else _least_accepted(A, B, dd)
-    if key is not None:
-        _di_cache[key] = out
-        _di_cache[(key[1], key[0])] = out
-    return out
+    return INF if dd is INF else _least_accepted(A, B, dd)
 
 
 # --------------------------------------------------------------------------

@@ -95,10 +95,10 @@ def parse_presentation(obj) -> GradedMatrix:
     for e in obj["nonzeros"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ParseError("nonzero entry %r is not an [i, j] pair" % (e,))
-        try:
-            nz.add((int(e[0]), int(e[1])))
-        except (TypeError, ValueError, OverflowError):
+        if not all(isinstance(k, int) and not isinstance(k, bool)
+                   for k in e):
             raise ParseError("nonzero entry %r is not an index pair" % (e,))
+        nz.add(tuple(e))
     return validate_presentation(rows, cols, nz)
 
 

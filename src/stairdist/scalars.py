@@ -262,10 +262,9 @@ def ext(x):
             return Fraction(x)
     if isinstance(x, str):
         s = x.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return INF
-        if s == "-inf":
-            return NINF
+        body = s[1:] if s[:1] in ("+", "-") else s
+        if body in ("inf", "infinity"):
+            return NINF if s[0] == "-" else INF
         return Fraction(x)
     raise TypeError("cannot interpret %r as an extended real" % (x,))
 

@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exhaustive_bottleneck
+from stairdist import bottleneck
 from stairdist.bottleneck import (CostProfile, bottleneck_distance,
                                   delta_matched, interleaving_lower_bound,
                                   pairwise_costs)
-from stairdist.generate import random_rectangles, random_staircase
+from stairdist.generate import (random_presentation, random_rectangles,
+                                random_staircase)
 from stairdist.geometry import StaircaseInterval, point
-from stairdist.gmd import bars_bottleneck
+from stairdist.gmd import (_closed_summands, anchors, bars_bottleneck,
+                           diagonalize, push_band)
 from stairdist.interleaving import di_interval, triv_distance
 from stairdist.scalars import INF, NINF, is_inf
 
@@ -127,6 +131,82 @@ class TestRectanglePairs:
         strip = StaircaseInterval.rect(point(0, 0), point(INF, 2))
         prof = pairwise_costs([q0, strip], [q1, square(0, 1)])
         assert prof.costs == [[3, INF], [INF, 1]]
+
+
+@st.composite
+def one_relation_summands(draw):
+    """Hooks, vertical and horizontal strips and quadrants with half-integer
+    corners; a relation coordinate may coincide with the generator's."""
+    half = st.integers(-8, 8).map(lambda k: Fraction(k, 2))
+    g1, g2 = draw(half), draw(half)
+    a = g1 + abs(draw(half))
+    b = g2 + abs(draw(half))
+    kind = draw(st.sampled_from(["hook", "vertical", "horizontal",
+                                 "quadrant"]))
+    maxs = {"hook": [point(a, INF), point(INF, b)],
+            "vertical": [point(a, INF)],
+            "horizontal": [point(INF, b)],
+            "quadrant": [point(INF, INF)]}[kind]
+    return StaircaseInterval.from_antichains([point(g1, g2)], maxs)
+
+
+class TestHookPairs:
+    @given(one_relation_summands(), one_relation_summands())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_search(self, A, B):
+        prof = pairwise_costs([A, B], [B, A])
+        assert prof.costs[0][0] == prof.costs[1][1] == di_interval(A, B)
+        assert prof.costs[0][1] == prof.costs[1][0] == 0
+        assert prof.costs[1][1] == di_interval(B, A)
+
+    def test_named_pairs(self):
+        def summand(g, *maxs):
+            return StaircaseInterval.from_antichains(
+                [point(*g)], [point(*w) for w in maxs])
+
+        hook = summand((0, 1), (10, INF), (INF, 5))
+        others = [summand((1, 1), (10, INF), (INF, 6)),
+                  summand((0, 1), (10, INF)),  # relation (10, 1)
+                  summand((0, 1), (INF, INF))]
+        wide = summand((1, 0), (5, INF), (INF, 10))
+        flat = summand((1, 0), (INF, 10))  # relation (1, 10)
+        prof = pairwise_costs([hook, wide], others + [flat])
+        assert prof.costs[0][:3] == [1, 4, INF]
+        assert prof.costs[1][3] == 4
+        assert prof.costs == [[di_interval(mi, nj) for nj in others + [flat]]
+                              for mi in (hook, wide)]
+
+    def test_gmd_band_summands(self):
+        rng = random.Random(12)
+        P = random_presentation(rng, size=5)
+        Q = random_presentation(rng, size=5)
+        C = anchors([P, Q]).bands[1]
+        M = _closed_summands(diagonalize(push_band(P, C), host=C))
+        N = _closed_summands(diagonalize(push_band(Q, C), host=C))
+        assert len(M) > 1 and len(N) > 1
+        assert any(len(S.maxs) == 2 for S in M + N)
+        prof = pairwise_costs(M, N)
+        assert prof.costs == [[di_interval(mi, nj) for nj in N] for mi in M]
+
+    @pytest.mark.parametrize("other", [
+        StaircaseInterval.from_antichains([point(0, 1), point(1, 0)],
+                                          [point(3, INF), point(INF, 3)]),
+        StaircaseInterval.from_antichains([point(0, 0)],
+                                          [point(2, INF), point(3, 3)]),
+    ], ids=["two-minima", "finite-maximum"])
+    def test_other_shapes_reach_search(self, monkeypatch, other):
+        calls = []
+
+        def counted(M, N):
+            calls.append((M, N))
+            return di_interval(M, N)
+
+        monkeypatch.setattr(bottleneck, "di_interval", counted)
+        hook = StaircaseInterval.from_antichains(
+            [point(0, 0)], [point(2, INF), point(INF, 2)])
+        prof = pairwise_costs([hook, other], [hook])
+        assert calls == [(other, hook)]
+        assert prof.costs[1][0] == di_interval(other, hook)
 
 
 class TestMatcher:

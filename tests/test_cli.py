@@ -93,6 +93,21 @@ class TestNumberGuards:
                 '"nonzeros": [[1e999, 0]]}')
         assert "index pair" in run("gmd", text, QUAD0, code=2)
 
+    @pytest.mark.parametrize("entry", ["[0.7, 0.2]", '["1", 0]', "[true, 0]",
+                                       "[0, 1.0]", "[null, 0]"],
+                             ids=["fractional", "string", "bool", "float",
+                                  "null"])
+    def test_non_integer_nonzero_index(self, run, entry):
+        text = ('{"row_grades": [[0, 0]], "col_grades": [[1, 1]], '
+                '"nonzeros": [%s]}' % entry)
+        assert "index pair" in run("gmd", text, QUAD0, code=2)
+
+    def test_integer_nonzero_index_accepted(self, run):
+        hook = {"row_grades": [[0, 0]], "col_grades": [[1, 1]],
+                "nonzeros": [[0, 0]]}
+        rep = run("gmd", hook, hook)
+        assert rep["value"]["exact"] == "0"
+
     def test_oversized_alpha(self, run):
         run("gmd", QUAD0, QUAD1, args=["--alpha", "1e2000000"], code=2)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from stairdist.scalars import INF, NINF
+from stairdist.scalars import INF, NINF, ext
 
 
 @pytest.mark.parametrize("x", [INF, NINF])
@@ -16,3 +16,17 @@ def test_infinity_over_finite_keeps_sign():
     assert INF / Fraction(2) is INF
     assert INF / Fraction(-2) is NINF
     assert NINF / 3 is NINF
+
+
+@pytest.mark.parametrize("word", ["inf", "infinity", "Inf", "INFINITY"])
+def test_infinity_spellings_take_either_sign(word):
+    assert ext(word) is INF
+    assert ext("+" + word) is INF
+    assert ext("-" + word) is NINF
+    assert ext(" -%s " % word) is NINF
+
+
+@pytest.mark.parametrize("text", ["--inf", "+-infinity", "-in", "-"])
+def test_malformed_infinity_rejected(text):
+    with pytest.raises(ValueError):
+        ext(text)
