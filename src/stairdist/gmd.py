@@ -16,7 +16,6 @@ from .bottleneck import CostProfile, bottleneck_distance, bottleneck_from_profil
 from .errors import PreconditionError, ValidationError
 from .geometry import (DiagBand, Point2, StaircaseInterval, band, intercept,
                        point, pt_le, scale as scale_interval, tval)
-from .interleaving import triv_distance
 from .rect_approx import construction1, optimal_rectangle
 from .scalars import INF, NINF, ext, is_inf
 
@@ -35,7 +34,7 @@ def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
     columns sorted by grade (lexicographic, ties by original index)."""
     rows = [point(*u) for u in rows]
     cols = [point(*u) for u in cols]
-    nonzeros = {(int(i), int(j)) for i, j in nonzeros}
+    nonzeros = {_index_pair(e) for e in nonzeros}
     for i, j in nonzeros:
         if not (0 <= i < len(rows) and 0 <= j < len(cols)):
             raise ValidationError("nonzero (%d,%d) out of range" % (i, j))
@@ -51,6 +50,17 @@ def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
     return GradedMatrix(tuple(rows[i] for i in rp),
                         tuple(cols[j] for j in cp),
                         nz, tuple(rp), tuple(cp))
+
+
+def _index_pair(e):
+    """A nonzero entry as a (row, col) pair of ints; bools and other
+    numbers are rejected, not truncated."""
+    if not (isinstance(e, (tuple, list)) and len(e) == 2
+            and all(isinstance(k, int) and not isinstance(k, bool)
+                    for k in e)):
+        raise ValidationError("nonzero entry %r is not a pair of int indices"
+                              % (e,))
+    return tuple(e)
 
 
 def pointwise_dim(P: GradedMatrix, u) -> int:
@@ -406,7 +416,7 @@ def _band_epsilon(summands):
             continue
         rb, sb = s.bounding_r, s.bounding_s
         if any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
-            e = min(construction1(s).epsilon, triv_distance(s))
+            e = construction1(s).epsilon
         else:
             e = optimal_rectangle(s).epsilon
         eps = max(eps, e)

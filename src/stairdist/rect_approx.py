@@ -5,12 +5,15 @@ extreme bounding-rectangle corners halfway onto the boundary staircases) and
 the optimal rectangle, found by partitioning the bounding rectangle into
 diagonal bands, placing the four rectangle corners into bands in every
 combination, and solving each placement exactly as a handful of small linear
-programs over rationals; placements that provably cannot win are skipped.
+programs; placements that provably cannot win are skipped.  The LPs have
+rational data, scaled to ints once per module, and run on a fraction-free
+integer simplex tableau whose results are exact Fractions.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError
 from .geometry import (RectangleSpec, StaircaseInterval, band, intercept,
@@ -126,107 +129,133 @@ def band_partition(M: StaircaseInterval):
 
 
 # --------------------------------------------------------------------------
-# exact rational simplex (min c.x, A x <= b, x >= 0)
+# exact fraction-free simplex (min c.x, A x <= b, x >= 0)
 
 
-def _sub_multiple(u, f, v):
-    """u - f*v, skipping the zero entries of v."""
-    return [a - f * p if p else a for a, p in zip(u, v)]
+def _integral(rows):
+    """(L, the rows times L) for the least positive int L that makes every
+    entry of the rational rows an int."""
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row]
+                   for row in rows]
 
 
 def solve_lp(c, A, b, duals=False):
-    """Two-phase simplex with Bland's rule, exact over Fraction.
+    """Two-phase simplex with Bland's rule, exact on ints.
 
-    Returns (value, x) or None when infeasible.  Unbounded problems raise.
-    With duals=True the result is (value, x, y) where y holds the optimal
-    row multipliers read off the slack reduced costs, normalized so that
-    b.y equals the optimal value.
+    The entries are ints or Fractions.  Returns (value, x) or None when
+    infeasible.  Unbounded problems raise ArithmeticError.  With duals=True
+    the result is (value, x, y) with y_i the reduced cost of the slack of
+    row i, negated where b_i < 0.  Where b >= 0, y >= 0 is the optimal
+    point of the dual max -b.y s.t. A^T y >= -c, so -b.y is the value; a
+    row with b_i < 0 gets the opposite sign.  Every number returned is a
+    Fraction.
+
+    A and b are scaled by one positive int and c by another, which scales
+    each tableau column, its ratios and its reduced costs by a positive
+    factor and so keeps every pivot; the results are scaled back.  The
+    tableau T, the reduced-cost row included, holds ints equal to D times
+    the rational tableau of the current basis B, with D = |det B|.
+    Pivoting on p = T[r][col] leaves row r as it is, replaces every other
+    row a, whose entry in col is f, by (p*a - f*T[r]) / D, an exact
+    division, and sets D = p; when p < 0 every row is negated and D = -p
+    (Edmonds's integer-preserving pivot, as in Bareiss elimination).  The
+    pivots are those of the rational tableau: the entering column is the
+    first with a negative reduced cost, and the ratio test compares
+    T[r][-1] / T[r][col] by cross-multiplication, ties going to the lower
+    basis index.
     """
     m, n = len(A), len(c)
-    rows = []
-    senses = []  # +1 slack, -1 needs artificial
-    for i in range(m):
-        ai = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            ai = [-v for v in ai]
-            bi = -bi
-            senses.append(-1)
-        else:
-            senses.append(1)
-        rows.append((ai, bi))
-    nart = sum(1 for s in senses if s < 0)
+    row_scale, rows = _integral([list(a) + [bi] for a, bi in zip(A, b)])
+    cost_scale, (cost,) = _integral([c])
+    senses = [-1 if row[-1] < 0 else 1 for row in rows]
+    nart = senses.count(-1)
     total = n + m + nart
+    # rows 0..m-1 are the constraints, row m the reduced costs
     T = []
     basis = []
-    ak = 0
-    for i, (ai, bi) in enumerate(rows):
-        row = ai + [Fraction(0)] * (m + nart) + [bi]
-        row[n + i] = Fraction(1) if senses[i] > 0 else Fraction(-1)
-        if senses[i] > 0:
-            basis.append(n + i)
-        else:
-            row[n + m + ak] = Fraction(1)
-            basis.append(n + m + ak)
+    ak = n + m
+    for i, row in enumerate(rows):
+        if senses[i] < 0:
+            row = [-v for v in row]
+        t = row[:n] + [0] * (m + nart) + row[n:]
+        t[n + i] = senses[i]
+        if senses[i] < 0:
+            t[ak] = 1
+            basis.append(ak)
             ak += 1
-        T.append(row)
+        else:
+            basis.append(n + i)
+        T.append(t)
+    T.append([0] * (total + 1))
+    D = 1
 
     def pivot(r, col):
-        piv = T[r][col]
-        T[r] = [v / piv if v else v for v in T[r]]
-        for rr in range(len(T)):
-            if rr != r and T[rr][col] != 0:
-                T[rr] = _sub_multiple(T[rr], T[rr][col], T[r])
+        nonlocal D
+        prow = T[r]
+        p = prow[col]
+        sign = -1 if p < 0 else 1
+        p *= sign
+        for k, row in enumerate(T):
+            if k == r:
+                continue
+            f = row[col] * sign
+            if f:
+                T[k] = [(p * a - f * q) // D for a, q in zip(row, prow)]
+            elif p != D:  # only the common factor changes
+                T[k] = [p * a // D for a in row]
+        if sign < 0:
+            T[r] = [-v for v in prow]
+        D = p
         basis[r] = col
 
     def run(obj, ncols):
-        red = list(obj) + [Fraction(0)]
+        red = [D * v for v in obj] + [0]
         for r, bv in enumerate(basis):
-            if obj[bv] != 0:
-                red = _sub_multiple(red, obj[bv], T[r])
+            if obj[bv]:
+                red = [a - obj[bv] * q for a, q in zip(red, T[r])]
+        T[m] = red
         while True:
-            col = None
-            for j in range(ncols):
-                if red[j] < 0:
-                    col = j
-                    break
+            red = T[m]
+            col = next((j for j in range(ncols) if red[j] < 0), None)
             if col is None:
-                return -red[-1], red
+                return -red[-1]
             row = None
-            best = None
-            for r in range(len(T)):
-                if T[r][col] > 0:
-                    ratio = T[r][-1] / T[r][col]
-                    if best is None or ratio < best or \
-                            (ratio == best and basis[r] < basis[row]):
-                        best, row = ratio, r
+            for r in range(m):
+                a = T[r][col]
+                if a <= 0:
+                    continue
+                if row is None:
+                    row = r
+                    continue
+                lhs, rhs = T[r][-1] * T[row][col], T[row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
+                    row = r
             if row is None:
                 raise ArithmeticError("unbounded linear program")
             pivot(row, col)
-            if red[col] != 0:
-                red = _sub_multiple(red, red[col], T[row])
 
     if nart:
-        obj1 = [Fraction(0)] * (n + m) + [Fraction(1)] * nart
-        if run(obj1, total)[0] > 0:
+        if run([0] * (n + m) + [1] * nart, total) > 0:
             return None
         # pivot any artificial out of the basis
-        for r in range(len(T)):
+        for r in range(m):
             if basis[r] >= n + m:
                 for j in range(n + m):
-                    if T[r][j] != 0:
+                    if T[r][j]:
                         pivot(r, j)
                         break
-    obj2 = [Fraction(v) for v in c] + [Fraction(0)] * (m + nart)
-    val, red = run(obj2, n + m)
+    val = Fraction(run(cost + [0] * (m + nart), n + m), D * cost_scale)
     x = [Fraction(0)] * n
     for r, bv in enumerate(basis):
         if bv < n:
-            x[bv] = T[r][-1]
+            x[bv] = Fraction(T[r][-1], D)
     if duals:
-        y = [red[n + i] * senses[i] for i in range(m)]
+        y = [Fraction(T[m][n + i] * senses[i] * row_scale, D * cost_scale)
+             for i in range(m)]
         return val, x, y
     return val, x
+
 
 
 # --------------------------------------------------------------------------
@@ -267,9 +296,6 @@ _HEIGHT = _acomb(HALF, _P2, -HALF, _Q2)
 # t_q - tlo(c_q) and t_s - thi(c_s)
 _GAPS = (("p", "hi", 1), ("q", "hi", 1), ("r", "lo", 1),
          ("p", "lo", -1), ("q", "lo", -1), ("s", "hi", -1))
-# right-hand side of the dual LP: the four shifted corner coordinates are
-# free of cost and the epigraph variable costs 1
-_DUAL_RHS = [Fraction(0)] * 4 + [Fraction(1)]
 
 
 def _piece(f, lo, hi):
@@ -287,6 +313,8 @@ class _CellGeometry:
     corner, and the epigraph variable.  A row `a.x <= b` is kept as (-a, b),
     the column it contributes to the dual LP that `_solve_rows` solves.
     Constraints carry epigraph coefficient 0, atoms (`atom <= epigraph`) -1.
+    The right-hand side of the dual LP, dual_rhs, says that the four shifted
+    corner coordinates are free of cost and the epigraph variable costs 1.
     """
 
     def __init__(self, M: StaircaseInterval):
@@ -340,12 +368,43 @@ class _CellGeometry:
             # slice length is linear across a band: min at the ends
             self.min_len.append(max(min(a + k * b.lo, a + k * b.hi),
                                     Fraction(0)))
+        # the outside and inside diameters of pair() are slice lengths
+        self.half_diam = {v: self._row(_aff(v / 2), -1)
+                          for v in set(self.tables.lengths)}
+        self._scale_to_ints()
 
     def _row(self, expr, epi=0):
         """The dual column of the primal row expr - epi * t <= 0."""
         c0, cv = expr
         shift = c0 + sum(k * l for k, l in zip(cv, self.lbs))
         return (tuple(-v for v in cv) + (Fraction(-epi),), -shift)
+
+    def _scale_to_ints(self):
+        """Multiply every dual column by one positive int, col_scale, and
+        every right-hand side by another, rhs_scale, the least that leave
+        only ints, so that the simplex runs on ints."""
+        per_band = (self.lo_rows, self.hi_rows, self.half_len, self.gaps)
+        rows = [*self.box, *self.var_box, self.width, self.height, self.zero,
+                *self.half_diam.values()]
+        rows += [r for t in per_band for rs in t.values() for r in rs]
+        cs = self.col_scale = lcm(*(v.denominator for col, _ in rows
+                                    for v in col))
+        rs = self.rhs_scale = lcm(*(rhs.denominator for _, rhs in rows))
+
+        def ints(row):
+            col, rhs = row
+            return (tuple(v.numerator * (cs // v.denominator) for v in col),
+                    rhs.numerator * (rs // rhs.denominator))
+
+        self.box = [ints(r) for r in self.box]
+        self.var_box = [ints(r) for r in self.var_box]
+        self.width, self.height, self.zero = map(
+            ints, (self.width, self.height, self.zero))
+        self.half_diam = {v: ints(r) for v, r in self.half_diam.items()}
+        for t in per_band:
+            for key, family in t.items():
+                t[key] = [ints(r) for r in family]
+        self.dual_rhs = [0] * 4 + [cs]
 
     def pair(self, i, j):
         """Lower bound lb/2 on every cell with p in band i and q in band j,
@@ -360,10 +419,8 @@ class _CellGeometry:
         lb = max(self.min_len[i], self.min_len[j],
                  out_d if out_d is not NINF else Fraction(0))
         lens = [self.half_len["p"][i], self.half_len["q"][j]]
-        t1 = lens + ([self._row(_aff(out_d / 2), -1)]
-                     if out_d is not NINF else [])
-        t2a = lens + ([self._row(_aff(in_d / 2), -1)]
-                      if in_d is not NINF else [])
+        t1 = lens + ([self.half_diam[out_d]] if out_d is not NINF else [])
+        t2a = lens + ([self.half_diam[in_d]] if in_d is not NINF else [])
         return lb / 2, t1, t2a
 
     def sums_meet(self, i, j, k, l):
@@ -398,11 +455,31 @@ class _CellGeometry:
                             + [self.zero])
         outs = []
         for atoms in branches:
-            res = _solve_rows(cons + atoms + self.var_box, self.lbs)
+            res = self._solve_rows(cons + atoms + self.var_box)
             if res is not None:
                 val, (p1, p2, q1, q2) = res
                 outs.append((RectangleSpec((p1, q2), (q1, p2)), val))
         return min(outs, key=_rank, default=None)
+
+    def _solve_rows(self, rows):
+        """Minimize the epigraph variable t over the rows (max(atoms) <= t).
+
+        Solved through the dual: min b.y  s.t.  -A^T y <= (0,0,0,0,1), y >= 0.
+        Its right-hand side is nonnegative, so no phase 1 is needed, and the
+        tableau has only five rows; the primal optimum is -value and the
+        primal point is the vector of row multipliers.  The rows are scaled
+        to ints, so the dual value comes back times rhs_scale and the
+        multipliers times rhs_scale / col_scale.
+        """
+        cols, rhs = zip(*rows)
+        try:
+            dval, _, x = solve_lp(rhs, list(zip(*cols)), self.dual_rhs,
+                                  duals=True)
+        except ArithmeticError:
+            return None  # unbounded dual: the placement is infeasible
+        back = Fraction(self.col_scale, self.rhs_scale)
+        return (-dval / self.rhs_scale,
+                tuple(x[v] * back + self.lbs[v] for v in range(4)))
 
 
 def _rank(out):
@@ -425,23 +502,6 @@ def optimize_cell(M, cell, geo=None, best_bound=None):
     if best_bound is not None and lb2 > best_bound:
         return None
     return geo.solve(cell, t1, t2a, "all")
-
-
-def _solve_rows(rows, lbs):
-    """Minimize the epigraph variable t over the rows (max(atoms) <= t).
-
-    Solved through the dual: min b.y  s.t.  -A^T y <= (0,0,0,0,1), y >= 0.
-    Its right-hand side is nonnegative, so no phase 1 is needed, and the
-    tableau has only five rows; the primal optimum is -value and the
-    primal point is the vector of row multipliers.
-    """
-    cols, rhs = zip(*rows)
-    try:
-        dval, _, x = solve_lp(list(rhs), [list(c) for c in zip(*cols)],
-                              _DUAL_RHS, duals=True)
-    except ArithmeticError:
-        return None  # unbounded dual: the placement is infeasible
-    return -dval, tuple(x[v] + lbs[v] for v in range(4))
 
 
 # --------------------------------------------------------------------------

@@ -267,3 +267,103 @@ def dim_oracle(row_grades, col_grades, nonzeros, u):
                 rank += 1
                 break
     return len(born) - rank
+
+
+# --------------------------------------------------------------------------
+# two-phase simplex on a Fraction tableau
+
+
+def fraction_simplex(c, A, b, duals=False):
+    """min c.x s.t. A x <= b, x >= 0 on a tableau of Fractions, with the
+    pivot rule of `rect_approx.solve_lp` (Bland: first negative reduced
+    cost, least ratio, ties to the lower basis index) and its return
+    conventions: (value, x), (value, x, y) with duals, None when
+    infeasible, ArithmeticError when unbounded."""
+    def sub_multiple(u, f, v):
+        return [a - f * p if p else a for a, p in zip(u, v)]
+
+    m, n = len(A), len(c)
+    rows = []
+    senses = []  # +1 slack, -1 needs artificial
+    for i in range(m):
+        ai = [Fraction(v) for v in A[i]]
+        bi = Fraction(b[i])
+        if bi < 0:
+            ai = [-v for v in ai]
+            bi = -bi
+            senses.append(-1)
+        else:
+            senses.append(1)
+        rows.append((ai, bi))
+    nart = sum(1 for s in senses if s < 0)
+    total = n + m + nart
+    T = []
+    basis = []
+    ak = 0
+    for i, (ai, bi) in enumerate(rows):
+        row = ai + [Fraction(0)] * (m + nart) + [bi]
+        row[n + i] = Fraction(1) if senses[i] > 0 else Fraction(-1)
+        if senses[i] > 0:
+            basis.append(n + i)
+        else:
+            row[n + m + ak] = Fraction(1)
+            basis.append(n + m + ak)
+            ak += 1
+        T.append(row)
+
+    def pivot(r, col):
+        piv = T[r][col]
+        T[r] = [v / piv if v else v for v in T[r]]
+        for rr in range(len(T)):
+            if rr != r and T[rr][col] != 0:
+                T[rr] = sub_multiple(T[rr], T[rr][col], T[r])
+        basis[r] = col
+
+    def run(obj, ncols):
+        red = list(obj) + [Fraction(0)]
+        for r, bv in enumerate(basis):
+            if obj[bv] != 0:
+                red = sub_multiple(red, obj[bv], T[r])
+        while True:
+            col = None
+            for j in range(ncols):
+                if red[j] < 0:
+                    col = j
+                    break
+            if col is None:
+                return -red[-1], red
+            row = None
+            best = None
+            for r in range(len(T)):
+                if T[r][col] > 0:
+                    ratio = T[r][-1] / T[r][col]
+                    if best is None or ratio < best or \
+                            (ratio == best and basis[r] < basis[row]):
+                        best, row = ratio, r
+            if row is None:
+                raise ArithmeticError("unbounded linear program")
+            pivot(row, col)
+            if red[col] != 0:
+                red = sub_multiple(red, red[col], T[row])
+
+    if nart:
+        obj1 = [Fraction(0)] * (n + m) + [Fraction(1)] * nart
+        if run(obj1, total)[0] > 0:
+            return None
+        # pivot any artificial out of the basis
+        for r in range(len(T)):
+            if basis[r] >= n + m:
+                for j in range(n + m):
+                    if T[r][j] != 0:
+                        pivot(r, j)
+                        break
+    obj2 = [Fraction(v) for v in c] + [Fraction(0)] * (m + nart)
+    val, red = run(obj2, n + m)
+    x = [Fraction(0)] * n
+    for r, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = T[r][-1]
+    if duals:
+        y = [red[n + i] * senses[i] for i in range(m)]
+        return val, x, y
+    return val, x

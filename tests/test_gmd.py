@@ -44,6 +44,17 @@ class TestValidatePresentation:
         with pytest.raises(ValidationError):
             pres([(3, 0)], [(2, 2)], {(0, 0)})
 
+    @pytest.mark.parametrize("entry", [
+        (0.7, 0.2), (True, 0), (0, False), ("0", 0), (Fraction(0), 0),
+        (0,), (0, 0, 0), 0])
+    def test_non_integer_index_rejected(self, entry):
+        with pytest.raises(ValidationError):
+            validate_presentation([(0, 0)], [(1, 1)], {entry})
+
+    def test_list_pair_accepted(self):
+        P = validate_presentation([(0, 0)], [(1, 1)], [[0, 0]])
+        assert P.nonzeros == {(0, 0)}
+
     def test_two_generators(self):
         P = pres([(0, 0), (1, 1)], [(2, 2)], {(0, 0), (1, 0)})
         assert len(P.row_grades) == 2

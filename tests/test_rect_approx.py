@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import rect_grid_oracle
+from oracles import fraction_simplex, rect_grid_oracle
+from stairdist import rect_approx
 from stairdist.errors import PreconditionError
 from stairdist.geometry import (RectangleSpec, StaircaseInterval, diag_shift,
                                 point)
@@ -20,6 +23,37 @@ from stairdist.scalars import INF, NINF
 from conftest import square
 
 HALF = Fraction(1, 2)
+
+
+def lp_outcome(solve, c, A, b, duals):
+    """What an LP solver returns, with "unbounded" for ArithmeticError."""
+    try:
+        return solve(c, A, b, duals=duals)
+    except ArithmeticError:
+        return "unbounded"
+
+
+# small entries, so that ratio ties and degenerate vertices are common
+lp_entries = st.one_of(st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-6, 6),
+                                 st.sampled_from([2, 3, 4])))
+
+
+@st.composite
+def lps(draw):
+    """(c, A, b) with negative b entries (phase 1) and redundant rows: a
+    row repeated, possibly times a positive factor."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    c = draw(st.lists(lp_entries, min_size=n, max_size=n))
+    A = [draw(st.lists(lp_entries, min_size=n, max_size=n))
+         for _ in range(m)]
+    b = draw(st.lists(lp_entries, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, m - 1))
+        k = draw(st.sampled_from([1, 2, HALF]))
+        A.append([k * v for v in A[i]])
+        b.append(k * b[i])
+    return c, A, b
 
 
 class TestConstruction1:
@@ -105,6 +139,62 @@ class TestSolveLp:
         val, x, y = solve_lp(c, A, b, duals=True)
         assert val == 3
         assert sum(bi * yi for bi, yi in zip(b, y)) == val
+
+    def test_bland_tie_break_decides_x(self):
+        # the first pivot enters x1 with ratio 1 in both rows; the slack of
+        # row 0 has the lower basis index and leaves, and the simplex ends
+        # at (0, 0, 1); letting the slack of row 1 leave ends at (0, 1/2, 1)
+        c, A, b = [-1, 0, -2], [[1, 0, 1], [1, 2, 0]], [1, 1]
+        val, x, y = solve_lp(c, A, b, duals=True)
+        assert (val, x, y) == (-2, [0, 0, 1], [2, 0])
+        assert (val, x, y) == fraction_simplex(c, A, b, duals=True)
+
+    @given(lps(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    @example(([-1, 0, -2], [[1, 0, 1], [1, 2, 0]], [1, 1]), True)
+    # x1 + x2 = 1 twice over: an artificial stays basic after phase 1
+    @example(([1, 2], [[1, 1], [-1, -1], [1, 1], [-1, -1]], [1, -1, 1, -1]),
+             True)
+    @example(([HALF, -1], [[Fraction(2, 3), -1], [-1, Fraction(1, 4)]],
+              [Fraction(-1, 3), -2]), True)
+    def test_matches_fraction_tableau(self, lp, duals):
+        c, A, b = lp
+        got = lp_outcome(solve_lp, c, A, b, duals)
+        assert got == lp_outcome(fraction_simplex, c, A, b, duals)
+        if isinstance(got, tuple):
+            val, *vectors = got
+            assert all(type(v) is Fraction
+                       for v in [val, *vectors[0], *vectors[-1]])
+
+    def test_cell_lps_match_fraction_tableau(self, thick_l, thin_l,
+                                             monkeypatch):
+        # every LP optimal_rectangle solves, against the Fraction tableau on
+        # the same LP before _CellGeometry scaled its rows to ints
+        seen = []
+
+        def record(c, A, b, duals=False):
+            seen.append((c, A, b, duals))
+            return solve_lp(c, A, b, duals=duals)
+
+        monkeypatch.setattr(rect_approx, "solve_lp", record)
+        for M in (thick_l, thin_l):
+            geo = _CellGeometry(M)
+            cs, rs = geo.col_scale, geo.rhs_scale
+            start = len(seen)
+            optimal_rectangle(M)
+            assert len(seen) > start
+            for c, A, b, duals in seen[start:]:
+                want = lp_outcome(
+                    fraction_simplex, [Fraction(v, rs) for v in c],
+                    [[Fraction(v, cs) for v in row] for row in A],
+                    [Fraction(v, cs) for v in b], duals)
+                got = lp_outcome(solve_lp, c, A, b, duals)
+                if isinstance(want, tuple):
+                    val, x, y = got
+                    want_y = [v * rs / cs for v in want[2]]
+                    assert (val / rs, x, y) == (want[0], want[1], want_y)
+                else:
+                    assert got == want
 
     def test_matches_scipy(self, rng):
         for _ in range(40):
