@@ -15,7 +15,7 @@ from .rect_approx import (RectApproxResult, approx_decomposable,
                           optimal_rectangle, optimize_cell)
 from .bottleneck import (CostProfile, MatchingResult, bottleneck_distance,
                          delta_matched, interleaving_lower_bound,
-                         pairwise_costs)
+                         pairwise_costs, point_bottleneck)
 from .gmd import (AnchorCovering, GradedMatrix, HalfOpenInterval, anchors,
                   diagonalize, dmatch_sampled, gmd, pointwise_dim, push_band,
                   refine_alpha, scale_presentation, validate_presentation)

@@ -4,11 +4,14 @@ A decomposable module is handled as a plain list of StaircaseInterval
 summands.  The distance is the least threshold at which a partial matching
 exists whose pairs are within the threshold and whose unmatched summands
 trivialize within it; the search runs over the finite candidate set of all
-pairwise costs and trivialization costs.
+pairwise costs and trivialization costs.  point_bottleneck is the same
+search on summands given as points (g, rel) under the L-infinity metric:
+the bars of a 1-parameter module, or the one-relation summands of gmd.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .geometry import Point2, RectangleSpec
 from .interleaving import di_interval, di_interval_vs_rect, triv_distance
@@ -21,6 +24,13 @@ class CostProfile:
     costs: list  # costs[i][j] = interleaving distance of M_i and N_j
     triv_m: list
     triv_n: list
+
+
+def linf_gap(p, q):
+    """max_k |p_k - q_k| over two coordinate tuples of equal length.  With
+    INF - INF = 0 a coordinate infinite on both sides adds no gap; INF minus
+    a finite value is INF."""
+    return max(map(abs, map(sub, p, q)))
 
 
 def _one_relation(S):
@@ -71,14 +81,10 @@ def _corner_pair_cost(A, B, triv_a, triv_b):
     but then rel <= g + 2 eps and rel' <= g' + 2 eps, so both trivs are
     already at most eps.
 
-    Hence d_I = min(max(triv_A, triv_B), max of the two corner gaps).  With
-    INF - INF = 0 a coordinate infinite on both sides adds no gap; INF minus
-    a finite value is INF.
+    Hence d_I = min(max(triv_A, triv_B), max of the two corner gaps).
     """
     (pa, qa), (pb, qb) = A, B
-    gap = max(abs(pa.x1 - pb.x1), abs(pa.x2 - pb.x2),
-              abs(qa.x1 - qb.x1), abs(qa.x2 - qb.x2))
-    return min(max(triv_a, triv_b), gap)
+    return min(max(triv_a, triv_b), linf_gap(pa + qa, pb + qb))
 
 
 def _summand_cost(mi, nj, triv_i, triv_j):
@@ -213,6 +219,32 @@ def bottleneck_from_profile(profile: CostProfile) -> MatchingResult:
 
 def bottleneck_distance(M, N) -> MatchingResult:
     return bottleneck_from_profile(pairwise_costs(M, N))
+
+
+def _point_triv(p):
+    d = len(p) // 2
+    return linf_gap(p[:d], p[d:]) / 2
+
+
+def point_bottleneck(points_m, points_n):
+    """Bottleneck distance between two lists of points (g, rel), each a flat
+    tuple of the d coordinates of g followed by the d coordinates of rel.
+
+    A pair costs linf_gap of the two points; a point left unmatched costs
+    ||rel - g||_inf / 2, which is INF when rel is at infinity.  This is the
+    L-infinity bottleneck distance of persistence diagrams (Cohen-Steiner,
+    Edelsbrunner & Harer, DCG 2007): with d = 1 the points are bars
+    (birth, death).  With d = 2 they are one-relation summands k<g>/<rel>,
+    for which the interleaving distance of a pair is min(max triv, gap)
+    (_corner_pair_cost); the plain gap gives the same bottleneck value,
+    because whenever max triv <= delta < gap, leaving both points unmatched
+    is feasible at delta.
+    """
+    profile = CostProfile([[linf_gap(p, q) for q in points_n]
+                           for p in points_m],
+                          [_point_triv(p) for p in points_m],
+                          [_point_triv(q) for q in points_n])
+    return bottleneck_from_profile(profile).delta
 
 
 @dataclass

@@ -4,20 +4,20 @@ A presentation is a GF(2) matrix with a grade per row (generator) and per
 column (relation).  The pipeline: collect anchor diagonals from incomparable
 grade pairs, push both presentations onto each band of the resulting
 covering (where grades become totally ordered), run 1-parameter style column
-reduction to split into interval summands, and take bottleneck distances of
-the per-band decompositions, maximized over sampled scaling directions.
+reduction to split into summands k<g>/<rel>, and take bottleneck distances
+of the per-band decompositions, maximized over sampled scaling directions.
+Each summand is handled as the point (g, rel), so a per-band distance is an
+L-infinity point-set bottleneck distance and no staircase is built.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bottleneck import CostProfile, bottleneck_distance, bottleneck_from_profile
+from .bottleneck import point_bottleneck
 from .errors import PreconditionError, ValidationError
-from .geometry import (DiagBand, Point2, StaircaseInterval, band, intercept,
-                       point, pt_le, scale as scale_interval, tval)
-from .rect_approx import construction1, optimal_rectangle
-from .scalars import INF, NINF, ext, is_inf
+from .geometry import DiagBand, Point2, band, intercept, point, pt_le, tval
+from .scalars import INF, NINF, ext, fmt, is_inf
 
 
 @dataclass
@@ -25,15 +25,18 @@ class GradedMatrix:
     row_grades: tuple  # generator grades, Point2
     col_grades: tuple  # relation grades, Point2
     nonzeros: frozenset  # (row, col) index pairs over GF(2)
-    row_perm: tuple = None  # original index of each (sorted) row
-    col_perm: tuple = None
 
 
 def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
     """Check the grade condition and return a GradedMatrix with rows and
-    columns sorted by grade (lexicographic, ties by original index)."""
+    columns sorted by grade (lexicographic, ties by original index).  Every
+    grade coordinate must be finite."""
     rows = [point(*u) for u in rows]
     cols = [point(*u) for u in cols]
+    for u in rows + cols:
+        if is_inf(u.x1) or is_inf(u.x2):
+            raise ValidationError("grade (%s, %s) is not finite"
+                                  % (fmt(u.x1), fmt(u.x2)))
     nonzeros = {_index_pair(e) for e in nonzeros}
     for i, j in nonzeros:
         if not (0 <= i < len(rows) and 0 <= j < len(cols)):
@@ -49,7 +52,7 @@ def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
     nz = frozenset((rinv[i], cinv[j]) for i, j in nonzeros)
     return GradedMatrix(tuple(rows[i] for i in rp),
                         tuple(cols[j] for j in cp),
-                        nz, tuple(rp), tuple(cp))
+                        nz)
 
 
 def _index_pair(e):
@@ -92,9 +95,9 @@ def _gf2_rank(cols):
 
 def _push_point(u: Point2, C: DiagBand) -> Point2:
     c = intercept(u)
-    if not is_inf(C.hi) and c > C.hi:
+    if c > C.hi:
         return Point2(u.x2 - C.hi, u.x2)
-    if not is_inf(C.lo) and c < C.lo:
+    if c < C.lo:
         return Point2(u.x1, u.x1 + C.lo)
     return u
 
@@ -103,7 +106,7 @@ def push_band(P: GradedMatrix, C: DiagBand) -> GradedMatrix:
     """Replace every grade by the least point of the band dominating it."""
     return GradedMatrix(tuple(_push_point(u, C) for u in P.row_grades),
                         tuple(_push_point(u, C) for u in P.col_grades),
-                        P.nonzeros, P.row_perm, P.col_perm)
+                        P.nonzeros)
 
 
 def scale_presentation(P: GradedMatrix, a) -> GradedMatrix:
@@ -113,7 +116,7 @@ def scale_presentation(P: GradedMatrix, a) -> GradedMatrix:
     mv = lambda u: Point2(u.x1 / a1, u.x2 / a2)
     return GradedMatrix(tuple(mv(u) for u in P.row_grades),
                         tuple(mv(u) for u in P.col_grades),
-                        P.nonzeros, P.row_perm, P.col_perm)
+                        P.nonzeros)
 
 
 # --------------------------------------------------------------------------
@@ -158,15 +161,13 @@ def anchors(presentations) -> AnchorCovering:
     return _covering_from_points(pts)
 
 
-def refine_alpha(cov: AnchorCovering, alpha, dmatch_lb,
-                 extent=None) -> AnchorCovering:
+def refine_alpha(cov: AnchorCovering, alpha, dmatch_lb) -> AnchorCovering:
     """Subdivide the covering until every finite band has width at most
     alpha * dmatch_lb / 2.
 
-    Infinite end bands are peeled in slabs of that width out to `extent`
-    (an absolute intercept bound; defaults to a few slabs beyond the
-    outermost anchors).  Synthetic cut diagonals are recorded as anchor
-    points on the axes.
+    Infinite end bands are peeled in slabs of that width out to four slabs
+    beyond the outermost anchor intercept (in absolute value).  Synthetic
+    cut diagonals are recorded as anchor points on the axes.
     """
     alpha = ext(alpha)
     if not (0 <= alpha <= 1):
@@ -178,9 +179,8 @@ def refine_alpha(cov: AnchorCovering, alpha, dmatch_lb,
         raise PreconditionError("refinement needs a positive distance bound")
     slab = alpha * dmatch_lb / 2
     cuts = set(cov.intercepts)
-    if extent is None:
-        base = max((abs(c) for c in cov.intercepts), default=Fraction(0))
-        extent = base + 4 * slab
+    extent = max((abs(c) for c in cov.intercepts),
+                 default=Fraction(0)) + 4 * slab
     lo_end = min(cov.intercepts, default=-extent)
     hi_end = max(cov.intercepts, default=extent)
     for b in cov.bands:
@@ -216,29 +216,12 @@ def _scaled_covering(cov: AnchorCovering, a) -> AnchorCovering:
 
 @dataclass
 class HalfOpenInterval:
+    """The summand k<g>/<r>: support {x >= g} minus {x >= r}."""
     g: Point2  # generator grade
-    r: object  # relation grade or None (free)
-    host: DiagBand
-
-    def closed(self):
-        """Closure of ({x >= g} minus {x >= r}) as a staircase interval,
-        or None when the support is empty."""
-        if self.r is None:
-            return StaircaseInterval.from_antichains(
-                [self.g], [Point2(INF, INF)])
-        if self.g == self.r:
-            return None
-        maxs = []
-        if self.r.x1 > self.g.x1 or is_inf(self.r.x1):
-            maxs.append(Point2(self.r.x1, INF))
-        if self.r.x2 > self.g.x2 or is_inf(self.r.x2):
-            maxs.append(Point2(INF, self.r.x2))
-        if not maxs:
-            return None
-        return StaircaseInterval.from_antichains([self.g], maxs)
+    r: object  # relation grade, or None for a free generator
 
 
-def diagonalize(P: GradedMatrix, host=None):
+def diagonalize(P: GradedMatrix):
     """Split a presentation with totally ordered row grades and totally
     ordered column grades into half-open interval summands.
 
@@ -251,8 +234,6 @@ def diagonalize(P: GradedMatrix, host=None):
                 if not (pt_le(gs[i], gs[j]) or pt_le(gs[j], gs[i])):
                     raise PreconditionError(
                         "incomparable grades %r, %r" % (gs[i], gs[j]))
-    if host is None:
-        host = band(NINF, INF)
     # birth/death order: for totally ordered grades the lexicographic sort
     # is the total order (pushing to a band may have perturbed it)
     rorder = sorted(range(len(P.row_grades)),
@@ -284,19 +265,22 @@ def diagonalize(P: GradedMatrix, host=None):
     paired_rows = {i for i, _ in pairs}
     out = []
     for i, j in sorted(pairs):
-        out.append(HalfOpenInterval(rows[i], cols[j], host))
+        out.append(HalfOpenInterval(rows[i], cols[j]))
     for i in range(len(rows)):
         if i not in paired_rows:
-            out.append(HalfOpenInterval(rows[i], None, host))
+            out.append(HalfOpenInterval(rows[i], None))
     return out
 
 
-def _closed_summands(intervals):
+def _band_points(P: GradedMatrix, C: DiagBand):
+    """The summands of P pushed onto band C as flat points g + rel (see
+    bottleneck.point_bottleneck); a free generator has rel = (INF, INF),
+    and an empty summand (rel = g) is dropped."""
     out = []
-    for iv in intervals:
-        closed = iv.closed()
-        if closed is not None:
-            out.append(closed)
+    for iv in diagonalize(push_band(P, C)):
+        rel = Point2(INF, INF) if iv.r is None else iv.r
+        if rel != iv.g:
+            out.append(iv.g + rel)
     return out
 
 
@@ -313,55 +297,32 @@ def _project_presentation(P: GradedMatrix, c) -> GradedMatrix:
     mv = lambda u: Point2(_line_param(u, c) - c / 2, _line_param(u, c) + c / 2)
     return GradedMatrix(tuple(mv(u) for u in P.row_grades),
                         tuple(mv(u) for u in P.col_grades),
-                        P.nonzeros, P.row_perm, P.col_perm)
+                        P.nonzeros)
 
 
-def _slice_bars(side, a, c):
-    """Bars (t_lo, t_hi) of the scaled module along the diagonal line."""
-    if isinstance(side, GradedMatrix):
-        scaled = scale_presentation(side, a)
-        proj = _project_presentation(scaled, c)
-        bars = []
-        for iv in diagonalize(proj):
-            lo = tval(iv.g)
-            hi = INF if iv.r is None else tval(iv.r)
-            if hi > lo:
-                bars.append((lo, hi))
-        return bars
+def _slice_bars(P: GradedMatrix, c):
+    """Bars (t_lo, t_hi) of the presentation along the diagonal line of
+    intercept c."""
     bars = []
-    for summand in side:
-        seg = scale_interval(summand, a).region().slice_at(c)
-        if not seg.is_empty:
-            bars.append((seg.t_lo, seg.t_hi))
+    for iv in diagonalize(_project_presentation(P, c)):
+        lo = tval(iv.g)
+        hi = INF if iv.r is None else tval(iv.r)
+        if hi > lo:
+            bars.append((lo, hi))
     return bars
-
-
-def _bar_cost(b1, b2):
-    return max(abs(b1[0] - b2[0]), abs(b1[1] - b2[1]))
-
-
-def _bar_triv(b):
-    length = b[1] - b[0]
-    return INF if is_inf(length) else length / 2
-
-
-def bars_bottleneck(bars_m, bars_n):
-    profile = CostProfile([[_bar_cost(x, y) for y in bars_n] for x in bars_m],
-                          [_bar_triv(x) for x in bars_m],
-                          [_bar_triv(y) for y in bars_n])
-    return bottleneck_from_profile(profile).delta
 
 
 def dmatch_sampled(M, N, directions, intercepts):
     """Max over sampled (direction, intercept) of the 1-parameter bottleneck
-    distance between the diagonal slices; a lower bound for the matching
-    distance.  Sides are decomposable interval lists or GradedMatrix."""
+    distance between the diagonal slices of two presentations; a lower
+    bound for the matching distance."""
     if not directions or not intercepts:
         raise PreconditionError("need at least one direction and intercept")
     best = Fraction(0)
     for a in directions:
+        sm, sn = scale_presentation(M, a), scale_presentation(N, a)
         for c in intercepts:
-            d = bars_bottleneck(_slice_bars(M, a, c), _slice_bars(N, a, c))
+            d = point_bottleneck(_slice_bars(sm, c), _slice_bars(sn, c))
             if d > best:
                 best = d
             if is_inf(best):
@@ -389,11 +350,9 @@ def default_directions(presentations, count=16):
         raise ValidationError("need at least one direction")
     coords1, coords2 = [], []
     for P in presentations:
-        for u in list(P.row_grades) + list(P.col_grades):
-            if not is_inf(u.x1):
-                coords1.append(u.x1)
-            if not is_inf(u.x2):
-                coords2.append(u.x2)
+        for u in P.row_grades + P.col_grades:
+            coords1.append(u.x1)
+            coords2.append(u.x2)
     r1 = max(coords1) - min(coords1) if len(coords1) > 1 else Fraction(1)
     r2 = max(coords2) - min(coords2) if len(coords2) > 1 else Fraction(1)
     amax = max(r1, r2, Fraction(2))
@@ -409,27 +368,24 @@ def default_directions(presentations, count=16):
     return dirs
 
 
-def _band_epsilon(summands):
+def _band_epsilon(points):
+    """Largest rectangle-approximation epsilon over a band's summands, as
+    rect_approx.construction1 gives it: a hook (rel > g in both coordinates)
+    gets its triv ||rel - g||_inf / 2, and strips (rel = g in one
+    coordinate) and quadrants (rel at infinity) are rectangles, which add
+    0."""
     eps = Fraction(0)
-    for s in summands:
-        if s.is_rectangle():
-            continue
-        rb, sb = s.bounding_r, s.bounding_s
-        if any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
-            e = construction1(s).epsilon
-        else:
-            e = optimal_rectangle(s).epsilon
-        eps = max(eps, e)
+    for g1, g2, r1, r2 in points:
+        if g1 < r1 < INF and g2 < r2:
+            eps = max(eps, max(r1 - g1, r2 - g2) / 2)
     return eps
 
 
 def _sample_intercepts(covering, presentations):
     cs = set(covering.intercepts)
     for P in presentations:
-        for u in list(P.row_grades) + list(P.col_grades):
-            c = intercept(u)
-            if not is_inf(c):
-                cs.add(c)
+        for u in P.row_grades + P.col_grades:
+            cs.add(intercept(u))
     if not cs:
         cs.add(Fraction(0))
     cs = sorted(cs)
@@ -443,8 +399,13 @@ def gmd(M_pres: GradedMatrix, N_pres: GradedMatrix, directions=16,
 
     Maximizes, over sampled directions and the bands of the anchor covering,
     the bottleneck distance between the per-band interval decompositions of
-    the scaled, band-pushed presentations.
+    the scaled, band-pushed presentations.  alpha, when given, must lie in
+    [0, 1].
     """
+    if alpha is not None:
+        alpha = ext(alpha)
+        if not 0 <= alpha <= 1:
+            raise ValidationError("alpha must lie in [0, 1]")
     pres = (M_pres, N_pres)
     if isinstance(directions, int):
         directions = default_directions(pres, directions)
@@ -457,14 +418,12 @@ def gmd(M_pres: GradedMatrix, N_pres: GradedMatrix, directions=16,
     table = []
     best = (Fraction(0), None, None)
     eps = Fraction(0)
-    for di, a in enumerate(directions):
+    for a in directions:
         sm = scale_presentation(M_pres, a)
         sn = scale_presentation(N_pres, a)
-        scov = _scaled_covering(cov, a)
-        for bi, C in enumerate(scov.bands):
-            left = _closed_summands(diagonalize(push_band(sm, C), host=C))
-            right = _closed_summands(diagonalize(push_band(sn, C), host=C))
-            val = bottleneck_distance(left, right).delta
+        for C in _scaled_covering(cov, a).bands:
+            left, right = _band_points(sm, C), _band_points(sn, C)
+            val = point_bottleneck(left, right)
             table.append((a, C, val))
             if val > best[0]:
                 best = (val, a, C)

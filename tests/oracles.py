@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from stairdist.geometry import Point2, StaircaseInterval
 from stairdist.interleaving import triv_distance
 from stairdist.scalars import INF, is_inf
 
@@ -211,6 +212,26 @@ def rect_grid_oracle(M, pitch=Fraction(1, 20)):
             if m < best:
                 best = m
     return best
+
+
+# --------------------------------------------------------------------------
+# closures of one-relation summands
+
+
+def closure_oracle(g, rel):
+    """Closure of k<g>/<rel>, the set {x >= g} minus {x >= rel}, as a
+    staircase interval, or None when it is empty; rel None is a free
+    generator (a quadrant).  g and rel are finite Point2."""
+    if rel is None:
+        return StaircaseInterval.from_antichains([g], [Point2(INF, INF)])
+    maxs = []
+    if rel.x1 > g.x1:
+        maxs.append(Point2(rel.x1, INF))
+    if rel.x2 > g.x2:
+        maxs.append(Point2(INF, rel.x2))
+    if not maxs:
+        return None
+    return StaircaseInterval.from_antichains([g], maxs)
 
 
 # --------------------------------------------------------------------------

@@ -16,20 +16,16 @@ from stairdist.bottleneck import (bottleneck_distance,
                                   interleaving_lower_bound, pairwise_costs)
 from stairdist.generate import (random_presentation, random_rectangles,
                                 random_staircase)
-from stairdist.geometry import (RectangleSpec, StaircaseInterval, band,
-                                hausdorff, point, pt_le)
-from stairdist.gmd import (HalfOpenInterval, _sample_intercepts, anchors,
-                           default_directions, diagonalize, dmatch_sampled,
-                           gmd, pointwise_dim, push_band,
-                           validate_presentation)
+from stairdist.geometry import RectangleSpec, hausdorff, point, pt_le
+from stairdist.gmd import (_sample_intercepts, anchors, default_directions,
+                           diagonalize, dmatch_sampled, gmd, pointwise_dim,
+                           push_band, validate_presentation)
 from stairdist.interleaving import (di_decision, di_interval,
                                     di_interval_vs_rect, triv_distance)
 from stairdist.rect_approx import construction1, optimal_rectangle
-from stairdist.scalars import INF, NINF, is_inf
+from stairdist.scalars import is_inf
 
-from conftest import square
-
-FULL = band(NINF, INF)
+from conftest import block_pair, square
 
 
 @pytest.fixture(scope="module")
@@ -215,30 +211,12 @@ def test_09_anchor_bands_totally_order_grades():
           "(%d comparisons)" % checked)
 
 
-def _block_pair(rng):
-    rows, cols, nz, mods = [], [], set(), []
-    for _ in range(rng.randint(1, 3)):
-        g = (Fraction(rng.randint(0, 10), 2), Fraction(rng.randint(0, 10), 2))
-        i = len(rows)
-        rows.append(g)
-        if rng.random() < 0.5:
-            r = (g[0] + Fraction(rng.randint(1, 6), 2),
-                 g[1] + Fraction(rng.randint(1, 6), 2))
-            nz.add((i, len(cols)))
-            cols.append(r)
-            iv = HalfOpenInterval(point(*g), point(*r), FULL)
-        else:
-            iv = HalfOpenInterval(point(*g), None, FULL)
-        mods.append(iv.closed())
-    return validate_presentation(rows, cols, nz), mods
-
-
 def test_10_matching_distance_sandwich():
     rng = random.Random(20)
     refined_checked = 0
     for _ in range(50):
-        P, M = _block_pair(rng)
-        Q, N = _block_pair(rng)
+        P, M = block_pair(rng)
+        Q, N = block_pair(rng)
         dirs = default_directions((P, Q), 3)
         lb = dmatch_sampled(P, Q, dirs, _sample_intercepts(anchors((P, Q)),
                                                            (P, Q)))

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from oracles import exhaustive_bottleneck
 from stairdist import bottleneck
 from stairdist.bottleneck import (CostProfile, bottleneck_distance,
-                                  delta_matched, interleaving_lower_bound,
-                                  pairwise_costs)
+                                  bottleneck_from_profile, delta_matched,
+                                  interleaving_lower_bound, linf_gap,
+                                  pairwise_costs, point_bottleneck)
 from stairdist.generate import (random_presentation, random_rectangles,
                                 random_staircase)
 from stairdist.geometry import StaircaseInterval, point
-from stairdist.gmd import (_closed_summands, anchors, bars_bottleneck,
-                           diagonalize, push_band)
+from stairdist.gmd import anchors
 from stairdist.interleaving import di_interval, triv_distance
 from stairdist.scalars import INF, NINF, is_inf
 
-from conftest import square
+from conftest import band_closures, square
 
 
 class TestPairwiseCosts:
@@ -181,8 +181,7 @@ class TestHookPairs:
         P = random_presentation(rng, size=5)
         Q = random_presentation(rng, size=5)
         C = anchors([P, Q]).bands[1]
-        M = _closed_summands(diagonalize(push_band(P, C), host=C))
-        N = _closed_summands(diagonalize(push_band(Q, C), host=C))
+        M, N = band_closures(P, C), band_closures(Q, C)
         assert len(M) > 1 and len(N) > 1
         assert any(len(S.maxs) == 2 for S in M + N)
         prof = pairwise_costs(M, N)
@@ -214,7 +213,44 @@ class TestMatcher:
         # augmenting paths here grow to about 1400 vertices, past the
         # default recursion limit
         bars = [(Fraction(0), Fraction(1))] * 700
-        assert bars_bottleneck(bars, bars) == 0
+        assert point_bottleneck(bars, bars) == 0
+
+
+@st.composite
+def flat_points(draw, dim):
+    """Points g + rel with half-integer g, rel >= g, and rel at infinity
+    (a free generator) one time in five."""
+    half = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+    g = tuple(draw(half) for _ in range(dim))
+    if draw(st.integers(0, 4)) == 0:
+        return g + (INF,) * dim
+    return g + tuple(x + abs(draw(half)) for x in g)
+
+
+class TestPointBottleneck:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_capped_costs(self, dim, data):
+        # the interleaving cost of a pair of one-relation summands is
+        # min(max triv, gap); the plain gap gives the same bottleneck value
+        pts = st.lists(flat_points(dim), max_size=5)
+        M, N = data.draw(pts), data.draw(pts)
+        triv = lambda p: linf_gap(p[:dim], p[dim:]) / 2
+        tm, tn = [triv(p) for p in M], [triv(q) for q in N]
+        costs = [[min(max(ti, tj), linf_gap(p, q)) for q, tj in zip(N, tn)]
+                 for p, ti in zip(M, tm)]
+        want = bottleneck_from_profile(CostProfile(costs, tm, tn)).delta
+        assert point_bottleneck(M, N) == want
+        assert want == exhaustive_bottleneck(costs, tm, tn)
+
+    def test_named(self):
+        assert point_bottleneck([(0, 4)], [(1, 3)]) == 1
+        assert point_bottleneck([(0, 4)], []) == 2
+        assert point_bottleneck([(0, INF)], []) == INF
+        hook, quad = (0, 0, 2, 6), (0, 0, INF, INF)
+        assert point_bottleneck([hook], [(1, 0, 2, 5)]) == 1
+        assert point_bottleneck([hook, quad], [quad]) == 3
 
 
 class TestLowerBound:

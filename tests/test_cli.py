@@ -184,6 +184,34 @@ class TestGmd:
     def test_missing_field(self, run):
         run("gmd", {"row_grades": [[0, 0]]}, QUAD0, code=2)
 
+    @pytest.mark.parametrize("alpha", ["-1", "2", "inf"])
+    @pytest.mark.parametrize("other", [QUAD0, QUAD1],
+                             ids=["identical", "different"])
+    def test_alpha_out_of_range(self, run, alpha, other):
+        err = run("gmd", QUAD0, other, args=["--alpha", alpha], code=3)
+        assert "alpha" in err
+
+
+# generators at +inf and -inf, a relation at infinity next to an
+# incomparable relation, and a lone relation at infinity
+INFINITE_GRADES = [
+    {"row_grades": [[0, "inf"]], "col_grades": [], "nonzeros": []},
+    {"row_grades": [["-inf", 0]], "col_grades": [], "nonzeros": []},
+    {"row_grades": [[0, 0]], "col_grades": [[1, "inf"], [2, 0]],
+     "nonzeros": [[0, 0], [0, 1]]},
+    {"row_grades": [[0, 0]], "col_grades": [["inf", 2]],
+     "nonzeros": [[0, 0]]},
+]
+
+
+@pytest.mark.parametrize("command", ["gmd", "dmatch"])
+@pytest.mark.parametrize("bad", INFINITE_GRADES,
+                         ids=["generator", "negative", "relation-anchor",
+                              "relation"])
+def test_infinite_grade_rejected(run, command, bad):
+    assert "not finite" in run(command, bad, QUAD0, code=3)
+    assert "not finite" in run(command, QUAD0, bad, code=3)
+
 
 class TestDmatch:
     def test_quadrants(self, run):

@@ -2,19 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dim_oracle, exhaustive_bottleneck
-from stairdist.bottleneck import bottleneck_distance, pairwise_costs
+from oracles import closure_oracle, dim_oracle, exhaustive_bottleneck
+from stairdist.bottleneck import (bottleneck_distance, pairwise_costs,
+                                  point_bottleneck)
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.generate import random_presentation
 from stairdist.geometry import band, point
-from stairdist.gmd import (HalfOpenInterval, _closed_summands,
-                           _sample_intercepts, anchors, default_directions,
+from stairdist.gmd import (_band_epsilon, _band_points, _sample_intercepts,
+                           _scaled_covering, anchors, default_directions,
                            diagonalize, dmatch_sampled, gmd, pointwise_dim,
                            push_band, refine_alpha, scale_presentation,
                            validate_presentation)
+from stairdist.rect_approx import construction1
 from stairdist.scalars import INF, NINF, is_inf
 
-from conftest import square
+from conftest import band_closures, block_pair
 
 FULL = band(NINF, INF)
 
@@ -62,7 +64,6 @@ class TestValidatePresentation:
     def test_sorting_keeps_permutation(self):
         P = pres([(1, 1), (0, 0)], [(2, 2)], {(0, 0), (1, 0)})
         assert P.row_grades == (point(0, 0), point(1, 1))
-        assert P.row_perm == (1, 0)
         assert P.nonzeros == {(0, 0), (1, 0)}
 
 
@@ -171,18 +172,54 @@ class TestDiagonalize:
 
 
 class TestClosedIntervals:
+    # the reference closures that the band points stand for
     def test_free(self):
-        iv = HalfOpenInterval(point(0, 0), None, FULL)
-        I = iv.closed()
+        I = closure_oracle(point(0, 0), None)
         assert I.mins == (point(0, 0),)
         assert I.maxs == (point(INF, INF),)
 
     def test_empty_when_grades_equal(self):
-        assert HalfOpenInterval(point(1, 1), point(1, 1), FULL).closed() is None
+        assert closure_oracle(point(1, 1), point(1, 1)) is None
 
     def test_hook(self):
-        I = HalfOpenInterval(point(0, 0), point(2, 3), FULL).closed()
+        I = closure_oracle(point(0, 0), point(2, 3))
         assert I.maxs == (point(2, INF), point(INF, 3))
+
+
+class TestBandPoints:
+    def test_named(self):
+        P = pres([(0, 0), (1, 1), (2, 2)], [(1, 1), (3, 4)],
+                 {(1, 0), (0, 1)})
+        assert _band_points(P, FULL) == [(0, 0, 3, 4), (2, 2, INF, INF)]
+
+    def test_epsilon_counts_hooks_only(self):
+        hook, strip, quad = (0, 0, 2, 3), (0, 0, 5, 0), (0, 0, INF, INF)
+        assert _band_epsilon([hook, strip, quad]) == Fraction(3, 2)
+        assert _band_epsilon([strip, quad]) == 0
+
+    def test_matches_closures(self, rng):
+        # per band and direction: the point-set value equals the exhaustive
+        # matcher on the closures' costs, and the hook epsilon equals
+        # construction1 on the closures that are not rectangles
+        bands = 0
+        for _ in range(30):
+            M = random_presentation(rng, size=rng.randint(2, 4), hi=6)
+            N = random_presentation(rng, size=rng.randint(2, 4), hi=6)
+            for a in default_directions((M, N), 3):
+                sm, sn = scale_presentation(M, a), scale_presentation(N, a)
+                for C in _scaled_covering(anchors((M, N)), a).bands:
+                    left, right = band_closures(sm, C), band_closures(sn, C)
+                    prof = pairwise_costs(left, right)
+                    want = exhaustive_bottleneck(prof.costs, prof.triv_m,
+                                                 prof.triv_n)
+                    pm, pn = _band_points(sm, C), _band_points(sn, C)
+                    assert point_bottleneck(pm, pn) == want
+                    for pts, closures in ((pm, left), (pn, right)):
+                        assert _band_epsilon(pts) == max(
+                            (construction1(S).epsilon for S in closures
+                             if not S.is_rectangle()), default=0)
+                    bands += 1
+        assert bands > 200
 
 
 class TestScalePresentation:
@@ -235,12 +272,21 @@ class TestRefineAlpha:
         assert refine_alpha(cov, 0, 4) is cov
 
 
+def square_pres(a, b):
+    """The square [a, b]^2: generator (a, a), relations (b, a) and (a, b)."""
+    return pres([(a, a)], [(b, a), (a, b)], {(0, 0), (0, 1)})
+
+
 class TestDmatchSampled:
-    def test_identical(self, thick_l):
-        assert dmatch_sampled([thick_l], [thick_l], [(1, 1)], [0, 1]) == 0
+    def test_identical(self):
+        # the thick L [0,4] x [0,3] union [0,3] x [0,4]
+        L = pres([(0, 0)], [(4, 0), (3, 3), (0, 4)],
+                 {(0, 0), (0, 1), (0, 2)})
+        assert dmatch_sampled(L, L, [(1, 1)], [0, 1]) == 0
 
     def test_nested_squares(self):
-        got = dmatch_sampled([square(0, 4)], [square(1, 3)], [(1, 1)], [0])
+        got = dmatch_sampled(square_pres(0, 4), square_pres(1, 3), [(1, 1)],
+                             [0])
         assert got == 1
 
     def test_quadrant_presentations(self):
@@ -250,9 +296,10 @@ class TestDmatchSampled:
         got = dmatch_sampled(M, N, dirs, [Fraction(0), Fraction(1, 2), 1])
         assert got == 1
 
-    def test_empty_samples_rejected(self, thick_l):
+    def test_empty_samples_rejected(self):
+        P = square_pres(0, 4)
         with pytest.raises(PreconditionError):
-            dmatch_sampled([thick_l], [thick_l], [], [0])
+            dmatch_sampled(P, P, [], [0])
 
 
 class TestGmd:
@@ -273,10 +320,8 @@ class TestGmd:
         assert rep.covering.intercepts == (0,)
         # every per-band value agrees with the exhaustive matcher
         for a, C, val in rep.table:
-            left = _closed_summands(
-                diagonalize(push_band(scale_presentation(M, a), C), host=C))
-            right = _closed_summands(
-                diagonalize(push_band(scale_presentation(N, a), C), host=C))
+            left = band_closures(scale_presentation(M, a), C)
+            right = band_closures(scale_presentation(N, a), C)
             prof = pairwise_costs(left, right)
             assert val == exhaustive_bottleneck(prof.costs, prof.triv_m,
                                                 prof.triv_n)
@@ -291,8 +336,8 @@ class TestGmd:
 
     def test_sandwich(self, rng):
         for _ in range(8):
-            M_pres, M_mods = self.blocks(rng)
-            N_pres, N_mods = self.blocks(rng)
+            M_pres, M_mods = block_pair(rng)
+            N_pres, N_mods = block_pair(rng)
             dirs = default_directions((M_pres, N_pres), 3)
             cov = anchors((M_pres, N_pres))
             lb = dmatch_sampled(M_pres, N_pres, dirs,
@@ -300,22 +345,3 @@ class TestGmd:
             rep = gmd(M_pres, N_pres, directions=dirs)
             ub = bottleneck_distance(M_mods, N_mods).delta
             assert lb <= rep.value <= ub
-
-    @staticmethod
-    def blocks(rng):
-        rows, cols, nz, mods = [], [], set(), []
-        for _ in range(rng.randint(1, 3)):
-            g = (Fraction(rng.randint(0, 10), 2),
-                 Fraction(rng.randint(0, 10), 2))
-            i = len(rows)
-            rows.append(g)
-            if rng.random() < 0.5:
-                r = (g[0] + Fraction(rng.randint(1, 6), 2),
-                     g[1] + Fraction(rng.randint(1, 6), 2))
-                nz.add((i, len(cols)))
-                cols.append(r)
-                iv = HalfOpenInterval(point(*g), point(*r), FULL)
-            else:
-                iv = HalfOpenInterval(point(*g), None, FULL)
-            mods.append(iv.closed())
-        return validate_presentation(rows, cols, nz), mods
