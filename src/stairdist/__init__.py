@@ -5,7 +5,7 @@ from .errors import (ParseError, PreconditionError, StairdistError,
 from .geometry import (DiagBand, Point2, RectangleSpec, SliceSegment,
                        StaircaseInterval, band, bounding_and_corner_rects,
                        diag_shift, diag_slice, dl_signed, hausdorff,
-                       intersect_components, point, scale, transform,
+                       intersect_components, point, scale,
                        validate_interval)
 from .interleaving import (check_component, di_decision, di_interval,
                            di_interval_vs_rect, normalize_rect, slice_di,

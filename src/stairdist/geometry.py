@@ -7,13 +7,18 @@ Both endpoint functions are piecewise linear in c with slopes +-1/2 and
 breakpoints exactly at the intercepts of the region's corners, so all the
 set operations and distances used elsewhere reduce to exact one-dimensional
 computations.
+
+Upper boundaries mirror lower ones.  The reflection sigma(x1, x2) =
+(-x2, -x1) keeps the intercept x2 - x1, negates t, and turns down-sets into
+up-sets, so the upper endpoint of a region is the negated lower endpoint of
+its mirror image, and maximal corners are the mirrors of minimal ones.
 """
 
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
-from .pl import PL, pl_add, pl_max, pl_min, pl_sub
+from .pl import PL, pl_max, pl_min, pl_sub
 from .scalars import INF, NINF, ext, is_inf
 
 HALF = Fraction(1, 2)
@@ -73,56 +78,57 @@ def band(lo, hi) -> DiagBand:
     return DiagBand(lo, hi)
 
 
+def _sigma(p: Point2) -> Point2:
+    """The mirror (x1, x2) -> (-x2, -x1) of the module docstring."""
+    return Point2(-p.x2, -p.x1)
+
+
 def _minimal(points):
+    """The distinct minimal points, sorted by x1 (so by falling x2)."""
     out = []
-    for p in points:
-        if any(pt_le(q, p) and q != p for q in points):
-            continue
-        if p not in out:
+    for p in sorted(set(points)):
+        if not out or p.x2 < out[-1].x2:
             out.append(p)
     return out
 
 
 def _maximal(points):
-    out = []
-    for p in points:
-        if any(pt_le(p, q) and q != p for q in points):
-            continue
-        if p not in out:
-            out.append(p)
-    return out
+    return [_sigma(p) for p in _minimal([_sigma(p) for p in points])]
 
 
 # --------------------------------------------------------------------------
 # slice-function regions
 
 
-def _min_branch(v: Point2):
-    """Lower slice endpoint of up(v) as a function of the intercept."""
-    x1, x2 = v
-    if is_inf(x1) and x1 > 0 or is_inf(x2) and x2 > 0:
-        raise ValidationError("minimal corner with a +inf coordinate")
-    if is_inf(x1) and is_inf(x2):
+def _lower_walk(mins):
+    """Lower slice endpoint of the up-set of mins, over all intercepts.
+
+    mins is an antichain sorted by x1, hence by falling intercept, with no
+    +inf coordinate.  In rising intercept, the endpoint has a knot at each
+    finite minimum (slope -1/2 turning to +1/2) and at the join of each
+    neighbouring pair (turning back); the left tail has slope -1/2 and the
+    right tail +1/2.  A minimum at x2 = -inf (x1 = -inf) has no knot and
+    bends the left (right) tail.  The NINF sentinel stands for (-inf, -inf).
+    """
+    first, last = mins[0], mins[-1]
+    if is_inf(first.x1) and is_inf(first.x2):
         return NINF
-    if is_inf(x1):
-        return PL.line(-HALF, 0, x2)
-    if is_inf(x2):
-        return PL.line(HALF, 0, x1)
-    return PL([x2 - x1], [(x1 + x2) / 2], -HALF, HALF)
-
-
-def _max_branch(w: Point2):
-    """Upper slice endpoint of down(w) as a function of the intercept."""
-    x1, x2 = w
-    if is_inf(x1) and x1 < 0 or is_inf(x2) and x2 < 0:
-        raise ValidationError("maximal corner with a -inf coordinate")
-    if is_inf(x1) and is_inf(x2):
-        return INF
-    if is_inf(x1):
-        return PL.line(-HALF, 0, x2)
-    if is_inf(x2):
-        return PL.line(HALF, 0, x1)
-    return PL([x2 - x1], [(x1 + x2) / 2], HALF, -HALF)
+    xs, vs = [], []
+    prev = None
+    for v in reversed(mins):
+        if prev is not None:
+            xs.append(v.x2 - prev.x1)
+            vs.append((prev.x1 + v.x2) / 2)
+        if not (is_inf(v.x1) or is_inf(v.x2)):
+            xs.append(v.x2 - v.x1)
+            vs.append((v.x1 + v.x2) / 2)
+        prev = v
+    ls = HALF if is_inf(last.x2) else -HALF
+    rs = -HALF if is_inf(first.x1) else HALF
+    if not xs:  # a lone minimum with one infinite coordinate: a line
+        return PL([Fraction(0)], [first.x2 if is_inf(first.x1) else first.x1],
+                  ls, rs)
+    return PL(xs, vs, ls, rs)
 
 
 class DiagRegion:
@@ -138,24 +144,21 @@ class DiagRegion:
 
     @classmethod
     def from_antichains(cls, mins, maxs):
+        """The region between two antichains sorted by x1."""
         clo = min(v.x2 for v in mins) - max(w.x1 for w in maxs)
         chi = max(w.x2 for w in maxs) - min(v.x1 for v in mins)
         if clo > chi:
             raise ValidationError("lower staircase exceeds upper staircase")
-        lo_branches = [_min_branch(v) for v in mins]
-        hi_branches = [_max_branch(w) for w in maxs]
-        tlo = NINF
-        if NINF not in lo_branches:
-            acc = lo_branches[0]
-            for b in lo_branches[1:]:
-                acc = pl_min(acc, b)
-            tlo = acc.restrict(clo, chi)
-        thi = INF
-        if INF not in hi_branches:
-            acc = hi_branches[0]
-            for b in hi_branches[1:]:
-                acc = pl_max(acc, b)
-            thi = acc.restrict(clo, chi)
+        if any(v.x1 == INF or v.x2 == INF for v in mins):
+            raise ValidationError("minimal corner with a +inf coordinate")
+        if any(w.x1 == NINF or w.x2 == NINF for w in maxs):
+            raise ValidationError("maximal corner with a -inf coordinate")
+        tlo = _lower_walk(mins)
+        thi = -_lower_walk([_sigma(w) for w in maxs])
+        if tlo is not NINF:
+            tlo = tlo.restrict(clo, chi)
+        if thi is not INF:
+            thi = thi.restrict(clo, chi)
         return cls(clo, chi, tlo, thi)
 
     def __repr__(self):
@@ -329,15 +332,18 @@ def _check_staircase_slopes(f: PL, slopes):
             raise ValidationError("endpoint function slope is not +-1/2")
 
 
-def _corners_from_tlo(f: PL):
+def _corners_from_tlo(f):
     """Minimal corners of a region whose lower slice endpoint is f.
 
     Along the lower boundary, slope -1/2 pieces are horizontal edges and
     slope +1/2 pieces are vertical edges; minimal corners are the knots
     where a horizontal edge (or a finite hull end) turns vertical.  A left
     tail of slope +1/2 runs down to x2 = -inf, a right tail of slope -1/2
-    runs left to x1 = -inf; both contribute corners at infinity.
+    runs left to x1 = -inf; both contribute corners at infinity.  The NINF
+    sentinel gives the one corner (-inf, -inf).
     """
+    if f is NINF:
+        return [Point2(NINF, NINF)]
     slopes = _segment_slopes(f)
     _check_staircase_slopes(f, slopes)
     mins = []
@@ -352,22 +358,6 @@ def _corners_from_tlo(f: PL):
     return mins
 
 
-def _corners_from_thi(f: PL):
-    """Maximal corners, dual to _corners_from_tlo."""
-    slopes = _segment_slopes(f)
-    _check_staircase_slopes(f, slopes)
-    maxs = []
-    if f.lslope == -HALF:
-        maxs.append(Point2(INF, f.vs[0] + f.xs[0] / 2))
-    if f.rslope == HALF:
-        maxs.append(Point2(f.vs[-1] - f.xs[-1] / 2, INF))
-    for i in range(len(f.xs)):
-        left, right = _knot_side_slopes(f, i, slopes)
-        if (left is None or left == HALF) and (right is None or right == -HALF):
-            maxs.append(point_at(f.xs[i], f.vs[i]))
-    return maxs
-
-
 def staircase_from_region(reg: DiagRegion) -> "StaircaseInterval":
     """Recover the antichain description of a staircase-bounded region.
 
@@ -375,15 +365,8 @@ def staircase_from_region(reg: DiagRegion) -> "StaircaseInterval":
     i.e. every endpoint-function piece has slope +-1/2 (true for components
     of intersections of staircase intervals; not true after band clipping).
     """
-    if reg.tlo is NINF:
-        mins = [Point2(NINF, NINF)]
-    else:
-        mins = _corners_from_tlo(reg.tlo)
-    if reg.thi is INF:
-        maxs = [Point2(INF, INF)]
-    else:
-        maxs = _corners_from_thi(reg.thi)
-    return StaircaseInterval.from_antichains(_minimal(mins), _maximal(maxs))
+    maxs = [_sigma(p) for p in _corners_from_tlo(-reg.thi)]
+    return StaircaseInterval.from_antichains(_corners_from_tlo(reg.tlo), maxs)
 
 
 # --------------------------------------------------------------------------
@@ -402,12 +385,16 @@ class StaircaseInterval:
 
     @classmethod
     def from_antichains(cls, mins, maxs):
-        mins = sorted(_minimal(list(mins)), key=lambda p: p.x1)
-        maxs = sorted(_maximal(list(maxs)), key=lambda p: p.x1)
+        mins = _minimal(mins)
+        maxs = _maximal(maxs)
         if not mins or not maxs:
             raise ValidationError("empty corner set")
+        j = 0
         for v in mins:
-            if not any(pt_le(v, w) for w in maxs):
+            # of the maxima with x1 >= v.x1, the first is the highest
+            while j < len(maxs) and maxs[j].x1 < v.x1:
+                j += 1
+            if j == len(maxs) or maxs[j].x2 < v.x2:
                 raise ValidationError("lower staircase exceeds upper staircase")
         self = cls(mins, maxs, _internal=True)
         reg = self.region()
@@ -463,7 +450,7 @@ def validate_interval(lower, upper) -> StaircaseInterval:
         for a, b in zip(chain, chain[1:]):
             if not (a.x1 <= b.x1 and a.x2 >= b.x2):
                 raise ValidationError("non-monotone %s staircase at %r -> %r" % (name, a, b))
-    return StaircaseInterval.from_antichains(_minimal(lower), _maximal(upper))
+    return StaircaseInterval.from_antichains(lower, upper)
 
 
 # --------------------------------------------------------------------------
@@ -614,7 +601,8 @@ def dl_signed(x, target, side=None):
 
 
 def hausdorff(I: StaircaseInterval, J: StaircaseInterval):
-    """Exact l-infinity Hausdorff distance between two staircase regions."""
+    """Exact l-infinity Hausdorff distance between two staircase regions;
+    the maximal corners are compared as mirrored minimal ones."""
     def mins_term(a_mins, b_mins):
         worst = Fraction(0)
         for v in a_mins:
@@ -624,17 +612,10 @@ def hausdorff(I: StaircaseInterval, J: StaircaseInterval):
             worst = max(worst, best)
         return worst
 
-    def maxs_term(a_maxs, b_maxs):
-        worst = Fraction(0)
-        for w in a_maxs:
-            best = INF
-            for u in b_maxs:
-                best = min(best, max(w.x1 - u.x1, w.x2 - u.x2))
-            worst = max(worst, best)
-        return worst
-
+    sI = [_sigma(w) for w in I.maxs]
+    sJ = [_sigma(w) for w in J.maxs]
     return max(mins_term(I.mins, J.mins), mins_term(J.mins, I.mins),
-               maxs_term(I.maxs, J.maxs), maxs_term(J.maxs, I.maxs))
+               mins_term(sI, sJ), mins_term(sJ, sI))
 
 
 def intersect_components(I: StaircaseInterval, J: StaircaseInterval):
@@ -689,19 +670,3 @@ def up_set(I: StaircaseInterval) -> DiagRegion:
 def contains(I: StaircaseInterval, J: StaircaseInterval) -> bool:
     return (all(any(pt_le(v0, v) for v0 in I.mins) for v in J.mins)
             and all(any(pt_le(w, w0) for w0 in I.maxs) for w in J.maxs))
-
-
-def transform(I: StaircaseInterval, op, arg=None):
-    if op == "diag_shift":
-        return diag_shift(I, arg)
-    if op == "scale":
-        return scale(I, arg)
-    if op == "restrict_band":
-        return restrict_band(I, arg)
-    if op == "down_set":
-        return down_set(I)
-    if op == "up_set":
-        return up_set(I)
-    if op == "contains":
-        return contains(I, arg)
-    raise ValueError("unknown transform %r" % (op,))

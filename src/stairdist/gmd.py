@@ -288,23 +288,11 @@ def _band_points(P: GradedMatrix, C: DiagBand):
 # sampled matching distance
 
 
-def _line_param(u: Point2, c):
-    """First diagonal parameter t at which the line of intercept c sees u."""
-    return max(u.x1 + c / 2, u.x2 - c / 2)
-
-
-def _project_presentation(P: GradedMatrix, c) -> GradedMatrix:
-    mv = lambda u: Point2(_line_param(u, c) - c / 2, _line_param(u, c) + c / 2)
-    return GradedMatrix(tuple(mv(u) for u in P.row_grades),
-                        tuple(mv(u) for u in P.col_grades),
-                        P.nonzeros)
-
-
 def _slice_bars(P: GradedMatrix, c):
     """Bars (t_lo, t_hi) of the presentation along the diagonal line of
-    intercept c."""
+    intercept c: its push onto the zero-width band [c, c]."""
     bars = []
-    for iv in diagonalize(_project_presentation(P, c)):
+    for iv in diagonalize(push_band(P, band(c, c))):
         lo = tval(iv.g)
         hi = INF if iv.r is None else tval(iv.r)
         if hi > lo:

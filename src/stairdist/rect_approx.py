@@ -55,8 +55,12 @@ def construction1(M: StaircaseInterval) -> RectApproxResult:
     The bounding corners r', s' are pulled halfway toward their diagonal
     projections on the lower/upper staircase; the achieved distance is the
     larger half-gap.  When trivializing the module is at least as cheap, the
-    zero module is returned instead.
+    zero module is returned instead.  A rectangle module, bounded or not, is
+    its own approximation at epsilon 0.
     """
+    if M.is_rectangle():
+        return RectApproxResult(RectangleSpec(M.bounding_r, M.bounding_s),
+                                Fraction(0))
     reg = M.region()
     triv = reg.triv()
     er, r = _corner_pull(reg, M.bounding_r, lower=True)
@@ -522,14 +526,12 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     better), and when its r and s intercept bands cannot sum to a value
     of c_p + c_q.
     """
-    triv = triv_distance(M)
-    if M.is_rectangle():
-        return RectApproxResult(RectangleSpec(M.bounding_r, M.bounding_s),
-                                Fraction(0))
     rb, sb = M.bounding_r, M.bounding_s
-    if any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
-        # unbounded support: fall back to the midpoint construction
+    if M.is_rectangle() or any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
+        # a rectangle is its own approximation; unbounded support falls
+        # back to the midpoint construction
         return construction1(M)
+    triv = triv_distance(M)
     geo = _CellGeometry(M)
     nb = len(geo.bands)
     seed = construction1(M)

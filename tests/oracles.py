@@ -11,9 +11,69 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from stairdist.geometry import Point2, StaircaseInterval
+from stairdist.errors import ValidationError
+from stairdist.geometry import DiagRegion, Point2, StaircaseInterval
 from stairdist.interleaving import triv_distance
-from stairdist.scalars import INF, is_inf
+from stairdist.pl import PL, pl_max, pl_min
+from stairdist.scalars import INF, NINF, is_inf
+
+HALF = Fraction(1, 2)
+
+
+# --------------------------------------------------------------------------
+# slice endpoints as a fold over one branch per corner
+
+
+def _min_branch(v):
+    """Lower slice endpoint of up(v) as a function of the intercept."""
+    x1, x2 = v
+    if is_inf(x1) and x1 > 0 or is_inf(x2) and x2 > 0:
+        raise ValidationError("minimal corner with a +inf coordinate")
+    if is_inf(x1) and is_inf(x2):
+        return NINF
+    if is_inf(x1):
+        return PL.line(-HALF, 0, x2)
+    if is_inf(x2):
+        return PL.line(HALF, 0, x1)
+    return PL([x2 - x1], [(x1 + x2) / 2], -HALF, HALF)
+
+
+def _max_branch(w):
+    """Upper slice endpoint of down(w) as a function of the intercept."""
+    x1, x2 = w
+    if is_inf(x1) and x1 < 0 or is_inf(x2) and x2 < 0:
+        raise ValidationError("maximal corner with a -inf coordinate")
+    if is_inf(x1) and is_inf(x2):
+        return INF
+    if is_inf(x1):
+        return PL.line(-HALF, 0, x2)
+    if is_inf(x2):
+        return PL.line(HALF, 0, x1)
+    return PL([x2 - x1], [(x1 + x2) / 2], HALF, -HALF)
+
+
+def region_fold_oracle(mins, maxs):
+    """The region between two corner antichains, with tlo the pl_min fold
+    of the minima's branches and thi the pl_max fold of the maxima's."""
+    clo = min(v.x2 for v in mins) - max(w.x1 for w in maxs)
+    chi = max(w.x2 for w in maxs) - min(v.x1 for v in mins)
+    if clo > chi:
+        raise ValidationError("lower staircase exceeds upper staircase")
+    lo_branches = [_min_branch(v) for v in mins]
+    hi_branches = [_max_branch(w) for w in maxs]
+    tlo = NINF
+    if NINF not in lo_branches:
+        acc = lo_branches[0]
+        for b in lo_branches[1:]:
+            acc = pl_min(acc, b)
+        tlo = acc.restrict(clo, chi)
+    thi = INF
+    if INF not in hi_branches:
+        acc = hi_branches[0]
+        for b in hi_branches[1:]:
+            acc = pl_max(acc, b)
+        thi = acc.restrict(clo, chi)
+    return DiagRegion(clo, chi, tlo, thi)
 
 
 # --------------------------------------------------------------------------

@@ -123,6 +123,15 @@ class TestRectApprox:
         assert rep["rect"] is None
         assert rep["epsilon"]["exact"] == "1/2"
 
+    @pytest.mark.parametrize("strip, s", [
+        ({"lower": [[0, 0]], "upper": [[1, "inf"]]}, ["1", "inf"]),
+        ({"lower": [[0, 0]], "upper": [["inf", 1]]}, ["inf", "1"])])
+    @pytest.mark.parametrize("method", ["construction1", "optimal"])
+    def test_strip_is_kept(self, run, strip, s, method):
+        rep = run("rect-approx", strip, args=["--method", method])
+        assert rep["rect"] == [["0", "0"], s]
+        assert rep["epsilon"]["exact"] == "0"
+
     def test_module_aggregate(self, run):
         rep = run("rect-approx", {"summands": [THICK_L, THIN_L]})
         assert rep["epsilon"]["exact"] == "1/2"

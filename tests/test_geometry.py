@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import contains_point, raster_components
+from oracles import contains_point, raster_components, region_fold_oracle
 from stairdist.errors import ValidationError
-from stairdist.geometry import (DiagBand, Point2, RectangleSpec,
-                                StaircaseInterval, band,
-                                bounding_and_corner_rects, diag_shift,
-                                diag_slice, dl_signed, hausdorff,
-                                intersect_components, point, scale,
-                                transform, validate_interval)
+from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
+                                _maximal, _minimal, band,
+                                bounding_and_corner_rects, contains,
+                                diag_shift, diag_slice, dl_signed, hausdorff,
+                                intersect_components, point, pt_le, scale,
+                                staircase_from_region, validate_interval)
 from stairdist.generate import random_staircase
 from stairdist.scalars import INF, NINF
 
@@ -150,7 +150,7 @@ class TestCornerRects:
 
 class TestTransforms:
     def test_diag_shift(self):
-        assert transform(square(1, 3), "diag_shift", 1) == square(0, 2)
+        assert diag_shift(square(1, 3), 1) == square(0, 2)
 
     def test_shift_roundtrip(self, thick_l):
         d = Fraction(7, 3)
@@ -158,7 +158,7 @@ class TestTransforms:
         assert back == thick_l
 
     def test_scale(self):
-        got = transform(square(0, 2), "scale", (2, 1))
+        got = scale(square(0, 2), (2, 1))
         assert got == rect(0, 0, 1, 2)
 
     def test_scale_roundtrip(self, thick_l):
@@ -167,11 +167,12 @@ class TestTransforms:
         assert scale(scale(thick_l, a), inv) == thick_l
 
     def test_contains(self):
-        assert transform(square(0, 4), "contains", square(1, 2))
-        assert not transform(square(1, 2), "contains", square(0, 4))
+        assert contains(square(0, 4), square(1, 2))
+        assert not contains(square(1, 2), square(0, 4))
 
     def test_restrict_band_slices(self):
-        reg = transform(square(0, 4), "restrict_band", band(-2, 2))
+        C = band(-2, 2)
+        reg = square(0, 4).region().restrict_hull(C.lo, C.hi)
         assert (reg.clo, reg.chi) == (-2, 2)
         full = square(0, 4).region()
         for c in (-2, -1, 0, Fraction(3, 2), 2):
@@ -180,9 +181,9 @@ class TestTransforms:
             assert (got.t_lo, got.t_hi) == (want.t_lo, want.t_hi)
 
     def test_down_up_sets(self, thick_l):
-        down = transform(thick_l, "down_set")
-        up = transform(thick_l, "up_set")
         reg = thick_l.region()
+        down = reg.down_extension()
+        up = reg.up_extension()
         for c in (Fraction(-1, 2), 0, 2):
             s = reg.slice_at(c)
             assert down.slice_at(c).t_hi == s.t_hi
@@ -220,3 +221,110 @@ def test_infinite_quadrant_slices():
                                           [point(INF, INF)])
     s = Q.region().slice_at(1)
     assert s.t_lo == Fraction(3, 2) and s.t_hi is INF
+
+
+# --------------------------------------------------------------------------
+# the closed-form walk against the fold over per-corner branches
+
+
+def _pl_key(f):
+    return f if f is NINF or f is INF else (f.xs, f.vs, f.lslope, f.rslope)
+
+
+def assert_region_matches_fold(I):
+    got = I.region()
+    want = region_fold_oracle(I.mins, I.maxs)
+    assert (got.clo, got.chi) == (want.clo, want.chi)
+    assert _pl_key(got.tlo) == _pl_key(want.tlo)
+    assert _pl_key(got.thi) == _pl_key(want.thi)
+
+
+def _with_infinite_corners(I, left, bottom, top, right):
+    """I with its outermost corners pushed to infinity: the first minimum
+    to x1 = -inf, the last to x2 = -inf, the first maximum to x2 = inf,
+    the last to x1 = inf."""
+    mins, maxs = list(I.mins), list(I.maxs)
+    if left:
+        mins[0] = Point2(NINF, mins[0].x2)
+    if bottom:
+        mins[-1] = Point2(mins[-1].x1, NINF)
+    if top:
+        maxs[0] = Point2(maxs[0].x1, INF)
+    if right:
+        maxs[-1] = Point2(INF, maxs[-1].x2)
+    return StaircaseInterval.from_antichains(mins, maxs)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 13),
+       st.sampled_from([None, 0, 1, 2, 4]),
+       st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
+@settings(max_examples=150, deadline=None)
+def test_region_matches_fold_and_round_trips(seed, size, width, flags):
+    I = random_staircase(random.Random(seed), size=size, band_width=width)
+    for J in (I, _with_infinite_corners(I, *flags)):
+        assert_region_matches_fold(J)
+        assert staircase_from_region(J.region()) == J
+
+
+@pytest.mark.parametrize("mins, maxs", [
+    ([("-inf", 2), (1, 0)], [(3, 3)]),
+    ([(0, 1), (2, "-inf")], [(3, 3)]),
+    ([("-inf", 2), (1, "-inf")], [(3, 3)]),
+    ([("-inf", "-inf")], [(1, 2), (2, 1)]),
+    ([(0, 0)], [(1, 3), ("inf", 2)]),
+    ([(0, 0)], [(1, "inf"), (3, 1)]),
+    ([(0, 1), (1, 0)], [("inf", "inf")]),
+    ([("-inf", 1)], [("inf", 3)]),
+    ([(1, "-inf")], [(2, "inf")]),
+    ([("-inf", 1)], [(2, "inf")]),
+    ([("-inf", "-inf")], [("inf", "inf")]),
+    ([("-inf", 2), (1, "-inf")], [(2, "inf"), ("inf", 3)]),
+])
+def test_region_matches_fold_with_infinite_corners(mins, maxs):
+    I = StaircaseInterval.from_antichains([point(*p) for p in mins],
+                                          [point(*p) for p in maxs])
+    assert_region_matches_fold(I)
+    assert staircase_from_region(I.region()) == I
+
+
+@pytest.mark.parametrize("mins, maxs", [
+    ([(0, "inf")], [("inf", "inf")]),
+    ([("inf", "inf")], [("inf", "inf")]),
+    ([("-inf", "-inf")], [("-inf", 1)]),
+    ([(0, 0)], [(1, "-inf")]),
+])
+def test_region_errors_match_fold(mins, maxs):
+    mins = [point(*p) for p in mins]
+    maxs = [point(*p) for p in maxs]
+    with pytest.raises(ValidationError) as want:
+        region_fold_oracle(mins, maxs)
+    with pytest.raises(ValidationError) as got:
+        StaircaseInterval.from_antichains(mins, maxs).region()
+    assert str(got.value) == str(want.value)
+
+
+def test_extreme_corners_by_pairwise_comparison(rng):
+    coord = lambda: rng.choice([NINF, INF] + list(range(7)))
+    for _ in range(200):
+        pts = [Point2(coord(), coord()) for _ in range(rng.randint(1, 8))]
+        by_x1 = lambda ps: sorted(set(ps), key=lambda p: p.x1)
+        assert _minimal(pts) == by_x1(
+            p for p in pts if not any(pt_le(q, p) and q != p for q in pts))
+        assert _maximal(pts) == by_x1(
+            p for p in pts if not any(pt_le(p, q) and q != p for q in pts))
+
+
+def test_lower_exceeds_upper_by_pairwise_comparison(rng):
+    coord = lambda: rng.choice([NINF, INF] + list(range(7)))
+    for _ in range(300):
+        mins = [Point2(coord(), coord()) for _ in range(rng.randint(1, 4))]
+        maxs = [Point2(coord(), coord()) for _ in range(rng.randint(1, 4))]
+        lowest = [v for v in mins
+                  if not any(pt_le(u, v) and u != v for u in mins)]
+        want = not all(any(pt_le(v, w) for w in maxs) for v in lowest)
+        try:
+            StaircaseInterval.from_antichains(mins, maxs)
+            got = False
+        except ValidationError as e:
+            got = str(e) == "lower staircase exceeds upper staircase"
+        assert got == want

@@ -301,6 +301,19 @@ class TestDmatchSampled:
         with pytest.raises(PreconditionError):
             dmatch_sampled(P, P, [], [0])
 
+    def test_zero_width_push_is_line_projection(self, rng):
+        # the slices dmatch samples: the diagonal line of intercept c first
+        # meets the up-set of u at t = max(u.x1 + c/2, u.x2 - c/2)
+        for _ in range(20):
+            P = random_presentation(rng, size=5)
+            for c in (Fraction(-3), Fraction(-1, 2), Fraction(0),
+                      Fraction(5, 2)):
+                Q = push_band(P, band(c, c))
+                for u, v in zip(P.row_grades + P.col_grades,
+                                Q.row_grades + Q.col_grades):
+                    t = max(u.x1 + c / 2, u.x2 - c / 2)
+                    assert v == (t - c / 2, t + c / 2)
+
 
 class TestGmd:
     def test_identical(self):

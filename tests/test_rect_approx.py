@@ -81,6 +81,14 @@ class TestConstruction1:
         assert res.epsilon == 0
         assert res.rect.s == point(INF, INF)
 
+    @pytest.mark.parametrize("r, s", [((0, 0), (1, INF)),
+                                      ((0, 0), (INF, 1))])
+    def test_strip_is_kept(self, r, s):
+        M = StaircaseInterval.rect(point(*r), point(*s))
+        for res in (construction1(M), optimal_rectangle(M)):
+            assert (res.rect.r, res.rect.s) == (point(*r), point(*s))
+            assert res.epsilon == 0
+
     def test_upper_bound_achieved(self, rng):
         for _ in range(15):
             M = random_staircase(rng, size=8)
