@@ -3,14 +3,21 @@
 A decomposable module is handled as a plain list of StaircaseInterval
 summands.  The distance is the least threshold at which a partial matching
 exists whose pairs are within the threshold and whose unmatched summands
-trivialize within it; the search runs over the finite candidate set of all
-pairwise costs and trivialization costs.  point_bottleneck is the same
-search on summands given as points (g, rel) under the L-infinity metric:
-the bars of a 1-parameter module, or the one-relation summands of gmd.
+trivialize within it; a binary search runs over the finite candidate set
+of all pairwise costs and trivialization costs.  A probe only decides
+whether such a matching exists: by the Mendelsohn-Dulmage theorem it does
+exactly when, on each side, the summands that do not trivialize within the
+threshold can be matched into the other side within it, so a probe is two
+one-sided augmenting-path searches.  delta_matched then builds the
+reported matching once, at the threshold found.  point_bottleneck is the
+same search on summands given as points (g, rel) under the L-infinity
+metric (the bars of a 1-parameter module, or the one-relation summands of
+gmd), on coordinates scaled to ints, and returns the value alone.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import sub
 
 from .geometry import Point2, RectangleSpec
@@ -194,36 +201,76 @@ def delta_matched(profile: CostProfile, delta):
     return MatchingResult(delta, pairs, um, un)
 
 
-def bottleneck_from_profile(profile: CostProfile) -> MatchingResult:
-    cands = {Fraction(0)}
-    for row in profile.costs:
-        cands.update(v for v in row if not is_inf(v))
-    cands.update(v for v in profile.triv_m if not is_inf(v))
-    cands.update(v for v in profile.triv_n if not is_inf(v))
-    cands = sorted(cands)
-    # least feasible candidate; feasibility is monotone in delta
-    lo, hi = 0, len(cands) - 1
-    best = None
-    if delta_matched(profile, cands[hi]) is None:
-        return delta_matched(profile, INF)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        res = delta_matched(profile, cands[mid])
-        if res is None:
-            lo = mid + 1
+def _covers(heavy, adj, n_right):
+    """True when every vertex in heavy can be matched to its own neighbour;
+    adj[l] lists the right neighbours of left vertex l.  A root takes a
+    free neighbour when it has one and searches for an augmenting path
+    otherwise.  Only roots get matched, so the search only reaches adj of
+    vertices in heavy."""
+    match_l, match_r = [None] * len(adj), [None] * n_right
+    for l in heavy:
+        for r in adj[l]:
+            if match_r[r] is None:
+                match_l[l], match_r[r] = r, l
+                break
         else:
-            best = res
-            hi = mid - 1
-    return best
+            if not _augment(l, adj, [False] * n_right, match_l, match_r):
+                return False
+    return True
+
+
+def _feasible(rows, cols, triv_m, triv_n, delta):
+    """Whether a matching within delta leaves only summands trivial within
+    delta unmatched; rows[i] and cols[j] list the finite costs (index,
+    cost) of M_i and N_j.  By the Mendelsohn-Dulmage theorem (Canad. J.
+    Math. 1958) such a matching exists exactly when the non-trivial
+    summands of each side can be matched into the other side within delta,
+    so this is two one-sided searches, with no shadow copies."""
+    for nbrs, triv, n_right in ((rows, triv_m, len(triv_n)),
+                                (cols, triv_n, len(triv_m))):
+        heavy = [i for i, t in enumerate(triv) if t > delta]
+        adj = [()] * len(triv)
+        for i in heavy:
+            adj[i] = [j for j, c in nbrs[i] if c <= delta]
+        if not _covers(heavy, adj, n_right):
+            return False
+    return True
+
+
+def _threshold(costs, triv_m, triv_n):
+    """Least candidate (0, a finite cost or a finite triv) at which
+    _feasible holds, or INF when none does; feasibility is monotone in
+    delta, so a binary search over the sorted candidates finds it."""
+    rows = [[(j, c) for j, c in enumerate(row) if not is_inf(c)]
+            for row in costs]
+    cols = [[] for _ in triv_n]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            cols[j].append((i, c))
+    cands = {Fraction(0)}
+    for row in rows:
+        cands.update(c for _, c in row)
+    cands.update(v for v in triv_m if not is_inf(v))
+    cands.update(v for v in triv_n if not is_inf(v))
+    cands = sorted(cands)
+    lo, hi = 0, len(cands)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(rows, cols, triv_m, triv_n, cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo] if lo < len(cands) else INF
+
+
+def bottleneck_from_profile(profile: CostProfile) -> MatchingResult:
+    """The matching delta_matched gives at the least feasible threshold."""
+    return delta_matched(profile, _threshold(profile.costs, profile.triv_m,
+                                             profile.triv_n))
 
 
 def bottleneck_distance(M, N) -> MatchingResult:
     return bottleneck_from_profile(pairwise_costs(M, N))
-
-
-def _point_triv(p):
-    d = len(p) // 2
-    return linf_gap(p[:d], p[d:]) / 2
 
 
 def point_bottleneck(points_m, points_n):
@@ -239,12 +286,29 @@ def point_bottleneck(points_m, points_n):
     (_corner_pair_cost); the plain gap gives the same bottleneck value,
     because whenever max triv <= delta < gap, leaving both points unmatched
     is feasible at delta.
+
+    Every finite coordinate is scaled once by 2 lcm(denominators) to an
+    int, so every finite gap is an even int and halving it is exact.  Two
+    points are at a finite gap exactly when they have the same infinite
+    coordinates, so each point is split into those (None where finite) and
+    its finite coordinates (0 where infinite).
     """
-    profile = CostProfile([[linf_gap(p, q) for q in points_n]
-                           for p in points_m],
-                          [_point_triv(p) for p in points_m],
-                          [_point_triv(q) for q in points_n])
-    return bottleneck_from_profile(profile).delta
+    nm = len(points_m)
+    pts = list(points_m) + list(points_n)
+    scale = 2 * lcm(*(x.denominator for p in pts for x in p
+                      if not is_inf(x)))
+    inf = [tuple(x if is_inf(x) else None for x in p) for p in pts]
+    fin = [tuple(0 if is_inf(x) else x.numerator * (scale // x.denominator)
+                 for x in p) for p in pts]
+    triv = []
+    for a, p in zip(inf, fin):
+        d = len(p) // 2
+        triv.append(linf_gap(p[:d], p[d:]) // 2 if a[:d] == a[d:] else INF)
+    costs = [[linf_gap(p, q) if a == b else INF
+              for b, q in zip(inf[nm:], fin[nm:])]
+             for a, p in zip(inf[:nm], fin[:nm])]
+    c = _threshold(costs, triv[:nm], triv[nm:])
+    return c if is_inf(c) else Fraction(c, scale)
 
 
 @dataclass

@@ -228,12 +228,6 @@ def diagonalize(P: GradedMatrix):
     Standard left-to-right column reduction over GF(2): columns are paired
     with the row of their surviving lowest 1, unpaired rows are free.
     """
-    for gs in (P.row_grades, P.col_grades):
-        for i in range(len(gs)):
-            for j in range(i + 1, len(gs)):
-                if not (pt_le(gs[i], gs[j]) or pt_le(gs[j], gs[i])):
-                    raise PreconditionError(
-                        "incomparable grades %r, %r" % (gs[i], gs[j]))
     # birth/death order: for totally ordered grades the lexicographic sort
     # is the total order (pushing to a band may have perturbed it)
     rorder = sorted(range(len(P.row_grades)),
@@ -242,14 +236,18 @@ def diagonalize(P: GradedMatrix):
                     key=lambda j: (P.col_grades[j], j))
     rows = [P.row_grades[i] for i in rorder]
     cols = [P.col_grades[j] for j in corder]
+    # the grades are a chain iff each one is below the next in this sort; a
+    # lexicographically sorted pair u, v with u not below v is incomparable
+    for gs in (rows, cols):
+        for u, v in zip(gs, gs[1:]):
+            if not pt_le(u, v):
+                raise PreconditionError("incomparable grades %r, %r"
+                                        % (u, v))
     rpos = {old: new for new, old in enumerate(rorder)}
-    masks = []
-    for j in corder:
-        m = 0
-        for (i, jj) in P.nonzeros:
-            if jj == j:
-                m |= 1 << rpos[i]
-        masks.append(m)
+    cpos = {old: new for new, old in enumerate(corder)}
+    masks = [0] * len(cols)
+    for i, j in P.nonzeros:
+        masks[cpos[j]] |= 1 << rpos[i]
     low_owner = {}
     pairs = []
     for j in range(len(cols)):

@@ -1,9 +1,11 @@
 """Independent reference computations used only by the tests.
 
 Everything here deliberately avoids the code paths under test: dense
-sampling, brute-force grid search, exhaustive enumeration, and a separate
-GF(2) elimination.  Values are floats where sampling is involved and exact
-rationals where enumeration is.
+sampling, brute-force grid search, exhaustive enumeration, a separate
+GF(2) elimination, and a bottleneck search that probes every threshold
+with a full matching on the doubled graph (delta_matched).  Values are
+floats where sampling is involved and exact rationals where enumeration
+is.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from stairdist.bottleneck import CostProfile, delta_matched, linf_gap
 from stairdist.errors import ValidationError
 from stairdist.geometry import DiagRegion, Point2, StaircaseInterval
 from stairdist.interleaving import triv_distance
@@ -318,6 +321,51 @@ def exhaustive_bottleneck(costs, triv_m, triv_n):
                 if best is None or cand < best:
                     best = cand
     return best if best is not None else Fraction(0)
+
+
+# --------------------------------------------------------------------------
+# bottleneck threshold search with one doubled-graph matching per probe
+
+
+def bottleneck_from_profile_oracle(profile):
+    """MatchingResult at the least feasible candidate threshold, found by a
+    binary search that runs delta_matched (a maximum matching on the graph
+    doubled with shadow copies) at every probe; delta_matched(INF) when the
+    largest candidate is infeasible."""
+    cands = {Fraction(0)}
+    for row in profile.costs:
+        cands.update(v for v in row if not is_inf(v))
+    cands.update(v for v in profile.triv_m if not is_inf(v))
+    cands.update(v for v in profile.triv_n if not is_inf(v))
+    cands = sorted(cands)
+    lo, hi = 0, len(cands) - 1
+    best = None
+    if delta_matched(profile, cands[hi]) is None:
+        return delta_matched(profile, INF)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        res = delta_matched(profile, cands[mid])
+        if res is None:
+            lo = mid + 1
+        else:
+            best = res
+            hi = mid - 1
+    return best
+
+
+def point_bottleneck_oracle(points_m, points_n):
+    """Bottleneck distance of two lists of flat points g + rel with
+    Fraction costs: linf_gap for a pair, ||rel - g||_inf / 2 for a point
+    left unmatched, searched by bottleneck_from_profile_oracle."""
+    def triv(p):
+        d = len(p) // 2
+        return linf_gap(p[:d], p[d:]) / 2
+
+    profile = CostProfile([[linf_gap(p, q) for q in points_n]
+                           for p in points_m],
+                          [triv(p) for p in points_m],
+                          [triv(q) for q in points_n])
+    return bottleneck_from_profile_oracle(profile).delta
 
 
 # --------------------------------------------------------------------------

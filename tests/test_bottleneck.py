@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_bottleneck
+from oracles import (bottleneck_from_profile_oracle, exhaustive_bottleneck,
+                     point_bottleneck_oracle)
 from stairdist import bottleneck
 from stairdist.bottleneck import (CostProfile, bottleneck_distance,
                                   bottleneck_from_profile, delta_matched,
@@ -210,10 +211,22 @@ class TestHookPairs:
 
 class TestMatcher:
     def test_seven_hundred_bars_per_side(self):
-        # augmenting paths here grow to about 1400 vertices, past the
-        # default recursion limit
         bars = [(Fraction(0), Fraction(1))] * 700
         assert point_bottleneck(bars, bars) == 0
+
+    def test_seven_hundred_point_chain(self):
+        # left bars start at odd multiples of h, right bars at even ones,
+        # listed from the top; all are far too long to trivialize.  At
+        # delta = h, L_i neighbours R_i and R_{i+1}, the greedy start gives
+        # each L_i the free R_{i+1} it meets first, and L_{n-1} then needs
+        # an augmenting path through all 1400 vertices (the right side's
+        # search likewise), past the default recursion limit.  The chain
+        # L_i - R_i matches every bar at gap h and no gap is smaller, so
+        # the distance is h.
+        n, h, w = 700, Fraction(1, 3), 10 ** 4
+        left = [((2 * i + 1) * h, (2 * i + 1) * h + w) for i in range(n)]
+        right = [(2 * j * h, 2 * j * h + w) for j in reversed(range(n))]
+        assert point_bottleneck(left, right) == h
 
 
 @st.composite
@@ -251,6 +264,49 @@ class TestPointBottleneck:
         hook, quad = (0, 0, 2, 6), (0, 0, INF, INF)
         assert point_bottleneck([hook], [(1, 0, 2, 5)]) == 1
         assert point_bottleneck([hook, quad], [quad]) == 3
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_doubled_graph_oracle(self, dim, data):
+        pts = st.lists(mixed_points(dim), max_size=5)
+        M, N = data.draw(pts), data.draw(pts)
+        assert point_bottleneck(M, N) == point_bottleneck_oracle(M, N)
+
+
+@st.composite
+def mixed_points(draw, dim):
+    """Points g + rel whose coordinates mix ints and Fractions with
+    denominators up to 7, with INF in any subset of rel's coordinates."""
+    num = st.integers(-12, 12)
+    scalar = st.one_of(num, st.builds(Fraction, num, st.integers(1, 7)))
+    g = tuple(draw(scalar) for _ in range(dim))
+    rel = [x + abs(draw(scalar)) for x in g]
+    for k in draw(st.sets(st.integers(0, dim - 1))):
+        rel[k] = INF
+    return g + tuple(rel)
+
+
+@st.composite
+def cost_profiles(draw):
+    """Up to four summands a side; costs and trivs are halves from 0 to 4,
+    or INF (two draws in eleven)."""
+    value = st.integers(-2, 8).map(
+        lambda k: INF if k < 0 else Fraction(k, 2))
+    nm, nn = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return CostProfile([[draw(value) for _ in range(nn)] for _ in range(nm)],
+                       [draw(value) for _ in range(nm)],
+                       [draw(value) for _ in range(nn)])
+
+
+class TestThresholdSearch:
+    @given(cost_profiles())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_doubled_graph_oracle(self, profile):
+        got = bottleneck_from_profile(profile)
+        assert got == bottleneck_from_profile_oracle(profile)
+        assert got.delta == exhaustive_bottleneck(
+            profile.costs, profile.triv_m, profile.triv_n)
 
 
 class TestLowerBound:

@@ -8,11 +8,11 @@ from stairdist.bottleneck import (bottleneck_distance, pairwise_costs,
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.generate import random_presentation
 from stairdist.geometry import band, point
-from stairdist.gmd import (_band_epsilon, _band_points, _sample_intercepts,
-                           _scaled_covering, anchors, default_directions,
-                           diagonalize, dmatch_sampled, gmd, pointwise_dim,
-                           push_band, refine_alpha, scale_presentation,
-                           validate_presentation)
+from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_points,
+                           _sample_intercepts, _scaled_covering, anchors,
+                           default_directions, diagonalize, dmatch_sampled,
+                           gmd, pointwise_dim, push_band, refine_alpha,
+                           scale_presentation, validate_presentation)
 from stairdist.rect_approx import construction1
 from stairdist.scalars import INF, NINF, is_inf
 
@@ -155,6 +155,26 @@ class TestDiagonalize:
     def test_incomparable_rejected(self):
         with pytest.raises(PreconditionError):
             diagonalize(pres([(0, 1), (1, 0)]))
+
+    def test_unsorted_grades(self):
+        # push_band can leave grades out of lexicographic order; each
+        # column keeps its own entries when the columns are sorted
+        P = GradedMatrix((point(1, 1), point(0, 0)),
+                         (point(3, 3), point(2, 2)),
+                         frozenset({(1, 0), (0, 1)}))
+        out = diagonalize(P)
+        assert [(iv.g, iv.r) for iv in out] == [(point(0, 0), point(3, 3)),
+                                                (point(1, 1), point(2, 2))]
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([(0, 0), (2, 2), (1, 3)], []),
+        ([(0, 0)], [(4, 4), (1, 1), (2, 3), (3, 2)]),
+    ], ids=["rows", "columns"])
+    def test_incomparable_inside_chain_rejected(self, rows, cols):
+        # one incomparable pair among otherwise ordered grades, not given
+        # in sorted order
+        with pytest.raises(PreconditionError, match="incomparable"):
+            diagonalize(pres(rows, cols))
 
     def test_dim_contract(self, rng):
         for _ in range(10):
