@@ -58,7 +58,7 @@ def _parser():
         sp.add_argument("--directions", type=int, default=16)
         if name == "gmd":
             sp.add_argument("--alpha", type=str, default=None)
-        sp.add_argument("--explain", action="store_true")
+            sp.add_argument("--explain", action="store_true")
         common(sp)
 
     sp = sub.add_parser("generate", help="write a random instance to stdout")

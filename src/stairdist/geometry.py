@@ -653,20 +653,6 @@ def scale(I: StaircaseInterval, a) -> StaircaseInterval:
                                              [mv(w) for w in I.maxs])
 
 
-def restrict_band(I: StaircaseInterval, b: DiagBand) -> Optional[DiagRegion]:
-    """Clip to a diagonal band; the result may have diagonal cut edges,
-    so it is returned as a slice-function region, not a staircase."""
-    return I.region().restrict_hull(b.lo, b.hi)
-
-
-def down_set(I: StaircaseInterval) -> DiagRegion:
-    return I.region().down_extension()
-
-
-def up_set(I: StaircaseInterval) -> DiagRegion:
-    return I.region().up_extension()
-
-
 def contains(I: StaircaseInterval, J: StaircaseInterval) -> bool:
     return (all(any(pt_le(v0, v) for v0 in I.mins) for v in J.mins)
             and all(any(pt_le(w, w0) for w0 in I.maxs) for w in J.maxs))

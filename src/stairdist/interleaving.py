@@ -189,6 +189,20 @@ def _sup_gap(f, g, f_sent, g_sent, Q, lower):
     return v, point_at(real_part(c), real_part(t))
 
 
+def _classify(Q, src, shifted, delta) -> ComponentCheck:
+    """The verdict on one overlap component at shift delta: valid, else
+    trivializable when every section dies strictly within delta, else
+    fails."""
+    valid, triv_sup, witness = _component_status(Q, src, shifted)
+    if valid:
+        verdict = "valid"
+    elif triv_sup < delta:
+        verdict = "trivializable"
+    else:
+        verdict = "fails"
+    return ComponentCheck(verdict, valid, triv_sup, witness)
+
+
 def check_component(Q, M, N, delta):
     """Classify one overlap component against a target interleaving shift.
 
@@ -199,14 +213,7 @@ def check_component(Q, M, N, delta):
     Qr, A, B = _as_region(Q), _as_region(M), _as_region(N)
     if not (A.contains(Qr) and B.contains(Qr)):
         raise PreconditionError("component is not inside both intervals")
-    valid, triv_sup, witness = _component_status(Qr, B, A)
-    if valid:
-        verdict = "valid"
-    elif triv_sup < delta:
-        verdict = "trivializable"
-    else:
-        verdict = "fails"
-    return ComponentCheck(verdict, valid, triv_sup, witness)
+    return _classify(Qr, B, A, delta)
 
 
 # --------------------------------------------------------------------------
@@ -289,15 +296,10 @@ def di_decision(M, N, delta) -> DecisionReport:
     if is_inf(delta):
         return rep
     for direction, idx, comp, src, sh in _probe_components(A, B, delta):
-        valid, triv_sup, witness = _component_status(comp, src, sh)
-        if valid:
-            verdict = "valid"
-        elif triv_sup < delta:
-            verdict = "trivializable"
-        else:
-            verdict = "fails"
-        rep.checks.append((direction, delta, idx, verdict, triv_sup, witness))
-        if verdict == "fails":
+        chk = _classify(comp, src, sh, delta)
+        rep.checks.append((direction, delta, idx, chk.verdict, chk.triv_sup,
+                           chk.witness))
+        if chk.verdict == "fails":
             rep.accepted = False
             rep.reason = ("overlap component at shift %s is neither valid "
                           "nor killed within delta" % (delta,))

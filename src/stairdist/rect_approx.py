@@ -133,133 +133,77 @@ def band_partition(M: StaircaseInterval):
 
 
 # --------------------------------------------------------------------------
-# exact fraction-free simplex (min c.x, A x <= b, x >= 0)
+# exact fraction-free simplex (min c.x, A x <= b, x >= 0, b >= 0)
 
 
-def _integral(rows):
-    """(L, the rows times L) for the least positive int L that makes every
-    entry of the rational rows an int."""
-    scale = lcm(*(v.denominator for row in rows for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row]
-                   for row in rows]
+def solve_lp(c, A, b):
+    """Simplex with Bland's rule on int data with b >= 0.
 
+    The entries of c, A and b must be ints and those of b nonnegative
+    (ValueError otherwise), so the slack basis is feasible and one phase
+    suffices: the LP is never infeasible.  Returns (value, x, y) as
+    Fractions, where y >= 0 is the optimal point of the dual
+    max -b.y s.t. A^T y >= -c, so -b.y is the value; y_i is the reduced
+    cost of the slack of row i.  Unbounded problems raise ArithmeticError.
 
-def solve_lp(c, A, b, duals=False):
-    """Two-phase simplex with Bland's rule, exact on ints.
-
-    The entries are ints or Fractions.  Returns (value, x) or None when
-    infeasible.  Unbounded problems raise ArithmeticError.  With duals=True
-    the result is (value, x, y) with y_i the reduced cost of the slack of
-    row i, negated where b_i < 0.  Where b >= 0, y >= 0 is the optimal
-    point of the dual max -b.y s.t. A^T y >= -c, so -b.y is the value; a
-    row with b_i < 0 gets the opposite sign.  Every number returned is a
-    Fraction.
-
-    A and b are scaled by one positive int and c by another, which scales
-    each tableau column, its ratios and its reduced costs by a positive
-    factor and so keeps every pivot; the results are scaled back.  The
-    tableau T, the reduced-cost row included, holds ints equal to D times
-    the rational tableau of the current basis B, with D = |det B|.
-    Pivoting on p = T[r][col] leaves row r as it is, replaces every other
-    row a, whose entry in col is f, by (p*a - f*T[r]) / D, an exact
-    division, and sets D = p; when p < 0 every row is negated and D = -p
-    (Edmonds's integer-preserving pivot, as in Bareiss elimination).  The
-    pivots are those of the rational tableau: the entering column is the
-    first with a negative reduced cost, and the ratio test compares
-    T[r][-1] / T[r][col] by cross-multiplication, ties going to the lower
-    basis index.
+    The tableau T, the reduced-cost row included, holds ints equal to D
+    times the rational tableau of the current basis B, with D = |det B|.
+    Pivoting on p = T[r][col], which the ratio test keeps positive, leaves
+    row r as it is, replaces every other row a, whose entry in col is f,
+    by (p*a - f*T[r]) / D, an exact division, and sets D = p (Edmonds's
+    integer-preserving pivot, as in Bareiss elimination).  The pivots are
+    those of the rational tableau: the entering column is the first with a
+    negative reduced cost, and the ratio test compares T[r][-1] / T[r][col]
+    by cross-multiplication, ties going to the lower basis index.
     """
     m, n = len(A), len(c)
-    row_scale, rows = _integral([list(a) + [bi] for a, bi in zip(A, b)])
-    cost_scale, (cost,) = _integral([c])
-    senses = [-1 if row[-1] < 0 else 1 for row in rows]
-    nart = senses.count(-1)
-    total = n + m + nart
-    # rows 0..m-1 are the constraints, row m the reduced costs
-    T = []
-    basis = []
-    ak = n + m
-    for i, row in enumerate(rows):
-        if senses[i] < 0:
-            row = [-v for v in row]
-        t = row[:n] + [0] * (m + nart) + row[n:]
-        t[n + i] = senses[i]
-        if senses[i] < 0:
-            t[ak] = 1
-            basis.append(ak)
-            ak += 1
-        else:
-            basis.append(n + i)
-        T.append(t)
-    T.append([0] * (total + 1))
+    if not all(type(v) is int for row in (c, b, *A) for v in row):
+        raise ValueError("solve_lp takes int entries only")
+    if any(bi < 0 for bi in b):
+        raise ValueError("solve_lp needs b >= 0")
+    # rows 0..m-1 are the constraints over the slack basis, row m the
+    # reduced costs, which over the slack basis are c itself
+    T = [list(a) + [0] * i + [1] + [0] * (m - i - 1) + [bi]
+         for i, (a, bi) in enumerate(zip(A, b))]
+    T.append(list(c) + [0] * (m + 1))
+    basis = list(range(n, n + m))
     D = 1
-
-    def pivot(r, col):
-        nonlocal D
-        prow = T[r]
-        p = prow[col]
-        sign = -1 if p < 0 else 1
-        p *= sign
-        for k, row in enumerate(T):
-            if k == r:
-                continue
-            f = row[col] * sign
-            if f:
-                T[k] = [(p * a - f * q) // D for a, q in zip(row, prow)]
-            elif p != D:  # only the common factor changes
-                T[k] = [p * a // D for a in row]
-        if sign < 0:
-            T[r] = [-v for v in prow]
-        D = p
-        basis[r] = col
-
-    def run(obj, ncols):
-        red = [D * v for v in obj] + [0]
-        for r, bv in enumerate(basis):
-            if obj[bv]:
-                red = [a - obj[bv] * q for a, q in zip(red, T[r])]
-        T[m] = red
-        while True:
-            red = T[m]
-            col = next((j for j in range(ncols) if red[j] < 0), None)
-            if col is None:
-                return -red[-1]
-            row = None
-            for r in range(m):
-                a = T[r][col]
-                if a <= 0:
-                    continue
-                if row is None:
-                    row = r
-                    continue
-                lhs, rhs = T[r][-1] * T[row][col], T[row][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
-                    row = r
-            if row is None:
-                raise ArithmeticError("unbounded linear program")
-            pivot(row, col)
-
-    if nart:
-        if run([0] * (n + m) + [1] * nart, total) > 0:
-            return None
-        # pivot any artificial out of the basis
+    while True:
+        red = T[m]
+        col = next((j for j in range(n + m) if red[j] < 0), None)
+        if col is None:
+            break
+        row = None
         for r in range(m):
-            if basis[r] >= n + m:
-                for j in range(n + m):
-                    if T[r][j]:
-                        pivot(r, j)
-                        break
-    val = Fraction(run(cost + [0] * (m + nart), n + m), D * cost_scale)
+            a = T[r][col]
+            if a <= 0:
+                continue
+            if row is None:
+                row = r
+                continue
+            lhs, rhs = T[r][-1] * T[row][col], T[row][-1] * a
+            if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
+                row = r
+        if row is None:
+            raise ArithmeticError("unbounded linear program")
+        prow = T[row]
+        p = prow[col]
+        for k, t in enumerate(T):
+            if k == row:
+                continue
+            f = t[col]
+            if f:
+                T[k] = [(p * a - f * q) // D for a, q in zip(t, prow)]
+            elif p != D:  # only the common factor changes
+                T[k] = [p * a // D for a in t]
+        D = p
+        basis[row] = col
     x = [Fraction(0)] * n
     for r, bv in enumerate(basis):
         if bv < n:
             x[bv] = Fraction(T[r][-1], D)
-    if duals:
-        y = [Fraction(T[m][n + i] * senses[i] * row_scale, D * cost_scale)
-             for i in range(m)]
-        return val, x, y
-    return val, x
-
+    return (Fraction(-T[m][-1], D), x,
+            [Fraction(v, D) for v in T[m][n:n + m]])
 
 
 # --------------------------------------------------------------------------
@@ -469,16 +413,15 @@ class _CellGeometry:
         """Minimize the epigraph variable t over the rows (max(atoms) <= t).
 
         Solved through the dual: min b.y  s.t.  -A^T y <= (0,0,0,0,1), y >= 0.
-        Its right-hand side is nonnegative, so no phase 1 is needed, and the
+        Its right-hand side is nonnegative, as solve_lp requires, and the
         tableau has only five rows; the primal optimum is -value and the
-        primal point is the vector of row multipliers.  The rows are scaled
-        to ints, so the dual value comes back times rhs_scale and the
-        multipliers times rhs_scale / col_scale.
+        primal point is the dual point of this LP.  The rows are scaled to
+        ints, so the dual value comes back times rhs_scale and the dual
+        point times rhs_scale / col_scale.
         """
         cols, rhs = zip(*rows)
         try:
-            dval, _, x = solve_lp(rhs, list(zip(*cols)), self.dual_rhs,
-                                  duals=True)
+            dval, _, x = solve_lp(rhs, list(zip(*cols)), self.dual_rhs)
         except ArithmeticError:
             return None  # unbounded dual: the placement is infeasible
         back = Fraction(self.col_scale, self.rhs_scale)
@@ -493,18 +436,16 @@ def _rank(out):
     return (val, rect.area(), *rect.r, *rect.s)
 
 
-def optimize_cell(M, cell, geo=None, best_bound=None):
+def optimize_cell(M, cell, geo=None):
     """Best rectangle with its four corners in the given bands.
 
     cell = (i, j, k, l): the band indices for the top-left, bottom-right,
     bottom-left and top-right corners.  Returns (RectangleSpec, value) or
-    None when the placement is infeasible or cannot beat best_bound.
+    None when the placement is infeasible.
     """
     if geo is None:
         geo = _CellGeometry(M)
-    lb2, t1, t2a = geo.pair(cell[0], cell[1])
-    if best_bound is not None and lb2 > best_bound:
-        return None
+    _, t1, t2a = geo.pair(cell[0], cell[1])
     return geo.solve(cell, t1, t2a, "all")
 
 

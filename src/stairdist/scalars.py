@@ -221,10 +221,6 @@ class Dual:
     def __float__(self):
         return float(self.a)
 
-    @property
-    def real(self):
-        return self.a
-
 
 def _mk_dual(a, b):
     return Fraction(a) if b == 0 else Dual(a, b)

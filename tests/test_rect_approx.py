@@ -25,35 +25,50 @@ from conftest import square
 HALF = Fraction(1, 2)
 
 
-def lp_outcome(solve, c, A, b, duals):
+def lp_outcome(solve, c, A, b):
     """What an LP solver returns, with "unbounded" for ArithmeticError."""
     try:
-        return solve(c, A, b, duals=duals)
+        return solve(c, A, b)
     except ArithmeticError:
         return "unbounded"
 
 
+def oracle_lp(c, A, b):
+    """The Fraction tableau's answer in solve_lp's form (value, x, y)."""
+    return fraction_simplex(c, A, b, duals=True)
+
+
 # small entries, so that ratio ties and degenerate vertices are common
-lp_entries = st.one_of(st.integers(-3, 3),
-                       st.builds(Fraction, st.integers(-6, 6),
-                                 st.sampled_from([2, 3, 4])))
+lp_entries = st.integers(-3, 3)
 
 
 @st.composite
 def lps(draw):
-    """(c, A, b) with negative b entries (phase 1) and redundant rows: a
-    row repeated, possibly times a positive factor."""
+    """(c, A, b) with int entries, b >= 0 and redundant rows: a row
+    repeated, possibly times a positive factor."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     c = draw(st.lists(lp_entries, min_size=n, max_size=n))
     A = [draw(st.lists(lp_entries, min_size=n, max_size=n))
          for _ in range(m)]
-    b = draw(st.lists(lp_entries, min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, m - 1))
-        k = draw(st.sampled_from([1, 2, HALF]))
+        k = draw(st.sampled_from([1, 2, 3]))
         A.append([k * v for v in A[i]])
         b.append(k * b[i])
     return c, A, b
+
+
+def assert_dual_certificate(c, A, b, val, x, y):
+    """x is feasible with c.x = val, and y >= 0 is a dual point,
+    A^T y >= -c, with -b.y = val: so both are optimal."""
+    assert all(v >= 0 for v in x) and all(v >= 0 for v in y)
+    assert all(sum(a * v for a, v in zip(row, x)) <= bi
+               for row, bi in zip(A, b))
+    assert all(sum(row[j] * yi for row, yi in zip(A, y)) >= -c[j]
+               for j in range(len(c)))
+    assert sum(ci * v for ci, v in zip(c, x)) == val
+    assert -sum(bi * yi for bi, yi in zip(b, y)) == val
 
 
 class TestConstruction1:
@@ -134,45 +149,69 @@ class TestBandsAndTables:
 
 class TestSolveLp:
     def test_simple(self):
-        val, x = solve_lp([1, 0], [[-1, 0], [1, 1]], [-1, 3])
-        assert val == 1 and x[0] == 1
-
-    def test_infeasible(self):
-        assert solve_lp([1], [[1], [-1]], [1, -2]) is None
+        val, x, y = solve_lp([-1, 0], [[1, 0], [1, 1]], [1, 3])
+        assert (val, x, y) == (-1, [1, 0], [1, 0])
 
     def test_duals_certify_value(self):
-        c = [0, 0, 1]
-        A = [[1, 1, -1], [-1, 0, 0], [0, -1, 0]]
-        b = [0, -1, -2]
-        val, x, y = solve_lp(c, A, b, duals=True)
-        assert val == 3
-        assert sum(bi * yi for bi, yi in zip(b, y)) == val
+        # the shape of a cell LP: five rows, b = (0, 0, 0, 0, k), and the
+        # last column a copy of the first (a repeated row of the cell LP)
+        c = [-2, -3, 1, 2, -1, -2, -2]
+        A = [[1, -1, 1, -1, -1, 0, 1], [-1, 0, -1, -1, 1, 1, -1],
+             [-1, -1, -1, 0, 1, 1, -1], [0, 1, 1, -1, -1, -1, 0],
+             [1, 1, 0, 1, 1, 1, 1]]
+        b = [0, 0, 0, 0, 2]
+        val, x, y = solve_lp(c, A, b)
+        third = Fraction(1, 3)
+        assert val == -14 * third
+        assert x == [2 * third, 2 * third, 0, 0, 0, 2 * third, 0]
+        assert y == [0, third, 0, 2 * third, 7 * third]
+        assert (val, x, y) == oracle_lp(c, A, b)
+        assert_dual_certificate(c, A, b, val, x, y)
 
     def test_bland_tie_break_decides_x(self):
         # the first pivot enters x1 with ratio 1 in both rows; the slack of
         # row 0 has the lower basis index and leaves, and the simplex ends
         # at (0, 0, 1); letting the slack of row 1 leave ends at (0, 1/2, 1)
         c, A, b = [-1, 0, -2], [[1, 0, 1], [1, 2, 0]], [1, 1]
-        val, x, y = solve_lp(c, A, b, duals=True)
+        val, x, y = solve_lp(c, A, b)
         assert (val, x, y) == (-2, [0, 0, 1], [2, 0])
-        assert (val, x, y) == fraction_simplex(c, A, b, duals=True)
+        assert (val, x, y) == oracle_lp(c, A, b)
 
-    @given(lps(), st.booleans())
+    @pytest.mark.parametrize("c, A, b", [
+        ([1], [[1], [-1]], [1, -2]),
+        ([0, 1], [[1, 1]], [-1]),
+    ])
+    def test_negative_b_rejected(self, c, A, b):
+        with pytest.raises(ValueError):
+            solve_lp(c, A, b)
+
+    @pytest.mark.parametrize("c, A, b", [
+        ([HALF], [[1]], [1]),
+        ([1], [[1.0]], [1]),
+        ([1], [[1]], [Fraction(1)]),
+        ([True], [[1]], [1]),
+    ])
+    def test_non_int_rejected(self, c, A, b):
+        with pytest.raises(ValueError):
+            solve_lp(c, A, b)
+
+    @given(lps())
     @settings(max_examples=400, deadline=None)
-    @example(([-1, 0, -2], [[1, 0, 1], [1, 2, 0]], [1, 1]), True)
-    # x1 + x2 = 1 twice over: an artificial stays basic after phase 1
-    @example(([1, 2], [[1, 1], [-1, -1], [1, 1], [-1, -1]], [1, -1, 1, -1]),
-             True)
-    @example(([HALF, -1], [[Fraction(2, 3), -1], [-1, Fraction(1, 4)]],
-              [Fraction(-1, 3), -2]), True)
-    def test_matches_fraction_tableau(self, lp, duals):
+    @example(([-1, 0, -2], [[1, 0, 1], [1, 2, 0]], [1, 1]))
+    # x1 + x2 <= 1 three times over, once doubled: degenerate ratio ties
+    @example(([-1, -2], [[1, 1], [1, 1], [2, 2]], [1, 1, 2]))
+    # the cell LP shape: b = (0, 0, 0, 0, k) with a repeated row
+    @example(([2, -1, 0, -3], [[-1, 1, 0, 0], [0, -1, 1, 0], [1, 0, -1, 0],
+               [0, 0, 1, -1], [1, 1, 1, 1], [1, 1, 1, 1]],
+              [0, 0, 0, 0, 3, 3]))
+    def test_matches_fraction_tableau(self, lp):
         c, A, b = lp
-        got = lp_outcome(solve_lp, c, A, b, duals)
-        assert got == lp_outcome(fraction_simplex, c, A, b, duals)
-        if isinstance(got, tuple):
-            val, *vectors = got
-            assert all(type(v) is Fraction
-                       for v in [val, *vectors[0], *vectors[-1]])
+        got = lp_outcome(solve_lp, c, A, b)
+        assert got == lp_outcome(oracle_lp, c, A, b)
+        if got != "unbounded":
+            val, x, y = got
+            assert all(type(v) is Fraction for v in [val, *x, *y])
+            assert_dual_certificate(c, A, b, val, x, y)
 
     def test_cell_lps_match_fraction_tableau(self, thick_l, thin_l,
                                              monkeypatch):
@@ -180,9 +219,9 @@ class TestSolveLp:
         # the same LP before _CellGeometry scaled its rows to ints
         seen = []
 
-        def record(c, A, b, duals=False):
-            seen.append((c, A, b, duals))
-            return solve_lp(c, A, b, duals=duals)
+        def record(c, A, b):
+            seen.append((c, A, b))
+            return solve_lp(c, A, b)
 
         monkeypatch.setattr(rect_approx, "solve_lp", record)
         for M in (thick_l, thin_l):
@@ -191,12 +230,13 @@ class TestSolveLp:
             start = len(seen)
             optimal_rectangle(M)
             assert len(seen) > start
-            for c, A, b, duals in seen[start:]:
+            for c, A, b in seen[start:]:
+                assert b[:4] == [0] * 4 and b[4] > 0
                 want = lp_outcome(
-                    fraction_simplex, [Fraction(v, rs) for v in c],
+                    oracle_lp, [Fraction(v, rs) for v in c],
                     [[Fraction(v, cs) for v in row] for row in A],
-                    [Fraction(v, cs) for v in b], duals)
-                got = lp_outcome(solve_lp, c, A, b, duals)
+                    [Fraction(v, cs) for v in b])
+                got = lp_outcome(solve_lp, c, A, b)
                 if isinstance(want, tuple):
                     val, x, y = got
                     want_y = [v * rs / cs for v in want[2]]
@@ -210,18 +250,15 @@ class TestSolveLp:
             m = rng.randint(2, 5)
             c = [rng.randint(-3, 3) for _ in range(n)]
             A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-            b = [rng.randint(-2, 6) for _ in range(m)]
+            b = [rng.randint(0, 6) for _ in range(m)]
             A.append([1] * n)
             b.append(10)
-            got = solve_lp(c, A, b)
+            val, _, _ = solve_lp(c, A, b)
             ref = scipy.optimize.linprog(c, A_ub=np.array(A, float),
                                          b_ub=np.array(b, float),
                                          bounds=(0, None), method="highs")
-            if got is None:
-                assert ref.status == 2
-            else:
-                assert ref.status == 0
-                assert abs(float(got[0]) - ref.fun) < 1e-7
+            assert ref.status == 0
+            assert abs(float(val) - ref.fun) < 1e-7
 
 
 class TestOptimizeCell:
