@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
 from .pl import PL, pl_max, pl_min, pl_sub
-from .scalars import INF, NINF, ext, is_inf
+from .scalars import INF, NINF, ext, is_inf, qdiv, qmul
 
 HALF = Fraction(1, 2)
 
@@ -42,12 +42,13 @@ def intercept(p: Point2):
 
 
 def tval(p: Point2):
-    return (p.x1 + p.x2) / 2
+    return qdiv(p.x1 + p.x2, 2)
 
 
 def point_at(c, t) -> Point2:
     """The point of the diagonal with intercept c at parameter t."""
-    return Point2(t - c / 2, t + c / 2)
+    h = qdiv(c, 2)
+    return Point2(t - h, t + h)
 
 
 class SliceSegment(NamedTuple):
@@ -118,10 +119,10 @@ def _lower_walk(mins):
     for v in reversed(mins):
         if prev is not None:
             xs.append(v.x2 - prev.x1)
-            vs.append((prev.x1 + v.x2) / 2)
+            vs.append(qdiv(prev.x1 + v.x2, 2))
         if not (is_inf(v.x1) or is_inf(v.x2)):
             xs.append(v.x2 - v.x1)
-            vs.append((v.x1 + v.x2) / 2)
+            vs.append(qdiv(v.x1 + v.x2, 2))
         prev = v
     ls = HALF if is_inf(last.x2) else -HALF
     rs = -HALF if is_inf(first.x1) else HALF
@@ -182,14 +183,20 @@ class DiagRegion:
 
     def shift(self, delta):
         """Slices move down by delta (the diagonal down-shift of modules)."""
-        delta = ext(delta)
         tlo = self.tlo if self.tlo is NINF else self.tlo.shift_y(-delta)
         thi = self.thi if self.thi is INF else self.thi.shift_y(-delta)
         return DiagRegion(self.clo, self.chi, tlo, thi)
 
+    def dilate(self, k):
+        """The region dilated by k > 0 about the origin of the plane:
+        intercepts, knots and slice endpoints times k."""
+        tlo = self.tlo if self.tlo is NINF else self.tlo.dilate(k)
+        thi = self.thi if self.thi is INF else self.thi.dilate(k)
+        return DiagRegion(qmul(self.clo, k), qmul(self.chi, k), tlo, thi)
+
     def restrict_hull(self, lo, hi) -> Optional["DiagRegion"]:
-        lo = max(ext(lo), self.clo)
-        hi = min(ext(hi), self.chi)
+        lo = max(lo, self.clo)
+        hi = min(hi, self.chi)
         if lo > hi:
             return None
         tlo = self.tlo if self.tlo is NINF else self.tlo.restrict(lo, hi)
@@ -214,7 +221,7 @@ class DiagRegion:
         v, _ = g.sup()
         if v <= 0:
             return Fraction(0)
-        return v / 2
+        return qdiv(v, 2)
 
     def contains(self, other) -> bool:
         """Does every nonempty slice of `other` sit inside this region?"""
@@ -272,8 +279,9 @@ class DiagRegion:
             for f in (self.tlo, self.thi):
                 if isinstance(f, PL):
                     t = f(c)
-                    coords.append(t - c / 2)
-                    coords.append(t + c / 2)
+                    h = qdiv(c, 2)
+                    coords.append(t - h)
+                    coords.append(t + h)
         return coords
 
 
@@ -306,7 +314,7 @@ def region_intersection(a: DiagRegion, b: DiagRegion) -> Optional[DiagRegion]:
 def _segment_slopes(f: PL):
     out = []
     for i in range(len(f.xs) - 1):
-        out.append((f.vs[i + 1] - f.vs[i]) / (f.xs[i + 1] - f.xs[i]))
+        out.append(qdiv(f.vs[i + 1] - f.vs[i], f.xs[i + 1] - f.xs[i]))
     return out
 
 
@@ -348,9 +356,9 @@ def _corners_from_tlo(f):
     _check_staircase_slopes(f, slopes)
     mins = []
     if f.lslope == HALF:
-        mins.append(Point2(f.vs[0] - f.xs[0] / 2, NINF))
+        mins.append(Point2(f.vs[0] - qdiv(f.xs[0], 2), NINF))
     if f.rslope == -HALF:
-        mins.append(Point2(NINF, f.vs[-1] + f.xs[-1] / 2))
+        mins.append(Point2(NINF, f.vs[-1] + qdiv(f.xs[-1], 2)))
     for i in range(len(f.xs)):
         left, right = _knot_side_slopes(f, i, slopes)
         if (left is None or left == -HALF) and (right is None or right == HALF):

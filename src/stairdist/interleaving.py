@@ -5,8 +5,13 @@ is a 1-parameter computation per intercept; the full interval distance adds
 a correction obtained by probing shifted overlaps at finitely many shift
 values.  All arithmetic is exact; one-sided limits at probe breakpoints are
 evaluated with infinitesimal (Dual) perturbations.
+
+The same code runs on Fraction data (di_decision, check_component) and on
+the int data that di_interval scales its regions to; every division is
+scalars.qdiv, which keeps an even quotient of ints an int.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -14,7 +19,7 @@ from .errors import PreconditionError
 from .geometry import (DiagRegion, Point2, StaircaseInterval, point, point_at,
                        region_intersection, tval)
 from .pl import PL, pl_abs, pl_max, pl_min, pl_sub
-from .scalars import INF, NINF, Dual, ext, is_inf, real_part
+from .scalars import INF, NINF, Dual, ext, is_inf, qdiv, real_part
 
 HALF = Fraction(1, 2)
 
@@ -40,10 +45,10 @@ def slice_di(s1, s2):
         s = s2 if e1 else s1
         if is_inf(s.t_lo) or is_inf(s.t_hi):
             return INF
-        return s.length / 2
+        return qdiv(s.length, 2)
     if s1.intercept != s2.intercept:
         raise PreconditionError("slices lie on different diagonals")
-    half_longest = max(_seg_len(s1), _seg_len(s2)) / 2
+    half_longest = qdiv(max(_seg_len(s1), _seg_len(s2)), 2)
     shift = max(abs(s1.t_lo - s2.t_lo), abs(s1.t_hi - s2.t_hi))
     return min(half_longest, shift)
 
@@ -172,7 +177,7 @@ def _component_status(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
     t2, w2 = _sup_gap(Q.thi, shifted.tlo, INF, NINF, Q, lower=False)
     if t2 > t1:
         t1, w1 = t2, w2
-    triv_sup = t1 if is_inf(t1) else t1 / 2
+    triv_sup = t1 if is_inf(t1) else qdiv(t1, 2)
     return valid, triv_sup, w1
 
 
@@ -240,8 +245,8 @@ def _candidate_deltas(A: DiagRegion, B: DiagRegion):
         for v in vals[i:]:
             d = v - u
             out.add(d)
-            out.add(d / 2)
-    out.add(Fraction(0))
+            out.add(qdiv(d, 2))
+    out.add(0)
     return sorted(out)
 
 
@@ -332,7 +337,7 @@ def _gap_root(A, B, a, upper):
             return cur
         if hs >= 0:
             return None
-        nxt = cur - hr / hs
+        nxt = cur - qdiv(hr, hs)
         if step == 0:
             b = upper()
         if b is not None and nxt >= b:
@@ -378,13 +383,36 @@ def di_interval(M, N):
     kill requirement inside each gap.  One-sided limits at breakpoints are
     evaluated with infinitesimal perturbations, so infima that the decision
     itself only attains in the limit are still returned exactly.
+
+    The search runs on both regions scaled by one int S that makes their
+    knots and values ints, and its result is divided by S.  Every step
+    commutes with a positive scaling of the plane (the candidates, the
+    one-sided limits and the tangent chase alike), so this is exact, and
+    most of the search's arithmetic stays on ints.
     """
     if (isinstance(M, StaircaseInterval) and isinstance(N, StaircaseInterval)
             and M == N):
         return Fraction(0)
     A, B = _as_region(M), _as_region(N)
+    S = _int_scale(A, B)
+    A, B = A.dilate(S), B.dilate(S)
     dd, _ = _di_diag(A, B)
-    return INF if dd is INF else _least_accepted(A, B, dd)
+    d = INF if dd is INF else _least_accepted(A, B, dd)
+    return d if d is INF else Fraction(d) / S
+
+
+def _int_scale(*regions):
+    """8 times the lcm of the denominators of the regions' finite
+    intercepts, knots and values.  Scaled by it these are multiples of 8,
+    so the halvings of corner coordinates, candidates and kill bounds stay
+    ints too."""
+    dens = set()
+    for R in regions:
+        dens.update(c.denominator for c in (R.clo, R.chi) if not is_inf(c))
+        for f in (R.tlo, R.thi):
+            if isinstance(f, PL):
+                dens.update(x.denominator for x in f.xs + f.vs)
+    return 8 * math.lcm(*dens)
 
 
 # --------------------------------------------------------------------------
@@ -453,7 +481,7 @@ def di_interval_vs_rect(M, R):
             t_out = max(t_out, v)
         v, _ = _sup_half_length_strip(g, cq, cp)
         t_in = v
-    t_pinch = min(R.width, R.height) / 2
+    t_pinch = qdiv(min(R.width, R.height), 2)
     t_shift = max(_sub_or_inf(_hi_at(reg, cp), tval(p)),
                   _sub_or_inf(_hi_at(reg, cq), tval(q)),
                   _sub_or_inf(_lo_at(reg, cr), tval(r)),
@@ -476,7 +504,7 @@ def _sup_half_length_strip(g, lo, hi):
     v, a = r.sup()
     if v <= 0:
         return Fraction(0), a
-    return v / 2, a
+    return qdiv(v, 2), a
 
 
 def normalize_rect(M, R):

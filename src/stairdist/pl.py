@@ -3,18 +3,19 @@
 A PL is defined on an interval of the extended line.  Interior knots are
 rational; a finite domain end always coincides with the first/last knot,
 while an infinite end extends the boundary piece with a constant slope.
-All operations are exact over Fraction.
+Knots and values are ints, Fractions or Duals, and every division is qdiv,
+so all operations are exact and int data stays int where it can.
 """
 
 import bisect
 from fractions import Fraction
 
-from .scalars import INF, NINF, Dual, is_inf
+from .scalars import INF, NINF, Dual, is_inf, qdiv, qmul
 
 
 def _nm(x):
-    """Coerce a finite scalar, passing Dual perturbations through."""
-    return x if isinstance(x, (Fraction, Dual)) else Fraction(x)
+    """Coerce a finite scalar, passing ints and Duals through."""
+    return x if isinstance(x, (int, Fraction, Dual)) else Fraction(x)
 
 
 class PL:
@@ -91,12 +92,12 @@ class PL:
         """Value strictly between knots i - 1 and i (0, len(xs): the tails)."""
         xs, vs = self.xs, self.vs
         if i == 0:
-            return vs[0] + self.lslope * (x - xs[0])
+            return vs[0] + qmul(self.lslope, x - xs[0])
         if i == len(xs):
-            return vs[-1] + self.rslope * (x - xs[-1])
+            return vs[-1] + qmul(self.rslope, x - xs[-1])
         x0, x1 = xs[i - 1], xs[i]
         v0, v1 = vs[i - 1], vs[i]
-        return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+        return v0 + qdiv((v1 - v0) * (x - x0), x1 - x0)
 
     def __repr__(self):
         return "PL(%r, %r, lslope=%r, rslope=%r)" % (
@@ -142,10 +143,18 @@ class PL:
         k = Fraction(k)
         sl = None if self.lslope is None else self.lslope * k
         sr = None if self.rslope is None else self.rslope * k
-        return PL(self.xs, [v * k for v in self.vs], sl, sr)
+        return PL(self.xs, [qmul(k, v) for v in self.vs], sl, sr)
+
+    def dilate(self, k):
+        """The graph dilated by k > 0 about the origin: knots and values
+        times k, slopes unchanged."""
+        return PL([qmul(x, k) for x in self.xs], [qmul(v, k) for v in self.vs],
+                  self.lslope, self.rslope)
 
     def __neg__(self):
-        return self.scale_y(-1)
+        sl = None if self.lslope is None else -self.lslope
+        sr = None if self.rslope is None else -self.rslope
+        return PL(self.xs, [-v for v in self.vs], sl, sr)
 
     def restrict(self, lo, hi):
         """Restriction to [lo, hi] intersect domain; None if empty."""
@@ -195,7 +204,7 @@ class PL:
                 if v0 >= 0:
                     segs.append((NINF, x0))
             else:
-                thr = x0 - v0 / l
+                thr = x0 - qdiv(v0 * l.denominator, l.numerator)
                 if l > 0:
                     if thr <= x0:
                         segs.append((thr, x0))
@@ -213,7 +222,7 @@ class PL:
                 if va >= 0 and vb >= 0:
                     segs.append((a, b))
                 elif va > 0 > vb or va < 0 < vb:
-                    z = a + (b - a) * va / (va - vb)
+                    z = a + qdiv((b - a) * va, va - vb)
                     segs.append((a, z) if va > 0 else (z, b))
         if self.rslope is not None:
             r, x1, v1 = self.rslope, xs[-1], vs[-1]
@@ -221,7 +230,7 @@ class PL:
                 if v1 >= 0:
                     segs.append((x1, INF))
             else:
-                thr = x1 - v1 / r
+                thr = x1 - qdiv(v1 * r.denominator, r.numerator)
                 if r < 0:
                     if thr >= x1:
                         segs.append((x1, thr))
@@ -304,9 +313,9 @@ def pl_max(f, g):
             d0 = fv[i - 1] - gv[i - 1]
             d1 = fv[i] - gv[i]
             if (d0 > 0 > d1) or (d0 < 0 < d1):
-                t = d0 / (d0 - d1)
-                xc = xs[i - 1] + t * (xs[i] - xs[i - 1])
-                vc = fv[i - 1] + t * (fv[i] - fv[i - 1])
+                t = qdiv(d0, d0 - d1)
+                xc = xs[i - 1] + qmul(t, xs[i] - xs[i - 1])
+                vc = fv[i - 1] + qmul(t, fv[i] - fv[i - 1])
                 if out_x[-1] < xc < xs[i]:
                     out_x.append(xc)
                     out_v.append(vc)
@@ -316,9 +325,9 @@ def pl_max(f, g):
     if lf is not None:
         d0 = fv[0] - gv[0]
         ds = lf - lg
-        if d0 != 0 and ds != 0 and d0 / ds > 0:
-            xc = xs[0] - d0 / ds
-            vc = fv[0] + lf * (xc - xs[0])
+        if d0 != 0 and ds != 0 and (d0 > 0) == (ds > 0):
+            xc = xs[0] - qdiv(d0 * ds.denominator, ds.numerator)
+            vc = fv[0] + qmul(lf, xc - xs[0])
             out_x.insert(0, xc)
             out_v.insert(0, vc)
         if ds < 0:
@@ -330,9 +339,9 @@ def pl_max(f, g):
     if rf is not None:
         d1 = fv[-1] - gv[-1]
         ds = rf - rg
-        if d1 != 0 and ds != 0 and -d1 / ds > 0:
-            xc = xs[-1] - d1 / ds
-            vc = fv[-1] + rf * (xc - xs[-1])
+        if d1 != 0 and ds != 0 and (d1 < 0) == (ds > 0):
+            xc = xs[-1] - qdiv(d1 * ds.denominator, ds.numerator)
+            vc = fv[-1] + qmul(rf, xc - xs[-1])
             out_x.append(xc)
             out_v.append(vc)
         if ds > 0:

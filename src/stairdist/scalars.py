@@ -1,9 +1,10 @@
 """Extended real scalars: exact rationals plus +inf / -inf.
 
-Finite values are plain fractions.Fraction; the two infinities are the
-singletons INF and NINF below.  Arithmetic saturates (a + inf = inf) except
-that opposite infinities cancel to 0, which is the convention needed when a
-diagonal line degenerates to a corner of the extended plane.
+Finite values are ints or fractions.Fraction, divided exactly by qdiv;
+the two infinities are the singletons INF and NINF below.  Arithmetic
+saturates (a + inf = inf) except that opposite infinities cancel to 0,
+which is the convention needed when a diagonal line degenerates to a
+corner of the extended plane.
 """
 
 from fractions import Fraction
@@ -103,15 +104,25 @@ class Dual:
     Ordering is lexicographic, so Dual(a, 1) behaves like "just above a" and
     Dual(a, -1) like "just below a".  Evaluating a piecewise computation at
     such a point yields the exact one-sided limit in the real part.
-    Arithmetic drops eps^2 terms; results with zero eps part collapse back
-    to plain Fraction so mixed knot sets stay consistent.
+
+    Arithmetic drops eps^2 terms, by design: all that is ever read off a
+    Dual is its real part (the one-sided limit) and its eps part (the
+    one-sided slope, as in the tangent chase of the interleaving search).
+    Dropping eps^2 commutes with +, -, * and with division by a Dual of
+    nonzero real part, so both parts come out exact, as in forward-mode
+    differentiation.  The one exception is a quotient of two pure
+    infinitesimals (b eps / d eps, on a piece of infinitesimal length): its
+    real part b/d is the right limit, but its eps part would need the
+    eps^2 terms and comes out 0.  Results with zero eps part collapse back
+    to the plain scalar so mixed knot sets stay consistent.  Parts are kept
+    as given, int or Fraction.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a
+        self.b = b
 
     def __repr__(self):
         return "Dual(%s, %s)" % (self.a, self.b)
@@ -121,7 +132,7 @@ class Dual:
         if isinstance(x, Dual):
             return x.a, x.b
         if isinstance(x, (int, Fraction)):
-            return Fraction(x), Fraction(0)
+            return x, 0
         return None
 
     def __eq__(self, other):
@@ -205,25 +216,42 @@ class Dual:
             return NotImplemented
         c, d = p
         if c != 0:
-            return _mk_dual(self.a / c, (self.b * c - self.a * d) / (c * c))
+            return _mk_dual(qdiv(self.a, c), qdiv(self.b * c - self.a * d, c * c))
         if d == 0:
             raise ZeroDivisionError("division by zero dual")
         if self.a != 0:
             raise ZeroDivisionError("finite part divided by an infinitesimal")
-        return Fraction(self.b / d)
+        return qdiv(self.b, d)
 
     def __rtruediv__(self, other):
-        p = Dual._parts(other)
-        if p is None:
+        # only a plain scalar lands here: Dual / Dual goes to __truediv__
+        if Dual._parts(other) is None:
             return NotImplemented
-        return _mk_dual(p[0], p[1]).__truediv__(self) if isinstance(other, Dual) else Dual(p[0], p[1]).__truediv__(self)
+        return Dual(other, 0).__truediv__(self)
 
     def __float__(self):
         return float(self.a)
 
 
 def _mk_dual(a, b):
-    return Fraction(a) if b == 0 else Dual(a, b)
+    return a if b == 0 else Dual(a, b)
+
+
+def qdiv(a, b):
+    """Exact a / b.  Two ints give an int when b divides a and
+    Fraction(a, b) otherwise (a bare int / int would give a float); any
+    other pair of scalars divides as its types do."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def qmul(q, x):
+    """Exact q * x for a rational q; an int when the product is one."""
+    if type(q) is Fraction:
+        return qdiv(q.numerator * x, q.denominator)
+    return q * x
 
 
 def real_part(x):

@@ -134,6 +134,18 @@ def diag_sup_oracle(M, N, step=Fraction(1, 1000)):
     return best
 
 
+def unscaled_di_oracle(M, N):
+    """di_interval's search run on the unscaled Fraction regions.
+
+    The one exception to the rule above: this is the code under test, minus
+    the int scaling di_interval wraps it in, so it checks that the scaling
+    and the division back are exact, not the search itself."""
+    from stairdist.interleaving import _di_diag, _least_accepted
+    A, B = M.region(), N.region()
+    dd, _ = _di_diag(A, B)
+    return INF if dd is INF else _least_accepted(A, B, dd)
+
+
 # --------------------------------------------------------------------------
 # membership and rasterized connected components
 

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import diag_sup_oracle, triv_oracle
-from stairdist.errors import PreconditionError
-from stairdist.geometry import (RectangleSpec, StaircaseInterval, diag_slice,
-                                hausdorff, intersect_components, point)
+from oracles import diag_sup_oracle, triv_oracle, unscaled_di_oracle
+from stairdist.errors import PreconditionError, ValidationError
+from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
+                                diag_slice, hausdorff, intersect_components,
+                                point, scale)
 from stairdist.generate import random_staircase
 from stairdist.interleaving import (check_component, di_decision, di_diag,
                                     di_interval, di_interval_vs_rect,
                                     normalize_rect, slice_di, triv_distance)
-from stairdist.scalars import INF
+from stairdist.pl import PL
+from stairdist.scalars import INF, NINF, Dual
 
 from conftest import square
 
@@ -197,3 +201,143 @@ class TestNormalizeRect:
     def test_clamp_to_bounding(self, thick_l):
         R = normalize_rect(thick_l, RectangleSpec((0, 0), (5, 5)))
         assert (R.r, R.s) == (point(0, 0), point(4, 4))
+
+
+# --------------------------------------------------------------------------
+# the int-scaled search against the same search on Fraction regions
+
+
+def k_corner_staircase(rng, k, den):
+    """A bounded staircase with k minimal and k maximal corners on the grid
+    of step 1/den (the maxima jittered by up to 1/(2 den) more)."""
+    g = lambda lo, hi: Fraction(rng.randint(lo * den, hi * den), den)
+    steps = [(g(1, 2), g(1, 2)) for _ in range(k)]
+    x, y = Fraction(0), sum(dy for _, dy in steps)
+    mins = []
+    for dx, dy in steps:
+        mins.append(point(x, y))
+        x, y = x + dx, y - dy
+    off = g(3, 6)
+    maxs = [point(v.x1 + off + g(0, 1) / 2, v.x2 + off + g(0, 1) / 2)
+            for v in mins]
+    return StaircaseInterval.from_antichains(mins, maxs)
+
+
+def opened(I, ends):
+    """I with the chosen extreme corners pushed out to infinity: the first
+    and last minimum, the first and last maximum."""
+    mins, maxs = list(I.mins), list(I.maxs)
+    if ends[0]:
+        mins[0] = Point2(NINF, mins[0].x2)
+    if ends[1]:
+        mins[-1] = Point2(mins[-1].x1, NINF)
+    if ends[2]:
+        maxs[0] = Point2(maxs[0].x1, INF)
+    if ends[3]:
+        maxs[-1] = Point2(INF, maxs[-1].x2)
+    try:
+        return StaircaseInterval.from_antichains(mins, maxs)
+    except ValidationError:
+        return I
+
+
+def opened_pair(rng, size):
+    ends = [rng.random() < 0.4 for _ in range(4)]
+    return (opened(random_staircase(rng, size=size), ends),
+            opened(random_staircase(rng, size=size), ends))
+
+
+def moved(I, a, t):
+    """I scaled by a about the origin, then translated by t on both axes."""
+    mv = lambda p: point(p.x1 * a + t, p.x2 * a + t)
+    return StaircaseInterval.from_antichains([mv(v) for v in I.mins],
+                                             [mv(w) for w in I.maxs])
+
+
+class TestIntScaledSearch:
+    def assert_matches_oracle(self, a, b):
+        d = di_interval(a, b)
+        assert d == unscaled_di_oracle(a, b)
+        assert d is INF or type(d) is Fraction
+
+    @pytest.mark.parametrize("k,den", [(4, 2), (8, 3), (12, 2)])
+    def test_k_corner_staircases(self, k, den):
+        rng = random.Random(1000 * k + den)
+        for _ in range(2):
+            self.assert_matches_oracle(k_corner_staircase(rng, k, den),
+                                       k_corner_staircase(rng, k, den))
+
+    def test_infinite_corners(self, rng):
+        finite = 0
+        for _ in range(40):
+            a, b = opened_pair(rng, rng.choice([2, 4, 6]))
+            self.assert_matches_oracle(a, b)
+            finite += di_interval(a, b) is not INF
+        assert finite >= 20
+
+    def test_quadrants_and_fixtures(self, thick_l, thin_l):
+        q = StaircaseInterval.from_antichains([point(0, Fraction(1, 3))],
+                                              [point(INF, INF)])
+        mods = [thick_l, thin_l, square(0, 4), square(1, 3),
+                square(Fraction(1, 3), Fraction(7, 5)), q,
+                moved(q, 1, Fraction(5, 7))]
+        for a in mods:
+            for b in mods:
+                self.assert_matches_oracle(a, b)
+
+    def test_random_corpus_moved_and_scaled(self, rng):
+        for _ in range(12):
+            a = random_staircase(rng, size=6)
+            b = random_staircase(rng, size=6)
+            self.assert_matches_oracle(a, b)
+            for f, t in ((Fraction(3, 5), Fraction(1, 3)),
+                         (Fraction(7, 3), -11), (1, Fraction(7, 2))):
+                self.assert_matches_oracle(moved(a, f, t), moved(b, f, t))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, Fraction(1, 3)]),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_uniform_scaling_scales_distance(seed, s, unbounded):
+    rng = random.Random(seed)
+    if unbounded:
+        a, b = opened_pair(rng, 4)
+    else:
+        a, b = random_staircase(rng, size=4), random_staircase(rng, size=4)
+    d = di_interval(a, b)
+    up = lambda I: scale(I, (Fraction(1) / s, Fraction(1) / s))
+    assert di_interval(up(a), up(b)) == (d if d is INF else s * d)
+
+
+def test_no_float_reaches_a_pl(monkeypatch, rng):
+    """Every PL built by di_interval and di_decision holds exact scalars
+    only, and the knots and values of di_interval's are mostly ints (the
+    slopes are +-1/2, 0 and +-1 at any scale)."""
+    seen, slopes = [], []
+    init = PL.__init__
+
+    def recording_init(self, xs, vs, lslope=None, rslope=None):
+        seen.extend(xs)
+        seen.extend(vs)
+        slopes.extend(s for s in (lslope, rslope) if s is not None)
+        init(self, xs, vs, lslope, rslope)
+
+    def parts(vals):
+        for v in vals:
+            yield from ((v.a, v.b) if isinstance(v, Dual) else (v,))
+
+    monkeypatch.setattr(PL, "__init__", recording_init)
+    pairs = [(k_corner_staircase(rng, 6, 2), k_corner_staircase(rng, 6, 2))]
+    pairs += [opened_pair(rng, 6) for _ in range(6)]
+    for a, b in pairs:
+        seen.clear()
+        d = di_interval(a, b)
+        kinds = [type(x) for x in parts(seen)]
+        assert float not in kinds
+        assert kinds.count(int) > len(kinds) // 2
+        if d is not INF:
+            seen.clear()
+            di_decision(a, b, d)
+            di_decision(a, b, d / 2)
+            assert not any(isinstance(x, float) for x in parts(seen))
+    assert not any(isinstance(x, float) for x in slopes)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stairdist.scalars import INF, NINF, ext
+from stairdist.scalars import INF, NINF, Dual, ext, qdiv, qmul
 
 
 @pytest.mark.parametrize("x", [INF, NINF])
@@ -30,3 +32,37 @@ def test_infinity_spellings_take_either_sign(word):
 def test_malformed_infinity_rejected(text):
     with pytest.raises(ValueError):
         ext(text)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-50, 50).filter(lambda b: b != 0))
+@settings(max_examples=500, deadline=None)
+def test_qdiv_on_ints(a, b):
+    q = qdiv(a, b)
+    assert q == Fraction(a, b)
+    assert (type(q) is int) == (a % b == 0)
+    assert type(q) in (int, Fraction)
+
+
+@given(st.integers(-30, 30), st.integers(1, 12), st.integers(-30, 30))
+@settings(max_examples=300, deadline=None)
+def test_qmul_is_exact(n, d, x):
+    q = Fraction(n, d)
+    assert qmul(q, x) == q * x
+    assert (type(qmul(q, x)) is int) == ((n * x) % d == 0)
+    assert qmul(q, Dual(x, 1)) == q * Dual(x, 1)
+
+
+def test_qdiv_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        qdiv(3, 0)
+
+
+def test_dual_division_keeps_ints():
+    q = Dual(6, 4) / 2
+    assert (q.a, q.b) == (3, 2) and type(q.a) is int and type(q.b) is int
+    assert 3 / Dual(2, 1) == Dual(Fraction(3, 2), Fraction(-3, 4))
+    assert Dual(0, 3) / Dual(1, 2) == Dual(0, 3)
+    assert Dual(0, 3) / Dual(0, 6) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        Dual(1, 3) / Dual(0, 6)
