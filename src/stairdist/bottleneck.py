@@ -12,25 +12,29 @@ one-sided augmenting-path searches.  delta_matched then builds the
 reported matching once, at the threshold found.  point_bottleneck is the
 same search on summands given as points (g, rel) under the L-infinity
 metric (the bars of a 1-parameter module, or the one-relation summands of
-gmd), on coordinates scaled to ints, and returns the value alone.
+gmd), on coordinates scaled to ints (int_point_bottleneck), and returns
+the value alone.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import sub
 
 from .geometry import Point2, RectangleSpec
 from .interleaving import di_interval, di_interval_vs_rect, triv_distance
+from .record import Record
 from .rect_approx import approx_decomposable
 from .scalars import INF, is_inf
 
 
-@dataclass
-class CostProfile:
-    costs: list  # costs[i][j] = interleaving distance of M_i and N_j
-    triv_m: list
-    triv_n: list
+class CostProfile(Record):
+    __slots__ = ("costs",  # costs[i][j] = interleaving distance of M_i and N_j
+                 "triv_m", "triv_n")
+
+    def __init__(self, costs, triv_m, triv_n):
+        self.costs = costs
+        self.triv_m = triv_m
+        self.triv_n = triv_n
 
 
 def linf_gap(p, q):
@@ -123,12 +127,17 @@ def pairwise_costs(M, N) -> CostProfile:
     return CostProfile(costs, triv_m, triv_n)
 
 
-@dataclass
-class MatchingResult:
-    delta: object
-    pairs: list  # (i, j) index pairs
-    unmatched_m: list  # (i, trivialization cost)
-    unmatched_n: list
+class MatchingResult(Record):
+    __slots__ = ("delta",
+                 "pairs",  # (i, j) index pairs
+                 "unmatched_m",  # (i, trivialization cost)
+                 "unmatched_n")
+
+    def __init__(self, delta, pairs, unmatched_m, unmatched_n):
+        self.delta = delta
+        self.pairs = pairs
+        self.unmatched_m = unmatched_m
+        self.unmatched_n = unmatched_n
 
 
 def _max_matching(nl, nr, adj):
@@ -237,17 +246,16 @@ def _feasible(rows, cols, triv_m, triv_n, delta):
     return True
 
 
-def _threshold(costs, triv_m, triv_n):
+def _threshold(rows, triv_m, triv_n):
     """Least candidate (0, a finite cost or a finite triv) at which
-    _feasible holds, or INF when none does; feasibility is monotone in
-    delta, so a binary search over the sorted candidates finds it."""
-    rows = [[(j, c) for j, c in enumerate(row) if not is_inf(c)]
-            for row in costs]
+    _feasible holds, or INF when none does; rows[i] lists the finite costs
+    (j, cost) of M_i.  Feasibility is monotone in delta, so a binary search
+    over the sorted candidates finds it."""
     cols = [[] for _ in triv_n]
     for i, row in enumerate(rows):
         for j, c in row:
             cols[j].append((i, c))
-    cands = {Fraction(0)}
+    cands = {0}
     for row in rows:
         cands.update(c for _, c in row)
     cands.update(v for v in triv_m if not is_inf(v))
@@ -265,7 +273,9 @@ def _threshold(costs, triv_m, triv_n):
 
 def bottleneck_from_profile(profile: CostProfile) -> MatchingResult:
     """The matching delta_matched gives at the least feasible threshold."""
-    return delta_matched(profile, _threshold(profile.costs, profile.triv_m,
+    rows = [[(j, c) for j, c in enumerate(row) if not is_inf(c)]
+            for row in profile.costs]
+    return delta_matched(profile, _threshold(rows, profile.triv_m,
                                              profile.triv_n))
 
 
@@ -277,51 +287,69 @@ def point_bottleneck(points_m, points_n):
     """Bottleneck distance between two lists of points (g, rel), each a flat
     tuple of the d coordinates of g followed by the d coordinates of rel.
 
-    A pair costs linf_gap of the two points; a point left unmatched costs
-    ||rel - g||_inf / 2, which is INF when rel is at infinity.  This is the
-    L-infinity bottleneck distance of persistence diagrams (Cohen-Steiner,
-    Edelsbrunner & Harer, DCG 2007): with d = 1 the points are bars
-    (birth, death).  With d = 2 they are one-relation summands k<g>/<rel>,
-    for which the interleaving distance of a pair is min(max triv, gap)
-    (_corner_pair_cost); the plain gap gives the same bottleneck value,
-    because whenever max triv <= delta < gap, leaving both points unmatched
-    is feasible at delta.
+    Every coordinate is finite or INF.  A pair costs linf_gap of the two
+    points; a point left unmatched costs ||rel - g||_inf / 2, which is INF
+    when rel is at infinity.  This is the L-infinity bottleneck distance of
+    persistence diagrams (Cohen-Steiner, Edelsbrunner & Harer, DCG 2007):
+    with d = 1 the points are bars (birth, death).  With d = 2 they are
+    one-relation summands k<g>/<rel>, for which the interleaving distance of
+    a pair is min(max triv, gap) (_corner_pair_cost); the plain gap gives
+    the same bottleneck value, because whenever max triv <= delta < gap,
+    leaving both points unmatched is feasible at delta.
 
     Every finite coordinate is scaled once by 2 lcm(denominators) to an
-    int, so every finite gap is an even int and halving it is exact.  Two
-    points are at a finite gap exactly when they have the same infinite
-    coordinates, so each point is split into those (None where finite) and
-    its finite coordinates (0 where infinite).
+    int, so every finite gap is even, and int_point_bottleneck runs on
+    those.
     """
-    nm = len(points_m)
-    pts = list(points_m) + list(points_n)
-    scale = 2 * lcm(*(x.denominator for p in pts for x in p
-                      if not is_inf(x)))
-    inf = [tuple(x if is_inf(x) else None for x in p) for p in pts]
-    fin = [tuple(0 if is_inf(x) else x.numerator * (scale // x.denominator)
-                 for x in p) for p in pts]
-    triv = []
-    for a, p in zip(inf, fin):
-        d = len(p) // 2
-        triv.append(linf_gap(p[:d], p[d:]) // 2 if a[:d] == a[d:] else INF)
-    costs = [[linf_gap(p, q) if a == b else INF
-              for b, q in zip(inf[nm:], fin[nm:])]
-             for a, p in zip(inf[:nm], fin[:nm])]
-    c = _threshold(costs, triv[:nm], triv[nm:])
+    scale = 2 * lcm(*(x.denominator for p in (*points_m, *points_n)
+                      for x in p if not is_inf(x)))
+    mv = lambda p: tuple(x if is_inf(x) else x.numerator
+                         * (scale // x.denominator) for x in p)
+    c = int_point_bottleneck([mv(p) for p in points_m],
+                             [mv(p) for p in points_n])
     return c if is_inf(c) else Fraction(c, scale)
 
 
-@dataclass
-class LowerBoundReport:
-    d_b: object
-    eps_star_m: object
-    eps_star_n: object
-    rects_m: list
-    rects_n: list
-    d_b_approx: object
-    raw: object
-    lower_bound: object
-    matching: MatchingResult
+def int_point_bottleneck(points_m, points_n):
+    """point_bottleneck on points whose coordinates are ints or INF and
+    whose finite gaps are all even, so halving a gap is exact; the value
+    comes back in the same units (an int, or INF).
+
+    Two points are at a finite gap exactly when they have INF in the same
+    coordinates, so each point is split into its coordinates' types and its
+    finite coordinates (0 where infinite).
+    """
+    inf, fin, triv = [], [], []
+    for p in (*points_m, *points_n):
+        a = tuple(map(type, p))
+        if a.count(int) < len(p):
+            p = tuple(x if type(x) is int else 0 for x in p)
+        d = len(p) // 2
+        inf.append(a)
+        fin.append(p)
+        triv.append(linf_gap(p[:d], p[d:]) // 2 if a[:d] == a[d:] else INF)
+    nm = len(points_m)
+    right = list(enumerate(zip(inf[nm:], fin[nm:])))
+    rows = [[(j, linf_gap(p, q)) for j, (b, q) in right if a == b]
+            for a, p in zip(inf[:nm], fin[:nm])]
+    return _threshold(rows, triv[:nm], triv[nm:])
+
+
+class LowerBoundReport(Record):
+    __slots__ = ("d_b", "eps_star_m", "eps_star_n", "rects_m", "rects_n",
+                 "d_b_approx", "raw", "lower_bound", "matching")
+
+    def __init__(self, d_b, eps_star_m, eps_star_n, rects_m, rects_n,
+                 d_b_approx, raw, lower_bound, matching: MatchingResult):
+        self.d_b = d_b
+        self.eps_star_m = eps_star_m
+        self.eps_star_n = eps_star_n
+        self.rects_m = rects_m
+        self.rects_n = rects_n
+        self.d_b_approx = d_b_approx
+        self.raw = raw
+        self.lower_bound = lower_bound
+        self.matching = matching
 
 
 def interleaving_lower_bound(M, N) -> LowerBoundReport:

@@ -209,6 +209,8 @@ def cmd_dmatch(args):
 
 
 def cmd_generate(args):
+    if args.size <= 0:
+        raise ValidationError("--size must be positive, got %d" % args.size)
     rng = random.Random(args.seed)
     if args.kind == "staircase":
         inst = mio.serialize_module([gen.random_staircase(rng, args.size)])

@@ -8,23 +8,36 @@ reduction to split into summands k<g>/<rel>, and take bottleneck distances
 of the per-band decompositions, maximized over sampled scaling directions.
 Each summand is handled as the point (g, rel), so a per-band distance is an
 L-infinity point-set bottleneck distance and no staircase is built.
+
+gmd and dmatch_sampled run each sampled direction on ints: the direction's
+scaled grades, band edges and intercepts are multiplied by one positive int
+S, pushed, sorted, reduced and matched there, and each value is divided back
+by S once.  This is exact, since pushing, the grade order, pt_le and
+L-infinity gaps all commute with a uniform positive scaling.  The GF(2)
+reduction depends only on the orders of the rows and of the columns, so
+within one call each presentation reduces each pair of orders once
+(_Pairings).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .bottleneck import point_bottleneck
+from .bottleneck import int_point_bottleneck
 from .errors import PreconditionError, ValidationError
-from .geometry import DiagBand, Point2, band, intercept, point, pt_le, tval
+from .geometry import DiagBand, Point2, band, intercept, point, pt_le
+from .record import Record
 from .scalars import INF, NINF, ext, fmt, is_inf
 
 
-@dataclass
-class GradedMatrix:
-    row_grades: tuple  # generator grades, Point2
-    col_grades: tuple  # relation grades, Point2
-    nonzeros: frozenset  # (row, col) index pairs over GF(2)
+class GradedMatrix(Record):
+    __slots__ = ("row_grades",  # generator grades, Point2
+                 "col_grades",  # relation grades, Point2
+                 "nonzeros")  # (row, col) index pairs over GF(2)
+
+    def __init__(self, row_grades, col_grades, nonzeros):
+        self.row_grades = row_grades
+        self.col_grades = col_grades
+        self.nonzeros = nonzeros
 
 
 def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
@@ -123,11 +136,15 @@ def scale_presentation(P: GradedMatrix, a) -> GradedMatrix:
 # anchor coverings
 
 
-@dataclass
-class AnchorCovering:
-    points: tuple  # anchor points (joins of incomparable grade pairs)
-    intercepts: tuple  # sorted distinct anchor intercepts
-    bands: tuple  # closed bands between consecutive anchor diagonals
+class AnchorCovering(Record):
+    __slots__ = ("points",  # anchor points (joins of incomparable grade pairs)
+                 "intercepts",  # sorted distinct anchor intercepts
+                 "bands")  # closed bands between consecutive anchor diagonals
+
+    def __init__(self, points, intercepts, bands):
+        self.points = points
+        self.intercepts = intercepts
+        self.bands = bands
 
     @property
     def trivial(self):
@@ -214,88 +231,199 @@ def _scaled_covering(cov: AnchorCovering, a) -> AnchorCovering:
 # diagonalization of totally ordered presentations
 
 
-@dataclass
-class HalfOpenInterval:
+class HalfOpenInterval(Record):
     """The summand k<g>/<r>: support {x >= g} minus {x >= r}."""
-    g: Point2  # generator grade
-    r: object  # relation grade, or None for a free generator
+    __slots__ = ("g",  # generator grade
+                 "r")  # relation grade, or None for a free generator
+
+    def __init__(self, g: Point2, r):
+        self.g = g
+        self.r = r
 
 
-def diagonalize(P: GradedMatrix):
-    """Split a presentation with totally ordered row grades and totally
-    ordered column grades into half-open interval summands.
-
-    Standard left-to-right column reduction over GF(2): columns are paired
-    with the row of their surviving lowest 1, unpaired rows are free.
-    """
-    # birth/death order: for totally ordered grades the lexicographic sort
-    # is the total order (pushing to a band may have perturbed it)
-    rorder = sorted(range(len(P.row_grades)),
-                    key=lambda i: (P.row_grades[i], i))
-    corder = sorted(range(len(P.col_grades)),
-                    key=lambda j: (P.col_grades[j], j))
-    rows = [P.row_grades[i] for i in rorder]
-    cols = [P.col_grades[j] for j in corder]
-    # the grades are a chain iff each one is below the next in this sort; a
-    # lexicographically sorted pair u, v with u not below v is incomparable
-    for gs in (rows, cols):
-        for u, v in zip(gs, gs[1:]):
-            if not pt_le(u, v):
-                raise PreconditionError("incomparable grades %r, %r"
-                                        % (u, v))
+def _pairing(nonzeros, rorder, corder):
+    """Standard left-to-right column reduction over GF(2) of the matrix
+    with its rows in rorder and its columns in corder (original indices):
+    each column is paired with the row of its surviving lowest 1.  Returns
+    (pairs, free): the (row, column) pairs in row order and the unpaired
+    rows in row order, as original indices."""
     rpos = {old: new for new, old in enumerate(rorder)}
     cpos = {old: new for new, old in enumerate(corder)}
-    masks = [0] * len(cols)
-    for i, j in P.nonzeros:
+    masks = [0] * len(corder)
+    for i, j in nonzeros:
         masks[cpos[j]] |= 1 << rpos[i]
     low_owner = {}
-    pairs = []
-    for j in range(len(cols)):
-        m = masks[j]
+    for j, m in enumerate(masks):
         while m:
             low = m.bit_length() - 1
             if low not in low_owner:
                 low_owner[low] = j
-                pairs.append((low, j))
                 break
             m ^= masks[low_owner[low]]
         masks[j] = m
-    paired_rows = {i for i, _ in pairs}
+    pairs = [(rorder[i], corder[low_owner[i]]) for i in sorted(low_owner)]
+    free = [r for i, r in enumerate(rorder) if i not in low_owner]
+    return pairs, free
+
+
+class _Pairings:
+    """_pairing of one presentation, run once per (row order, column
+    order).  gmd and dmatch_sampled make one per presentation per call, so
+    it lives as long as that call."""
+
+    __slots__ = ("nonzeros", "memo")
+
+    def __init__(self, P: GradedMatrix):
+        self.nonzeros = P.nonzeros
+        self.memo = {}
+
+    def __call__(self, rorder, corder):
+        key = (rorder, corder)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = _pairing(self.nonzeros, rorder, corder)
+        return got
+
+
+def diagonalize(P: GradedMatrix):
+    """Split a presentation with totally ordered row grades and totally
+    ordered column grades into half-open interval summands: the pairs of
+    _pairing, then the free generators.
+    """
+    # birth/death order: for totally ordered grades the lexicographic sort
+    # is the total order (pushing to a band may have perturbed it); sorted
+    # is stable, so ties keep index order
+    rows, cols = P.row_grades, P.col_grades
+    rorder = sorted(range(len(rows)), key=rows.__getitem__)
+    corder = sorted(range(len(cols)), key=cols.__getitem__)
+    # the grades are a chain iff each one is below the next in this sort; a
+    # lexicographically sorted pair u, v with u not below v is incomparable
+    for gs, order in ((rows, rorder), (cols, corder)):
+        for i, j in zip(order, order[1:]):
+            if not pt_le(gs[i], gs[j]):
+                raise PreconditionError("incomparable grades %r, %r"
+                                        % (gs[i], gs[j]))
+    pairs, free = _pairing(P.nonzeros, rorder, corder)
+    return ([HalfOpenInterval(rows[i], cols[j]) for i, j in pairs]
+            + [HalfOpenInterval(rows[i], None) for i in free])
+
+
+# --------------------------------------------------------------------------
+# the per-direction int kernel
+
+
+def _scaled_ints(presentations, a, values):
+    """The grades of each presentation scaled by direction a, and the given
+    finite values, all times one int S > 0: (S, grades, values), where
+    grades holds a (rows, cols) pair of lists of int pairs (x1, x2) per
+    presentation.
+
+    S is twice the lcm of every denominator, so every scaled number is
+    even: the halvings of the line parameter, of the unmatched cost and of
+    _band_epsilon stay whole.
+    """
+    scaled = [scale_presentation(P, a) for P in presentations]
+    S = 2 * math.lcm(*(x.denominator for P in scaled
+                       for u in P.row_grades + P.col_grades for x in u),
+                     *(v.denominator for v in values))
+    to_int = lambda x: x.numerator * (S // x.denominator)
+    grades = [tuple([(to_int(u.x1), to_int(u.x2)) for u in part]
+                    for part in (P.row_grades, P.col_grades))
+              for P in scaled]
+    return S, grades, [to_int(v) for v in values]
+
+
+def _order(keys):
+    """Indices sorted by key, ties by index, as a tuple."""
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def _chain_order(grades):
+    """_order of int grades (x1, x2); PreconditionError unless each one is
+    below the next (in lexicographic order only x2 can fall)."""
+    order = _order(grades)
+    for i, j in zip(order, order[1:]):
+        if grades[i][1] > grades[j][1]:
+            raise PreconditionError("incomparable grades %r, %r (scaled)"
+                                    % (grades[i], grades[j]))
+    return order
+
+
+def _push(grades, lo, hi):
+    """Int grades pushed onto the band lo <= x2 - x1 <= hi, each to the
+    least point of the band above it (push_band on ints)."""
     out = []
-    for i, j in sorted(pairs):
-        out.append(HalfOpenInterval(rows[i], cols[j]))
-    for i in range(len(rows)):
-        if i not in paired_rows:
-            out.append(HalfOpenInterval(rows[i], None))
+    for u in grades:
+        x1, x2 = u
+        c = x2 - x1
+        out.append((x2 - hi, x2) if c > hi else (x1, x1 + lo) if c < lo
+                   else u)
     return out
 
 
-def _band_points(P: GradedMatrix, C: DiagBand):
-    """The summands of P pushed onto band C as flat points g + rel (see
-    bottleneck.point_bottleneck); a free generator has rel = (INF, INF),
-    and an empty summand (rel = g) is dropped."""
+def _band_points(grades, lo, hi, pairing):
+    """The summands of a presentation pushed onto the band [lo, hi], as flat
+    int points g + rel (see bottleneck.point_bottleneck): the pairs, then the
+    free generators with rel = (INF, INF); an empty summand (rel = g) is
+    dropped.  grades is the (rows, cols) pair of _scaled_ints and pairing
+    the presentation's _Pairings."""
+    rows, cols = _push(grades[0], lo, hi), _push(grades[1], lo, hi)
+    pairs, free = pairing(_chain_order(rows), _chain_order(cols))
+    pts = [rows[i] + cols[j] for i, j in pairs if rows[i] != cols[j]]
+    pts += [rows[i] + (INF, INF) for i in free]
+    return pts
+
+
+def _band_epsilon(points):
+    """Largest rectangle-approximation epsilon over a band's summands, as
+    rect_approx.construction1 gives it: a hook (rel > g in both coordinates)
+    gets its triv ||rel - g||_inf / 2, and strips (rel = g in one
+    coordinate) and quadrants (rel at infinity) are rectangles, which add
+    0.  The points are _band_points', whose gaps are even."""
+    gap = 0
+    for g1, g2, r1, r2 in points:
+        if r1 is not INF and g1 < r1 and g2 < r2:
+            gap = max(gap, r1 - g1, r2 - g2)
+    return gap // 2
+
+
+def _band_values(presentations, a, bands, pairings):
+    """(value, epsilon) per band of the covering scaled by direction a, as
+    exact rationals: the bottleneck distance between the two presentations'
+    _band_points, and the larger _band_epsilon."""
+    edges = list({e for C in bands for e in C if not is_inf(e)})
+    S, grades, ints = _scaled_ints(presentations, a, edges)
+    at = dict(zip(edges, ints))
+    # an infinite edge stands at the extreme grade intercept, so it moves
+    # no grade
+    cs = [x2 - x1 for gs in grades for part in gs for x1, x2 in part]
+    cmin, cmax = min(cs, default=0), max(cs, default=0)
     out = []
-    for iv in diagonalize(push_band(P, C)):
-        rel = Point2(INF, INF) if iv.r is None else iv.r
-        if rel != iv.g:
-            out.append(iv.g + rel)
+    for C in bands:
+        lo = cmin if is_inf(C.lo) else at[C.lo]
+        hi = cmax if is_inf(C.hi) else at[C.hi]
+        left, right = (_band_points(gs, lo, hi, p)
+                       for gs, p in zip(grades, pairings))
+        v = int_point_bottleneck(left, right)
+        e = max(_band_epsilon(left), _band_epsilon(right))
+        out.append((v if is_inf(v) else Fraction(v, S), Fraction(e, S)))
     return out
+
+
+def _slice_bars(grades, h, pairing):
+    """Bars (t_lo, t_hi) of a presentation along the diagonal line of
+    intercept 2h, in ints: the line first meets the up-set of (x1, x2) at
+    t = max(x1 + h, x2 - h).  Every two points of a line are comparable, so
+    the order by t needs no chain check."""
+    rows, cols = ([max(x1 + h, x2 - h) for x1, x2 in part] for part in grades)
+    pairs, free = pairing(_order(rows), _order(cols))
+    bars = [(rows[i], cols[j]) for i, j in pairs if cols[j] > rows[i]]
+    bars += [(rows[i], INF) for i in free]
+    return bars
 
 
 # --------------------------------------------------------------------------
 # sampled matching distance
-
-
-def _slice_bars(P: GradedMatrix, c):
-    """Bars (t_lo, t_hi) of the presentation along the diagonal line of
-    intercept c: its push onto the zero-width band [c, c]."""
-    bars = []
-    for iv in diagonalize(push_band(P, band(c, c))):
-        lo = tval(iv.g)
-        hi = INF if iv.r is None else tval(iv.r)
-        if hi > lo:
-            bars.append((lo, hi))
-    return bars
 
 
 def dmatch_sampled(M, N, directions, intercepts):
@@ -305,14 +433,17 @@ def dmatch_sampled(M, N, directions, intercepts):
     if not directions or not intercepts:
         raise PreconditionError("need at least one direction and intercept")
     best = Fraction(0)
+    pairings = [_Pairings(M), _Pairings(N)]
     for a in directions:
-        sm, sn = scale_presentation(M, a), scale_presentation(N, a)
-        for c in intercepts:
-            d = point_bottleneck(_slice_bars(sm, c), _slice_bars(sn, c))
-            if d > best:
-                best = d
-            if is_inf(best):
-                return best
+        S, grades, cs = _scaled_ints((M, N), a, intercepts)
+        top = 0
+        for c in cs:
+            d = int_point_bottleneck(*(_slice_bars(gs, c // 2, p)
+                                       for gs, p in zip(grades, pairings)))
+            if is_inf(d):
+                return d
+            top = max(top, d)
+        best = max(best, Fraction(top, S))
     return best
 
 
@@ -320,14 +451,20 @@ def dmatch_sampled(M, N, directions, intercepts):
 # the full pipeline
 
 
-@dataclass
-class GmdReport:
-    value: object
-    direction: object
-    band: object
-    table: list  # (direction, band, value) triples
-    epsilon: object  # covering-quality estimate
-    covering: AnchorCovering
+class GmdReport(Record):
+    __slots__ = ("value", "direction", "band",
+                 "table",  # (direction, band, value) triples
+                 "epsilon",  # covering-quality estimate
+                 "covering")
+
+    def __init__(self, value, direction, band, table, epsilon,
+                 covering: AnchorCovering):
+        self.value = value
+        self.direction = direction
+        self.band = band
+        self.table = table
+        self.epsilon = epsilon
+        self.covering = covering
 
 
 def default_directions(presentations, count=16):
@@ -352,19 +489,6 @@ def default_directions(presentations, count=16):
         t = 1 + (amax - 1) * Fraction(k, rest)
         dirs.append((t, Fraction(1)))
     return dirs
-
-
-def _band_epsilon(points):
-    """Largest rectangle-approximation epsilon over a band's summands, as
-    rect_approx.construction1 gives it: a hook (rel > g in both coordinates)
-    gets its triv ||rel - g||_inf / 2, and strips (rel = g in one
-    coordinate) and quadrants (rel at infinity) are rectangles, which add
-    0."""
-    eps = Fraction(0)
-    for g1, g2, r1, r2 in points:
-        if g1 < r1 < INF and g2 < r2:
-            eps = max(eps, max(r1 - g1, r2 - g2) / 2)
-    return eps
 
 
 def _sample_intercepts(covering, presentations):
@@ -404,14 +528,12 @@ def gmd(M_pres: GradedMatrix, N_pres: GradedMatrix, directions=16,
     table = []
     best = (Fraction(0), None, None)
     eps = Fraction(0)
+    pairings = [_Pairings(M_pres), _Pairings(N_pres)]
     for a in directions:
-        sm = scale_presentation(M_pres, a)
-        sn = scale_presentation(N_pres, a)
-        for C in _scaled_covering(cov, a).bands:
-            left, right = _band_points(sm, C), _band_points(sn, C)
-            val = point_bottleneck(left, right)
+        bands = _scaled_covering(cov, a).bands
+        for C, (val, e) in zip(bands, _band_values(pres, a, bands, pairings)):
             table.append((a, C, val))
             if val > best[0]:
                 best = (val, a, C)
-            eps = max(eps, _band_epsilon(left), _band_epsilon(right))
+            eps = max(eps, e)
     return GmdReport(best[0], best[1], best[2], table, eps, cov)

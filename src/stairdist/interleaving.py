@@ -12,13 +12,13 @@ scalars.qdiv, which keeps an even quotient of ints an int.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .geometry import (DiagRegion, Point2, StaircaseInterval, point, point_at,
                        region_intersection, tval)
 from .pl import PL, pl_abs, pl_max, pl_min, pl_sub
+from .record import Record
 from .scalars import INF, NINF, Dual, ext, is_inf, qdiv, real_part
 
 HALF = Fraction(1, 2)
@@ -144,12 +144,17 @@ def _abs_gap(f, g, sentinel, lo, hi):
 # component checks for shifted overlaps
 
 
-@dataclass
-class ComponentCheck:
-    verdict: str                     # "valid", "trivializable" or "fails"
-    valid: bool
-    triv_sup: object                 # sup of the pointwise kill distance
-    witness: object = None           # a Point2 where the check is tight
+class ComponentCheck(Record):
+    __slots__ = ("verdict",   # "valid", "trivializable" or "fails"
+                 "valid",
+                 "triv_sup",  # sup of the pointwise kill distance
+                 "witness")   # a Point2 where the check is tight
+
+    def __init__(self, verdict, valid, triv_sup, witness=None):
+        self.verdict = verdict
+        self.valid = valid
+        self.triv_sup = triv_sup
+        self.witness = witness
 
 
 def _component_status(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
@@ -225,13 +230,16 @@ def check_component(Q, M, N, delta):
 # the decision procedure and the distance
 
 
-@dataclass
-class DecisionReport:
-    delta: object
-    accepted: bool
-    diag_distance: object
-    reason: str = ""
-    checks: list = field(default_factory=list)
+class DecisionReport(Record):
+    __slots__ = ("delta", "accepted", "diag_distance", "reason", "checks")
+
+    def __init__(self, delta, accepted, diag_distance, reason="",
+                 checks=None):
+        self.delta = delta
+        self.accepted = accepted
+        self.diag_distance = diag_distance
+        self.reason = reason
+        self.checks = [] if checks is None else checks
 
 
 def _candidate_deltas(A: DiagRegion, B: DiagRegion):

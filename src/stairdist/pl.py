@@ -157,7 +157,11 @@ class PL:
         return PL(self.xs, [-v for v in self.vs], sl, sr)
 
     def restrict(self, lo, hi):
-        """Restriction to [lo, hi] intersect domain; None if empty."""
+        """Restriction to [lo, hi] intersect domain; None if empty.  A PL
+        is immutable, so one whose domain [lo, hi] covers is returned as
+        it is."""
+        if lo <= self.dom_lo and self.dom_hi <= hi:
+            return self
         lo = max(lo, self.dom_lo)
         hi = min(hi, self.dom_hi)
         if lo > hi:

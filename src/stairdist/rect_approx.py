@@ -11,7 +11,6 @@ integer simplex tableau whose results are exact Fractions.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -19,15 +18,18 @@ from .errors import PreconditionError
 from .geometry import (RectangleSpec, StaircaseInterval, band, intercept,
                        point, tval)
 from .interleaving import triv_distance
+from .record import Record
 from .scalars import INF, NINF, ext, is_inf
 
 HALF = Fraction(1, 2)
 
 
-@dataclass
-class RectApproxResult:
-    rect: RectangleSpec
-    epsilon: object
+class RectApproxResult(Record):
+    __slots__ = ("rect", "epsilon")
+
+    def __init__(self, rect: RectangleSpec, epsilon):
+        self.rect = rect
+        self.epsilon = epsilon
 
 
 # --------------------------------------------------------------------------

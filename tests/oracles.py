@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: dense
 sampling, brute-force grid search, exhaustive enumeration, a separate
-GF(2) elimination, and a bottleneck search that probes every threshold
-with a full matching on the doubled graph (delta_matched).  Values are
-floats where sampling is involved and exact rationals where enumeration
-is.
+GF(2) elimination, a bottleneck search that probes every threshold
+with a full matching on the doubled graph (delta_matched), and gmd and
+dmatch on the per-band Fraction path (push_band, diagonalize) instead of
+their int kernel.  Values are floats where sampling is involved and exact
+rationals where enumeration is.
 """
 
 from fractions import Fraction
@@ -15,7 +16,11 @@ import numpy as np
 
 from stairdist.bottleneck import CostProfile, delta_matched, linf_gap
 from stairdist.errors import ValidationError
-from stairdist.geometry import DiagRegion, Point2, StaircaseInterval
+from stairdist.geometry import (DiagRegion, Point2, StaircaseInterval, band,
+                                tval)
+from stairdist.gmd import (GmdReport, _sample_intercepts, _scaled_covering,
+                           anchors, diagonalize, push_band, refine_alpha,
+                           scale_presentation)
 from stairdist.interleaving import triv_distance
 from stairdist.pl import PL, pl_max, pl_min
 from stairdist.scalars import INF, NINF, is_inf
@@ -378,6 +383,84 @@ def point_bottleneck_oracle(points_m, points_n):
                           [triv(p) for p in points_m],
                           [triv(q) for q in points_n])
     return bottleneck_from_profile_oracle(profile).delta
+
+
+# --------------------------------------------------------------------------
+# gmd and dmatch per band on Fractions
+
+
+def band_points_oracle(P, C):
+    """The summands of P pushed onto band C as flat points g + rel (see
+    bottleneck.point_bottleneck); a free generator has rel = (INF, INF),
+    and an empty summand (rel = g) is dropped."""
+    out = []
+    for iv in diagonalize(push_band(P, C)):
+        rel = Point2(INF, INF) if iv.r is None else iv.r
+        if rel != iv.g:
+            out.append(iv.g + rel)
+    return out
+
+
+def band_epsilon_oracle(points):
+    """Largest triv ||rel - g||_inf / 2 over the hooks among band points
+    (rel > g in both coordinates); strips and quadrants add 0."""
+    eps = Fraction(0)
+    for g1, g2, r1, r2 in points:
+        if g1 < r1 < INF and g2 < r2:
+            eps = max(eps, max(r1 - g1, r2 - g2) / 2)
+    return eps
+
+
+def slice_bars_oracle(P, c):
+    """Bars (t_lo, t_hi) of the presentation along the diagonal line of
+    intercept c: its push onto the zero-width band [c, c]."""
+    bars = []
+    for iv in diagonalize(push_band(P, band(c, c))):
+        lo = tval(iv.g)
+        hi = INF if iv.r is None else tval(iv.r)
+        if hi > lo:
+            bars.append((lo, hi))
+    return bars
+
+
+def dmatch_oracle(M, N, directions, intercepts):
+    """dmatch_sampled, one Fraction slice at a time."""
+    best = Fraction(0)
+    for a in directions:
+        sm, sn = scale_presentation(M, a), scale_presentation(N, a)
+        for c in intercepts:
+            d = point_bottleneck_oracle(slice_bars_oracle(sm, c),
+                                        slice_bars_oracle(sn, c))
+            if d > best:
+                best = d
+            if is_inf(best):
+                return best
+    return best
+
+
+def gmd_oracle(M, N, directions, alpha=None):
+    """The GmdReport of gmd(M, N, directions, alpha), one Fraction band at
+    a time."""
+    pres = (M, N)
+    cov = anchors(pres)
+    if alpha is not None and alpha > 0:
+        lb = dmatch_oracle(M, N, directions, _sample_intercepts(cov, pres))
+        if lb > 0 and not is_inf(lb):
+            cov = refine_alpha(cov, alpha, lb)
+    table = []
+    best = (Fraction(0), None, None)
+    eps = Fraction(0)
+    for a in directions:
+        sm, sn = scale_presentation(M, a), scale_presentation(N, a)
+        for C in _scaled_covering(cov, a).bands:
+            left, right = band_points_oracle(sm, C), band_points_oracle(sn, C)
+            val = point_bottleneck_oracle(left, right)
+            table.append((a, C, val))
+            if val > best[0]:
+                best = (val, a, C)
+            eps = max(eps, band_epsilon_oracle(left),
+                      band_epsilon_oracle(right))
+    return GmdReport(best[0], best[1], best[2], table, eps, cov)
 
 
 # --------------------------------------------------------------------------

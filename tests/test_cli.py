@@ -249,6 +249,15 @@ class TestGenerate:
             assert main(["generate", "--kind", kind, "--seed", "3"]) == 0
             parse(json.loads(capsys.readouterr().out))
 
+    @pytest.mark.parametrize("kind", ["staircase", "rectangles",
+                                      "presentation"])
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_nonpositive_size_rejected(self, capsys, kind, size):
+        assert main(["generate", "--kind", kind, "--size", size]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "validation error" in err and "--size" in err
+
 
 class TestRoundTrip:
     def test_module(self, rng):

@@ -1,15 +1,21 @@
+import gc
+import importlib
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from oracles import closure_oracle, dim_oracle, exhaustive_bottleneck
+from oracles import (band_epsilon_oracle, band_points_oracle, closure_oracle,
+                     dim_oracle, dmatch_oracle, exhaustive_bottleneck,
+                     gmd_oracle, point_bottleneck_oracle)
 from stairdist.bottleneck import (bottleneck_distance, pairwise_costs,
                                   point_bottleneck)
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.generate import random_presentation
-from stairdist.geometry import band, point
+from stairdist.geometry import Point2, band, point
 from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_points,
-                           _sample_intercepts, _scaled_covering, anchors,
+                           _band_values, _Pairings, _sample_intercepts,
+                           _scaled_covering, _scaled_ints, anchors,
                            default_directions, diagonalize, dmatch_sampled,
                            gmd, pointwise_dim, push_band, refine_alpha,
                            scale_presentation, validate_presentation)
@@ -19,6 +25,7 @@ from stairdist.scalars import INF, NINF, is_inf
 from conftest import band_closures, block_pair
 
 FULL = band(NINF, INF)
+GMD = importlib.import_module("stairdist.gmd")  # stairdist.gmd is the function
 
 
 def pres(rows, cols=(), nonzeros=()):
@@ -210,11 +217,22 @@ class TestBandPoints:
     def test_named(self):
         P = pres([(0, 0), (1, 1), (2, 2)], [(1, 1), (3, 4)],
                  {(1, 0), (0, 1)})
-        assert _band_points(P, FULL) == [(0, 0, 3, 4), (2, 2, INF, INF)]
+        assert band_points_oracle(P, FULL) == [(0, 0, 3, 4), (2, 2, INF, INF)]
+        # the kernel's int points are the same times S = 2; edges beyond
+        # every grade intercept stand for the infinite ones
+        S, grades, _ = _scaled_ints([P], (1, 1), [])
+        assert S == 2
+        assert _band_points(grades[0], -10, 10, _Pairings(P)) == \
+            [(0, 0, 6, 8), (4, 4, INF, INF)]
 
     def test_epsilon_counts_hooks_only(self):
         hook, strip, quad = (0, 0, 2, 3), (0, 0, 5, 0), (0, 0, INF, INF)
-        assert _band_epsilon([hook, strip, quad]) == Fraction(3, 2)
+        assert band_epsilon_oracle([hook, strip, quad]) == Fraction(3, 2)
+        assert band_epsilon_oracle([strip, quad]) == 0
+        # the kernel's int points have even gaps
+        hook, strip, quad = (tuple(2 * x for x in p)
+                             for p in (hook, strip, quad))
+        assert _band_epsilon([hook, strip, quad]) == 3
         assert _band_epsilon([strip, quad]) == 0
 
     def test_matches_closures(self, rng):
@@ -232,10 +250,11 @@ class TestBandPoints:
                     prof = pairwise_costs(left, right)
                     want = exhaustive_bottleneck(prof.costs, prof.triv_m,
                                                  prof.triv_n)
-                    pm, pn = _band_points(sm, C), _band_points(sn, C)
+                    pm = band_points_oracle(sm, C)
+                    pn = band_points_oracle(sn, C)
                     assert point_bottleneck(pm, pn) == want
                     for pts, closures in ((pm, left), (pn, right)):
-                        assert _band_epsilon(pts) == max(
+                        assert band_epsilon_oracle(pts) == max(
                             (construction1(S).epsilon for S in closures
                              if not S.is_rectangle()), default=0)
                     bands += 1
@@ -378,3 +397,130 @@ class TestGmd:
             rep = gmd(M_pres, N_pres, directions=dirs)
             ub = bottleneck_distance(M_mods, N_mods).delta
             assert lb <= rep.value <= ub
+
+
+def scaled(P, k):
+    """P with every grade multiplied by k > 0."""
+    mv = lambda u: (u.x1 * k, u.x2 * k)
+    return validate_presentation([mv(u) for u in P.row_grades],
+                                 [mv(u) for u in P.col_grades], P.nonzeros)
+
+
+def random_pairs(rng, count):
+    """Presentation pairs: a random one with a copy whose generators move
+    down and relations up by up to 1 (a finite distance apart), then with
+    an unrelated random one (often infinitely far apart), in turn."""
+    for n in range(count):
+        M = random_presentation(rng, size=rng.randint(2, 5), hi=6)
+        if n % 2:
+            yield M, random_presentation(rng, size=rng.randint(2, 5), hi=6)
+            continue
+        move = lambda u, s: (u.x1 + s * Fraction(rng.randint(0, 4), 4),
+                             u.x2 + s * Fraction(rng.randint(0, 4), 4))
+        yield M, validate_presentation([move(u, -1) for u in M.row_grades],
+                                       [move(u, 1) for u in M.col_grades],
+                                       M.nonzeros)
+
+
+def recording_pairings(monkeypatch, made):
+    """Make gmd and dmatch_sampled build _Pairings that call made(P, memo)
+    when they are created."""
+    class Recorded(_Pairings):
+        def __init__(self, P):
+            super().__init__(P)
+            made(P, self)
+
+    monkeypatch.setattr(GMD, "_Pairings", Recorded)
+
+
+class TestIntKernel:
+    # the per-direction int kernel of gmd and dmatch_sampled against the
+    # per-band Fraction path in oracles, also on inputs scaled by 3 and 1/3
+    @pytest.mark.parametrize("k", [1, 3, Fraction(1, 3)])
+    def test_band_values_match_oracle(self, rng, k):
+        bands = 0
+        for M, N in random_pairs(rng, 12):
+            M, N = scaled(M, k), scaled(N, k)
+            pairings = [_Pairings(M), _Pairings(N)]
+            for a in default_directions((M, N), 4):
+                cov = _scaled_covering(anchors((M, N)), a)
+                sm, sn = scale_presentation(M, a), scale_presentation(N, a)
+                want = []
+                for C in cov.bands:
+                    left = band_points_oracle(sm, C)
+                    right = band_points_oracle(sn, C)
+                    want.append((point_bottleneck_oracle(left, right),
+                                 max(band_epsilon_oracle(left),
+                                     band_epsilon_oracle(right))))
+                assert _band_values((M, N), a, cov.bands, pairings) == want
+                bands += len(want)
+        assert bands > 100
+
+    @pytest.mark.parametrize("k", [1, 3, Fraction(1, 3)])
+    def test_slice_values_match_oracle(self, rng, k):
+        # one (direction, intercept) sample at a time, so that no sample's
+        # value hides behind another's in the max
+        slices = 0
+        for M, N in random_pairs(rng, 8):
+            M, N = scaled(M, k), scaled(N, k)
+            cs = _sample_intercepts(anchors((M, N)), (M, N))
+            for a in default_directions((M, N), 3):
+                for c in cs:
+                    assert dmatch_sampled(M, N, [a], [c]) == \
+                        dmatch_oracle(M, N, [a], [c])
+                    slices += 1
+        assert slices > 100
+
+    @pytest.mark.parametrize("k", [1, 3, Fraction(1, 3)])
+    def test_reports_match_oracle(self, rng, k):
+        for M, N in random_pairs(rng, 6):
+            dirs = default_directions((M, N), 3)
+            kM, kN = scaled(M, k), scaled(N, k)
+            for alpha in (None, Fraction(1, 2)):
+                rep = gmd(kM, kN, directions=dirs, alpha=alpha)
+                assert rep == gmd_oracle(kM, kN, dirs, alpha)
+                assert rep.value == k * gmd(M, N, directions=dirs,
+                                            alpha=alpha).value
+            cs = _sample_intercepts(anchors((kM, kN)), (kM, kN))
+            for n in range(1, len(dirs) + 1):
+                got = dmatch_sampled(kM, kN, dirs[:n], cs)
+                assert got == dmatch_oracle(kM, kN, dirs[:n], cs)
+            assert got == k * dmatch_sampled(M, N, dirs, [c / k for c in cs])
+
+    def test_memo_matches_fresh_diagonalize(self, rng, monkeypatch):
+        made = []
+        recording_pairings(monkeypatch, lambda P, memo: made.append((P, memo)))
+        orders = 0
+        for M, N in random_pairs(rng, 4):
+            dirs = default_directions((M, N), 4)
+            gmd(M, N, directions=dirs, alpha=Fraction(1, 2))
+            dmatch_sampled(M, N, dirs, [Fraction(-1), Fraction(0), 2])
+            for P, memo in made:
+                for (rorder, corder), got in memo.memo.items():
+                    # distinct grades on the diagonal, placed so that
+                    # diagonalize sorts rows and columns into these orders
+                    rows, cols = [None] * len(rorder), [None] * len(corder)
+                    for k, i in enumerate(rorder):
+                        rows[i] = Point2(k, k)
+                    for k, j in enumerate(corder):
+                        cols[j] = Point2(k, k)
+                    ivs = diagonalize(GradedMatrix(tuple(rows), tuple(cols),
+                                                   P.nonzeros))
+                    pairs = [(rorder[iv.g.x1], corder[iv.r.x1])
+                             for iv in ivs if iv.r is not None]
+                    free = [rorder[iv.g.x1] for iv in ivs if iv.r is None]
+                    assert got == (pairs, free)
+                    orders += 1
+            made.clear()
+        assert orders > 20
+
+    def test_memo_dropped_after_the_call(self, rng, monkeypatch):
+        refs = []
+        recording_pairings(monkeypatch,
+                           lambda P, memo: refs.append(weakref.ref(memo)))
+        M, N = next(random_pairs(rng, 1))
+        gmd(M, N, directions=4, alpha=Fraction(1, 2))
+        dmatch_sampled(M, N, default_directions((M, N), 4), [0, 1])
+        gc.collect()
+        assert len(refs) == 6  # gmd's, its lower bound's and dmatch's
+        assert all(r() is None for r in refs)
