@@ -3,21 +3,18 @@
 from .errors import (ParseError, PreconditionError, StairdistError,
                      ValidationError)
 from .geometry import (DiagBand, Point2, RectangleSpec, SliceSegment,
-                       StaircaseInterval, band, bounding_and_corner_rects,
-                       diag_shift, diag_slice, dl_signed, hausdorff,
-                       intersect_components, point, scale,
+                       StaircaseInterval, band, hausdorff, point,
                        validate_interval)
-from .interleaving import (check_component, di_decision, di_interval,
-                           di_interval_vs_rect, normalize_rect, slice_di,
+from .interleaving import (di_decision, di_interval, di_interval_vs_rect,
                            triv_distance)
 from .rect_approx import (RectApproxResult, approx_decomposable,
                           band_partition, construction1, diam_tables,
-                          optimal_rectangle, optimize_cell)
+                          optimal_rectangle)
 from .bottleneck import (CostProfile, MatchingResult, bottleneck_distance,
                          delta_matched, interleaving_lower_bound,
-                         pairwise_costs, point_bottleneck)
+                         pairwise_costs)
 from .gmd import (AnchorCovering, GradedMatrix, HalfOpenInterval, anchors,
-                  diagonalize, dmatch_sampled, gmd, pointwise_dim, push_band,
-                  refine_alpha, scale_presentation, validate_presentation)
+                  diagonalize, dmatch_sampled, gmd, push_band, refine_alpha,
+                  scale_presentation, validate_presentation)
 
 __version__ = "0.1.0"

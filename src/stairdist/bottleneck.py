@@ -9,15 +9,13 @@ whether such a matching exists: by the Mendelsohn-Dulmage theorem it does
 exactly when, on each side, the summands that do not trivialize within the
 threshold can be matched into the other side within it, so a probe is two
 one-sided augmenting-path searches.  delta_matched then builds the
-reported matching once, at the threshold found.  point_bottleneck is the
-same search on summands given as points (g, rel) under the L-infinity
+reported matching once, at the threshold found.  int_point_bottleneck is
+the same search on summands given as points (g, rel) under the L-infinity
 metric (the bars of a 1-parameter module, or the one-relation summands of
-gmd), on coordinates scaled to ints (int_point_bottleneck), and returns
-the value alone.
+gmd), on int coordinates, and returns the value alone.
 """
 
 from fractions import Fraction
-from math import lcm
 from operator import sub
 
 from .geometry import Point2, RectangleSpec
@@ -283,37 +281,21 @@ def bottleneck_distance(M, N) -> MatchingResult:
     return bottleneck_from_profile(pairwise_costs(M, N))
 
 
-def point_bottleneck(points_m, points_n):
+def int_point_bottleneck(points_m, points_n):
     """Bottleneck distance between two lists of points (g, rel), each a flat
     tuple of the d coordinates of g followed by the d coordinates of rel.
 
-    Every coordinate is finite or INF.  A pair costs linf_gap of the two
-    points; a point left unmatched costs ||rel - g||_inf / 2, which is INF
-    when rel is at infinity.  This is the L-infinity bottleneck distance of
-    persistence diagrams (Cohen-Steiner, Edelsbrunner & Harer, DCG 2007):
-    with d = 1 the points are bars (birth, death).  With d = 2 they are
-    one-relation summands k<g>/<rel>, for which the interleaving distance of
-    a pair is min(max triv, gap) (_corner_pair_cost); the plain gap gives
-    the same bottleneck value, because whenever max triv <= delta < gap,
-    leaving both points unmatched is feasible at delta.
-
-    Every finite coordinate is scaled once by 2 lcm(denominators) to an
-    int, so every finite gap is even, and int_point_bottleneck runs on
-    those.
-    """
-    scale = 2 * lcm(*(x.denominator for p in (*points_m, *points_n)
-                      for x in p if not is_inf(x)))
-    mv = lambda p: tuple(x if is_inf(x) else x.numerator
-                         * (scale // x.denominator) for x in p)
-    c = int_point_bottleneck([mv(p) for p in points_m],
-                             [mv(p) for p in points_n])
-    return c if is_inf(c) else Fraction(c, scale)
-
-
-def int_point_bottleneck(points_m, points_n):
-    """point_bottleneck on points whose coordinates are ints or INF and
-    whose finite gaps are all even, so halving a gap is exact; the value
-    comes back in the same units (an int, or INF).
+    Every coordinate is an int or INF, and every finite gap is even, so
+    halving a gap is exact; the value comes back in the same units (an int,
+    or INF).  A pair costs linf_gap of the two points; a point left
+    unmatched costs ||rel - g||_inf / 2, which is INF when rel is at
+    infinity.  This is the L-infinity bottleneck distance of persistence
+    diagrams (Cohen-Steiner, Edelsbrunner & Harer, DCG 2007): with d = 1
+    the points are bars (birth, death).  With d = 2 they are one-relation
+    summands k<g>/<rel>, for which the interleaving distance of a pair is
+    min(max triv, gap) (_corner_pair_cost); the plain gap gives the same
+    bottleneck value, because whenever max triv <= delta < gap, leaving
+    both points unmatched is feasible at delta.
 
     Two points are at a finite gap exactly when they have INF in the same
     coordinates, so each point is split into its coordinates' types and its
@@ -360,8 +342,8 @@ def interleaving_lower_bound(M, N) -> LowerBoundReport:
     (1/3) d_B(M, N) - (4/3)(eps_M + eps_N) both raw and clamped at 0.
     """
     matching = bottleneck_distance(M, N)
-    rects_m, _, em = approx_decomposable(M, method="optimal")
-    rects_n, _, en = approx_decomposable(N, method="optimal")
+    rects_m, _, em = approx_decomposable(M)
+    rects_n, _, en = approx_decomposable(N)
     am = [r.as_interval() for r in rects_m if not r.is_zero]
     an = [r.as_interval() for r in rects_n if not r.is_zero]
     d_b_approx = bottleneck_distance(am, an).delta

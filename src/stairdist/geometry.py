@@ -14,8 +14,8 @@ up-sets, so the upper endpoint of a region is the negated lower endpoint of
 its mirror image, and maximal corners are the mirrors of minimal ones.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ValidationError
 from .pl import PL, pl_max, pl_min, pl_sub
@@ -24,9 +24,7 @@ from .scalars import INF, NINF, ext, is_inf, qdiv, qmul
 HALF = Fraction(1, 2)
 
 
-class Point2(NamedTuple):
-    x1: object
-    x2: object
+Point2 = namedtuple("Point2", "x1 x2")
 
 
 def point(x1, x2) -> Point2:
@@ -51,25 +49,17 @@ def point_at(c, t) -> Point2:
     return Point2(t - h, t + h)
 
 
-class SliceSegment(NamedTuple):
-    intercept: object
-    t_lo: object  # None for the empty slice
-    t_hi: object
+class SliceSegment(namedtuple("SliceSegment", "intercept t_lo t_hi")):
+    """The slice [t_lo, t_hi] at an intercept; t_lo is None when empty."""
+
+    __slots__ = ()
 
     @property
     def is_empty(self):
         return self.t_lo is None
 
-    @property
-    def length(self):
-        if self.is_empty:
-            return Fraction(0)
-        return self.t_hi - self.t_lo
 
-
-class DiagBand(NamedTuple):
-    lo: object
-    hi: object
+DiagBand = namedtuple("DiagBand", "lo hi")
 
 
 def band(lo, hi) -> DiagBand:
@@ -194,7 +184,7 @@ class DiagRegion:
         thi = self.thi if self.thi is INF else self.thi.dilate(k)
         return DiagRegion(qmul(self.clo, k), qmul(self.chi, k), tlo, thi)
 
-    def restrict_hull(self, lo, hi) -> Optional["DiagRegion"]:
+    def restrict_hull(self, lo, hi):
         lo = max(lo, self.clo)
         hi = min(hi, self.chi)
         if lo > hi:
@@ -285,7 +275,7 @@ class DiagRegion:
         return coords
 
 
-def region_intersection(a: DiagRegion, b: DiagRegion) -> Optional[DiagRegion]:
+def region_intersection(a: DiagRegion, b: DiagRegion):
     lo = max(a.clo, b.clo)
     hi = min(a.chi, b.chi)
     if lo > hi:
@@ -305,76 +295,6 @@ def region_intersection(a: DiagRegion, b: DiagRegion) -> Optional[DiagRegion]:
     else:
         thi = pl_min(a.thi, b.thi)
     return DiagRegion(lo, hi, tlo, thi)
-
-
-# --------------------------------------------------------------------------
-# region -> antichain extraction
-
-
-def _segment_slopes(f: PL):
-    out = []
-    for i in range(len(f.xs) - 1):
-        out.append(qdiv(f.vs[i + 1] - f.vs[i], f.xs[i + 1] - f.xs[i]))
-    return out
-
-
-def _knot_side_slopes(f: PL, i, slopes):
-    """(slope left of knot i, slope right of knot i); None at a finite end."""
-    if i == 0:
-        left = f.lslope
-    else:
-        left = slopes[i - 1]
-    if i == len(f.xs) - 1:
-        right = f.rslope
-    else:
-        right = slopes[i]
-    return left, right
-
-
-def _check_staircase_slopes(f: PL, slopes):
-    for s in slopes:
-        if s != HALF and s != -HALF:
-            raise ValidationError("endpoint function slope is not +-1/2")
-    for s in (f.lslope, f.rslope):
-        if s is not None and s != HALF and s != -HALF:
-            raise ValidationError("endpoint function slope is not +-1/2")
-
-
-def _corners_from_tlo(f):
-    """Minimal corners of a region whose lower slice endpoint is f.
-
-    Along the lower boundary, slope -1/2 pieces are horizontal edges and
-    slope +1/2 pieces are vertical edges; minimal corners are the knots
-    where a horizontal edge (or a finite hull end) turns vertical.  A left
-    tail of slope +1/2 runs down to x2 = -inf, a right tail of slope -1/2
-    runs left to x1 = -inf; both contribute corners at infinity.  The NINF
-    sentinel gives the one corner (-inf, -inf).
-    """
-    if f is NINF:
-        return [Point2(NINF, NINF)]
-    slopes = _segment_slopes(f)
-    _check_staircase_slopes(f, slopes)
-    mins = []
-    if f.lslope == HALF:
-        mins.append(Point2(f.vs[0] - qdiv(f.xs[0], 2), NINF))
-    if f.rslope == -HALF:
-        mins.append(Point2(NINF, f.vs[-1] + qdiv(f.xs[-1], 2)))
-    for i in range(len(f.xs)):
-        left, right = _knot_side_slopes(f, i, slopes)
-        if (left is None or left == -HALF) and (right is None or right == HALF):
-            mins.append(point_at(f.xs[i], f.vs[i]))
-    return mins
-
-
-def staircase_from_region(reg: DiagRegion) -> "StaircaseInterval":
-    """Recover the antichain description of a staircase-bounded region.
-
-    Valid only when the region's boundary is a pair of monotone staircases,
-    i.e. every endpoint-function piece has slope +-1/2 (true for components
-    of intersections of staircase intervals; not true after band clipping).
-    """
-    maxs = [_sigma(p) for p in _corners_from_tlo(-reg.thi)]
-    return StaircaseInterval.from_antichains(_corners_from_tlo(reg.tlo), maxs)
 
 
 # --------------------------------------------------------------------------
@@ -531,83 +451,6 @@ class RectangleSpec:
 # geometric queries
 
 
-def diag_slice(I: StaircaseInterval, c) -> SliceSegment:
-    return I.region().slice_at(c)
-
-
-def _edge_reach_dl(x, mins, maxs):
-    """dl for a query on an edge of the extended plane (one +-inf coord)."""
-    x1, x2 = x
-    if is_inf(x2) and x2 > 0:  # top edge, coordinate x1 varies
-        ws = [w.x1 for w in maxs if w.x2 == INF]
-        if not ws:
-            return INF
-        lo, hi = min(v.x1 for v in mins), max(ws)
-        a = x1
-    elif is_inf(x1) and x1 > 0:  # right edge, coordinate x2 varies
-        ws = [w.x2 for w in maxs if w.x1 == INF]
-        if not ws:
-            return INF
-        lo, hi = min(v.x2 for v in mins), max(ws)
-        a = x2
-    elif is_inf(x2) and x2 < 0:  # bottom edge
-        vs = [v.x1 for v in mins if v.x2 == NINF]
-        if not vs:
-            return INF
-        lo, hi = min(vs), max(w.x1 for w in maxs)
-        a = x1
-    else:  # left edge
-        vs = [v.x2 for v in mins if v.x1 == NINF]
-        if not vs:
-            return INF
-        lo, hi = min(vs), max(w.x2 for w in maxs)
-        a = x2
-    if a < lo:
-        return lo - a
-    if a > hi:
-        return hi - a
-    return Fraction(0)
-
-
-def dl_signed(x, target, side=None):
-    """Signed diagonal projection distance to an interval or one boundary.
-
-    side is None (whole region), "lower" (L), or "upper" (U).  Positive when
-    the projection sits above the query along its diagonal, +inf when the
-    diagonal misses the target.
-    """
-    x = point(*x)
-    if not isinstance(target, StaircaseInterval):
-        raise TypeError("target must be a StaircaseInterval")
-    mins, maxs = target.mins, target.maxs
-    if is_inf(x.x1) and is_inf(x.x2):
-        # corner of the extended plane: the diagonal collapses to the corner
-        if x.x1 > 0:
-            member = Point2(INF, INF) in maxs
-        else:
-            member = Point2(NINF, NINF) in mins
-        return Fraction(0) if member else INF
-    if is_inf(x.x1) or is_inf(x.x2):
-        return _edge_reach_dl(x, mins, maxs)
-    reg = target.region()
-    c, t = intercept(x), tval(x)
-    if c < reg.clo or c > reg.chi:
-        return INF
-    lo = NINF if reg.tlo is NINF else reg.tlo(c)
-    hi = INF if reg.thi is INF else reg.thi(c)
-    if side == "lower":
-        return lo - t
-    if side == "upper":
-        return hi - t
-    if side is not None:
-        raise ValueError("side must be None, 'lower' or 'upper'")
-    if t < lo:
-        return lo - t
-    if t > hi:
-        return hi - t
-    return Fraction(0)
-
-
 def hausdorff(I: StaircaseInterval, J: StaircaseInterval):
     """Exact l-infinity Hausdorff distance between two staircase regions;
     the maximal corners are compared as mirrored minimal ones."""
@@ -624,43 +467,3 @@ def hausdorff(I: StaircaseInterval, J: StaircaseInterval):
     sJ = [_sigma(w) for w in J.maxs]
     return max(mins_term(I.mins, J.mins), mins_term(J.mins, I.mins),
                mins_term(sI, sJ), mins_term(sJ, sI))
-
-
-def intersect_components(I: StaircaseInterval, J: StaircaseInterval):
-    inter = region_intersection(I.region(), J.region())
-    if inter is None:
-        return []
-    return [staircase_from_region(c) for c in inter.components()]
-
-
-def bounding_and_corner_rects(I: StaircaseInterval):
-    bounding = RectangleSpec(I.bounding_r, I.bounding_s)
-    top = RectangleSpec(I.mins[0], I.maxs[0])
-    bottom = RectangleSpec(I.mins[-1], I.maxs[-1])
-    return bounding, top, bottom
-
-
-# --------------------------------------------------------------------------
-# transforms
-
-
-def diag_shift(I: StaircaseInterval, delta) -> StaircaseInterval:
-    d = ext(delta)
-    mv = lambda p: Point2(p.x1 - d if not is_inf(p.x1) else p.x1,
-                          p.x2 - d if not is_inf(p.x2) else p.x2)
-    return StaircaseInterval.from_antichains([mv(v) for v in I.mins],
-                                             [mv(w) for w in I.maxs])
-
-
-def scale(I: StaircaseInterval, a) -> StaircaseInterval:
-    a1, a2 = ext(a[0]), ext(a[1])
-    if not (a1 > 0 and a2 > 0):
-        raise ValidationError("scale factors must be positive")
-    mv = lambda p: Point2(p.x1 / a1, p.x2 / a2)
-    return StaircaseInterval.from_antichains([mv(v) for v in I.mins],
-                                             [mv(w) for w in I.maxs])
-
-
-def contains(I: StaircaseInterval, J: StaircaseInterval) -> bool:
-    return (all(any(pt_le(v0, v) for v0 in I.mins) for v in J.mins)
-            and all(any(pt_le(w, w0) for w0 in I.maxs) for w in J.maxs))

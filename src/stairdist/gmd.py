@@ -79,33 +79,6 @@ def _index_pair(e):
     return tuple(e)
 
 
-def pointwise_dim(P: GradedMatrix, u) -> int:
-    u = point(*u)
-    gens = [i for i, g in enumerate(P.row_grades) if pt_le(g, u)]
-    rels = [j for j, g in enumerate(P.col_grades) if pt_le(g, u)]
-    cols = []
-    for j in rels:
-        mask = 0
-        for i in gens:
-            if (i, j) in P.nonzeros:
-                mask |= 1 << i
-        cols.append(mask)
-    return len(gens) - _gf2_rank(cols)
-
-
-def _gf2_rank(cols):
-    pivots = []
-    rank = 0
-    for mask in cols:
-        for p in pivots:
-            if mask & (p & -p):
-                mask ^= p
-        if mask:
-            pivots.append(mask)
-            rank += 1
-    return rank
-
-
 def _push_point(u: Point2, C: DiagBand) -> Point2:
     c = intercept(u)
     if c > C.hi:
@@ -145,10 +118,6 @@ class AnchorCovering(Record):
         self.points = points
         self.intercepts = intercepts
         self.bands = bands
-
-    @property
-    def trivial(self):
-        return not self.intercepts
 
 
 def _covering_from_points(points):
@@ -363,10 +332,10 @@ def _push(grades, lo, hi):
 
 def _band_points(grades, lo, hi, pairing):
     """The summands of a presentation pushed onto the band [lo, hi], as flat
-    int points g + rel (see bottleneck.point_bottleneck): the pairs, then the
-    free generators with rel = (INF, INF); an empty summand (rel = g) is
-    dropped.  grades is the (rows, cols) pair of _scaled_ints and pairing
-    the presentation's _Pairings."""
+    int points g + rel (see bottleneck.int_point_bottleneck): the pairs,
+    then the free generators with rel = (INF, INF); an empty summand
+    (rel = g) is dropped.  grades is the (rows, cols) pair of _scaled_ints
+    and pairing the presentation's _Pairings."""
     rows, cols = _push(grades[0], lo, hi), _push(grades[1], lo, hi)
     pairs, free = pairing(_chain_order(rows), _chain_order(cols))
     pts = [rows[i] + cols[j] for i, j in pairs if rows[i] != cols[j]]

@@ -6,8 +6,8 @@ a correction obtained by probing shifted overlaps at finitely many shift
 values.  All arithmetic is exact; one-sided limits at probe breakpoints are
 evaluated with infinitesimal (Dual) perturbations.
 
-The same code runs on Fraction data (di_decision, check_component) and on
-the int data that di_interval scales its regions to; every division is
+The same code runs on Fraction data (di_decision, di_interval_vs_rect) and
+on the int data that di_interval scales its regions to; every division is
 scalars.qdiv, which keeps an even quotient of ints an int.
 """
 
@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .geometry import (DiagRegion, Point2, StaircaseInterval, point, point_at,
+from .geometry import (DiagRegion, StaircaseInterval, point_at,
                        region_intersection, tval)
 from .pl import PL, pl_abs, pl_max, pl_min, pl_sub
 from .record import Record
@@ -33,28 +33,7 @@ def _as_region(x) -> DiagRegion:
 
 
 # --------------------------------------------------------------------------
-# slicewise distance
-
-
-def slice_di(s1, s2):
-    """Interleaving distance of two segment modules on the same diagonal."""
-    e1, e2 = s1.is_empty, s2.is_empty
-    if e1 and e2:
-        return Fraction(0)
-    if e1 or e2:
-        s = s2 if e1 else s1
-        if is_inf(s.t_lo) or is_inf(s.t_hi):
-            return INF
-        return qdiv(s.length, 2)
-    if s1.intercept != s2.intercept:
-        raise PreconditionError("slices lie on different diagonals")
-    half_longest = qdiv(max(_seg_len(s1), _seg_len(s2)), 2)
-    shift = max(abs(s1.t_lo - s2.t_lo), abs(s1.t_hi - s2.t_hi))
-    return min(half_longest, shift)
-
-
-def _seg_len(s):
-    return INF if (is_inf(s.t_lo) or is_inf(s.t_hi)) else s.length
+# distance to the zero module
 
 
 def triv_distance(M):
@@ -72,7 +51,8 @@ def di_diag(M, N):
 
 
 def _di_diag(A: DiagRegion, B: DiagRegion):
-    """(sup over intercepts of slice_di, a witness intercept or None)."""
+    """(sup over intercepts of the interleaving distance of the two slices,
+    a witness intercept or None)."""
     best, arg = Fraction(0), None
 
     def upd(v, a):
@@ -211,19 +191,6 @@ def _classify(Q, src, shifted, delta) -> ComponentCheck:
     else:
         verdict = "fails"
     return ComponentCheck(verdict, valid, triv_sup, witness)
-
-
-def check_component(Q, M, N, delta):
-    """Classify one overlap component against a target interleaving shift.
-
-    The component is judged for the canonical morphism that maps sections
-    of N into sections of M over Q.
-    """
-    delta = ext(delta)
-    Qr, A, B = _as_region(Q), _as_region(M), _as_region(N)
-    if not (A.contains(Qr) and B.contains(Qr)):
-        raise PreconditionError("component is not inside both intervals")
-    return _classify(Qr, B, A, delta)
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +424,8 @@ def _hi_at(reg, c):
 def di_interval_vs_rect(M, R):
     """Interleaving distance from an interval module to a rectangle module.
 
-    The rectangle must sit inside M's bounding rectangle (after
-    normalize_rect this always holds).  The distance splits into the slice
+    The rectangle must sit inside M's bounding rectangle
+    (PreconditionError otherwise).  The distance splits into the slice
     mismatch outside the rectangle's diagonal band and, inside the band,
     the smaller of a kill bound and a boundary shift bound.
     """
@@ -513,16 +480,3 @@ def _sup_half_length_strip(g, lo, hi):
     if v <= 0:
         return Fraction(0), a
     return qdiv(v, 2), a
-
-
-def normalize_rect(M, R):
-    """Push a rectangle's corners inside M's bounding rectangle."""
-    if R.is_zero:
-        return R
-    from .geometry import RectangleSpec
-    rb, sb = M.bounding_r, M.bounding_s
-    r1 = max(min(R.r.x1, sb.x1), rb.x1)
-    r2 = max(min(R.r.x2, sb.x2), rb.x2)
-    s1 = min(max(R.s.x1, rb.x1), sb.x1)
-    s2 = min(max(R.s.x2, rb.x2), sb.x2)
-    return RectangleSpec((r1, r2), (s1, s2))

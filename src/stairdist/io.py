@@ -85,6 +85,8 @@ def parse_presentation(obj) -> GradedMatrix:
     for key in ("row_grades", "col_grades", "nonzeros"):
         if key not in obj:
             raise ParseError('presentation is missing "%s"' % key)
+        if not isinstance(obj[key], list):
+            raise ParseError('presentation "%s" must be a list' % key)
     rows = _parse_points(obj["row_grades"], "row_grades") \
         if obj["row_grades"] else []
     cols = _parse_points(obj["col_grades"], "col_grades") \

@@ -49,23 +49,6 @@ class PL:
             return cls([lo], [v])
         return cls([lo, hi], [v, v])
 
-    @classmethod
-    def line(cls, slope, x0, v0, lo=NINF, hi=INF):
-        """The affine function through (x0, v0) with the given slope."""
-        slope = Fraction(slope)
-        x0 = _nm(x0)
-        v0 = _nm(v0)
-        at = lambda x: v0 + slope * (x - x0)
-        if is_inf(lo) and is_inf(hi):
-            return cls([x0], [v0], slope, slope)
-        if is_inf(lo):
-            return cls([hi], [at(hi)], slope, None)
-        if is_inf(hi):
-            return cls([lo], [at(lo)], None, slope)
-        if lo == hi:
-            return cls([lo], [at(lo)])
-        return cls([lo, hi], [at(lo), at(hi)])
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -438,19 +438,6 @@ def _rank(out):
     return (val, rect.area(), *rect.r, *rect.s)
 
 
-def optimize_cell(M, cell, geo=None):
-    """Best rectangle with its four corners in the given bands.
-
-    cell = (i, j, k, l): the band indices for the top-left, bottom-right,
-    bottom-left and top-right corners.  Returns (RectangleSpec, value) or
-    None when the placement is infeasible.
-    """
-    if geo is None:
-        geo = _CellGeometry(M)
-    _, t1, t2a = geo.pair(cell[0], cell[1])
-    return geo.solve(cell, t1, t2a, "all")
-
-
 # --------------------------------------------------------------------------
 # global search
 
@@ -506,18 +493,13 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     return RectApproxResult(rect, eps)
 
 
-def approx_decomposable(summands, method="optimal"):
-    """Summand-wise rectangle approximation of a decomposable module.
+def approx_decomposable(summands):
+    """Summand-wise optimal rectangle approximation of a decomposable module.
 
     Returns (rect specs aligned with the summands, per-summand epsilons,
     aggregate epsilon = max).  Zero sentinels mark dropped summands.
     """
-    if method == "construction1":
-        results = [construction1(Mi) for Mi in summands]
-    elif method == "optimal":
-        results = [optimal_rectangle(Mi) for Mi in summands]
-    else:
-        raise ValueError("unknown method %r" % (method,))
+    results = [optimal_rectangle(Mi) for Mi in summands]
     rects = [r.rect for r in results]
     eps = [r.epsilon for r in results]
     return rects, eps, (max(eps) if eps else Fraction(0))

@@ -1,11 +1,19 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from oracles import closure_oracle
-from stairdist.geometry import StaircaseInterval, point
+from stairdist.bottleneck import int_point_bottleneck
+from stairdist.errors import ValidationError
+from stairdist.geometry import (Point2, StaircaseInterval, _sigma, point,
+                                point_at, region_intersection)
 from stairdist.gmd import diagonalize, push_band, validate_presentation
+from stairdist.rect_approx import _CellGeometry
+from stairdist.scalars import NINF, ext, is_inf, qdiv
+
+HALF = Fraction(1, 2)
 
 
 def square(a, b):
@@ -14,6 +22,101 @@ def square(a, b):
 
 def rect(r1, r2, s1, s2):
     return StaircaseInterval.rect(point(r1, r2), point(s1, s2))
+
+
+def diag_shift(I, delta):
+    """I moved down the diagonal by delta (the module I(delta))."""
+    d = ext(delta)
+    mv = lambda p: Point2(p.x1 - d if not is_inf(p.x1) else p.x1,
+                          p.x2 - d if not is_inf(p.x2) else p.x2)
+    return StaircaseInterval.from_antichains([mv(v) for v in I.mins],
+                                             [mv(w) for w in I.maxs])
+
+
+def scale(I, a):
+    """I with its coordinates divided by a = (a1, a2), both positive."""
+    a1, a2 = ext(a[0]), ext(a[1])
+    if not (a1 > 0 and a2 > 0):
+        raise ValidationError("scale factors must be positive")
+    mv = lambda p: Point2(p.x1 / a1, p.x2 / a2)
+    return StaircaseInterval.from_antichains([mv(v) for v in I.mins],
+                                             [mv(w) for w in I.maxs])
+
+
+def _corners_from_tlo(f):
+    """Minimal corners of a region whose lower slice endpoint is f.
+
+    Along the lower boundary, slope -1/2 pieces are horizontal edges and
+    slope +1/2 pieces are vertical edges; minimal corners are the knots
+    where a horizontal edge (or a finite hull end) turns vertical.  A left
+    tail of slope +1/2 runs down to x2 = -inf, a right tail of slope -1/2
+    runs left to x1 = -inf; both contribute corners at infinity.  The NINF
+    sentinel gives the one corner (-inf, -inf).
+    """
+    if f is NINF:
+        return [Point2(NINF, NINF)]
+    slopes = [qdiv(f.vs[i + 1] - f.vs[i], f.xs[i + 1] - f.xs[i])
+              for i in range(len(f.xs) - 1)]
+    if any(s is not None and s != HALF and s != -HALF
+           for s in slopes + [f.lslope, f.rslope]):
+        raise ValidationError("endpoint function slope is not +-1/2")
+    # the slopes left and right of each knot; None at a finite end
+    lefts = [f.lslope] + slopes
+    rights = slopes + [f.rslope]
+    mins = []
+    if f.lslope == HALF:
+        mins.append(Point2(f.vs[0] - qdiv(f.xs[0], 2), NINF))
+    if f.rslope == -HALF:
+        mins.append(Point2(NINF, f.vs[-1] + qdiv(f.xs[-1], 2)))
+    for x, v, left, right in zip(f.xs, f.vs, lefts, rights):
+        if (left is None or left == -HALF) and (right is None or right == HALF):
+            mins.append(point_at(x, v))
+    return mins
+
+
+def staircase_from_region(reg):
+    """Recover the antichain description of a staircase-bounded region.
+
+    Valid only when the region's boundary is a pair of monotone staircases,
+    i.e. every endpoint-function piece has slope +-1/2 (true for components
+    of intersections of staircase intervals; not true after band clipping).
+    """
+    maxs = [_sigma(p) for p in _corners_from_tlo(-reg.thi)]
+    return StaircaseInterval.from_antichains(_corners_from_tlo(reg.tlo), maxs)
+
+
+def intersect_components(I, J):
+    """The components of the intersection of I and J, as intervals."""
+    inter = region_intersection(I.region(), J.region())
+    if inter is None:
+        return []
+    return [staircase_from_region(c) for c in inter.components()]
+
+
+def optimize_cell(M, cell, geo=None):
+    """Best rectangle with its four corners in the given bands.
+
+    cell = (i, j, k, l): the band indices for the top-left, bottom-right,
+    bottom-left and top-right corners.  Returns (RectangleSpec, value) or
+    None when the placement is infeasible.
+    """
+    if geo is None:
+        geo = _CellGeometry(M)
+    _, t1, t2a = geo.pair(cell[0], cell[1])
+    return geo.solve(cell, t1, t2a, "all")
+
+
+def point_bottleneck(points_m, points_n):
+    """int_point_bottleneck on points with Fraction or INF coordinates:
+    every finite coordinate is scaled once by 2 lcm(denominators) to an
+    int, so every finite gap is even, and the value is scaled back."""
+    S = 2 * lcm(*(x.denominator for p in (*points_m, *points_n)
+                  for x in p if not is_inf(x)))
+    mv = lambda p: tuple(x if is_inf(x) else x.numerator * (S // x.denominator)
+                         for x in p)
+    c = int_point_bottleneck([mv(p) for p in points_m],
+                             [mv(p) for p in points_n])
+    return c if is_inf(c) else Fraction(c, S)
 
 
 def block_pair(rng):

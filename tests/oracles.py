@@ -17,7 +17,7 @@ import numpy as np
 from stairdist.bottleneck import CostProfile, delta_matched, linf_gap
 from stairdist.errors import ValidationError
 from stairdist.geometry import (DiagRegion, Point2, StaircaseInterval, band,
-                                tval)
+                                point, pt_le, tval)
 from stairdist.gmd import (GmdReport, _sample_intercepts, _scaled_covering,
                            anchors, diagonalize, push_band, refine_alpha,
                            scale_presentation)
@@ -32,6 +32,11 @@ HALF = Fraction(1, 2)
 # slice endpoints as a fold over one branch per corner
 
 
+def _line(slope, v0):
+    """The affine function of the intercept with value v0 at 0."""
+    return PL([0], [v0], slope, slope)
+
+
 def _min_branch(v):
     """Lower slice endpoint of up(v) as a function of the intercept."""
     x1, x2 = v
@@ -40,9 +45,9 @@ def _min_branch(v):
     if is_inf(x1) and is_inf(x2):
         return NINF
     if is_inf(x1):
-        return PL.line(-HALF, 0, x2)
+        return _line(-HALF, x2)
     if is_inf(x2):
-        return PL.line(HALF, 0, x1)
+        return _line(HALF, x1)
     return PL([x2 - x1], [(x1 + x2) / 2], -HALF, HALF)
 
 
@@ -54,9 +59,9 @@ def _max_branch(w):
     if is_inf(x1) and is_inf(x2):
         return INF
     if is_inf(x1):
-        return PL.line(-HALF, 0, x2)
+        return _line(-HALF, x2)
     if is_inf(x2):
-        return PL.line(HALF, 0, x1)
+        return _line(HALF, x1)
     return PL([x2 - x1], [(x1 + x2) / 2], HALF, -HALF)
 
 
@@ -102,7 +107,7 @@ def triv_oracle(M, step=Fraction(1, 1000)):
     for c in sampled_intercepts(reg, step):
         seg = reg.slice_at(c)
         if not seg.is_empty:
-            best = max(best, float(seg.length))
+            best = max(best, float(seg.t_hi - seg.t_lo))
     return best / 2
 
 
@@ -491,6 +496,26 @@ def dim_oracle(row_grades, col_grades, nonzeros, u):
                 rank += 1
                 break
     return len(born) - rank
+
+
+def pointwise_dim(P, u):
+    """dim at u of the module P presents: born generators minus the GF(2)
+    rank of the born relations, as bitmasks reduced by their lowest bit."""
+    u = point(*u)
+    gens = [i for i, g in enumerate(P.row_grades) if pt_le(g, u)]
+    rels = [j for j, g in enumerate(P.col_grades) if pt_le(g, u)]
+    pivots = []
+    for j in rels:
+        mask = 0
+        for i in gens:
+            if (i, j) in P.nonzeros:
+                mask |= 1 << i
+        for p in pivots:
+            if mask & (p & -p):
+                mask ^= p
+        if mask:
+            pivots.append(mask)
+    return len(gens) - len(pivots)
 
 
 # --------------------------------------------------------------------------

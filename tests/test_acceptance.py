@@ -11,15 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dim_oracle, exhaustive_bottleneck, rect_grid_oracle
+from oracles import (dim_oracle, exhaustive_bottleneck, pointwise_dim,
+                     rect_grid_oracle)
 from stairdist.bottleneck import (bottleneck_distance,
                                   interleaving_lower_bound, pairwise_costs)
 from stairdist.generate import (random_presentation, random_rectangles,
                                 random_staircase)
 from stairdist.geometry import RectangleSpec, hausdorff, point, pt_le
 from stairdist.gmd import (_sample_intercepts, anchors, default_directions,
-                           diagonalize, dmatch_sampled, gmd, pointwise_dim,
-                           push_band, validate_presentation)
+                           diagonalize, dmatch_sampled, gmd, push_band,
+                           validate_presentation)
 from stairdist.interleaving import (di_decision, di_interval,
                                     di_interval_vs_rect, triv_distance)
 from stairdist.rect_approx import construction1, optimal_rectangle

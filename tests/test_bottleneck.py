@@ -11,7 +11,7 @@ from stairdist import bottleneck
 from stairdist.bottleneck import (CostProfile, bottleneck_distance,
                                   bottleneck_from_profile, delta_matched,
                                   interleaving_lower_bound, linf_gap,
-                                  pairwise_costs, point_bottleneck)
+                                  pairwise_costs)
 from stairdist.generate import (random_presentation, random_rectangles,
                                 random_staircase)
 from stairdist.geometry import StaircaseInterval, point
@@ -19,7 +19,7 @@ from stairdist.gmd import anchors
 from stairdist.interleaving import di_interval, triv_distance
 from stairdist.scalars import INF, NINF, is_inf
 
-from conftest import band_closures, square
+from conftest import band_closures, point_bottleneck, square
 
 
 class TestPairwiseCosts:

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,6 +196,22 @@ class TestGmd:
     def test_missing_field(self, run):
         run("gmd", {"row_grades": [[0, 0]]}, QUAD0, code=2)
 
+    @pytest.mark.parametrize("key", ["row_grades", "col_grades", "nonzeros"])
+    @pytest.mark.parametrize("value", [5, None, True, 1.5, 0, False, "x", {}],
+                             ids=["int", "null", "true", "float", "zero",
+                                  "false", "string", "object"])
+    def test_field_not_a_list(self, run, key, value):
+        bad = dict(QUAD0, **{key: value})
+        for command in ("gmd", "dmatch"):
+            err = run(command, bad, QUAD0, code=2)
+            assert '"%s" must be a list' % key in err
+
+    def test_empty_nonzeros_accepted(self, run):
+        # a relation column with no entries leaves the quadrant free
+        zero_col = {"row_grades": [[0, 0]], "col_grades": [[1, 1]],
+                    "nonzeros": []}
+        assert run("gmd", zero_col, QUAD0)["value"]["exact"] == "0"
+
     @pytest.mark.parametrize("alpha", ["-1", "2", "inf"])
     @pytest.mark.parametrize("other", [QUAD0, QUAD1],
                              ids=["identical", "different"])
@@ -285,3 +304,15 @@ class TestRoundTrip:
         obj = {"lower": [["1/2", "-3/2"]], "upper": [["7/2", "inf"]]}
         I = mio.parse_interval(obj)
         assert I.mins == (point(Fraction(1, 2), Fraction(-3, 2)),)
+
+
+def test_startup_imports_no_typing():
+    # typing, dataclasses and inspect cost start-up time on every call
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, %r); import stairdist.cli; "
+            "print(sorted({'typing', 'dataclasses', 'inspect'} "
+            "& set(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

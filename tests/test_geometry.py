@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from oracles import contains_point, raster_components, region_fold_oracle
 from stairdist.errors import ValidationError
 from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
-                                _maximal, _minimal, band,
-                                bounding_and_corner_rects, contains,
-                                diag_shift, diag_slice, dl_signed, hausdorff,
-                                intersect_components, point, pt_le, scale,
-                                staircase_from_region, validate_interval)
+                                _maximal, _minimal, band, hausdorff, point,
+                                pt_le, validate_interval)
 from stairdist.generate import random_staircase
 from stairdist.scalars import INF, NINF
 
-from conftest import rect, square
+from conftest import (diag_shift, intersect_components, rect, scale, square,
+                      staircase_from_region)
 
 
 class TestValidateInterval:
@@ -41,43 +39,44 @@ class TestValidateInterval:
 
 class TestDiagSlice:
     def test_square_center(self):
-        s = diag_slice(square(0, 4), 0)
-        assert (s.t_lo, s.t_hi, s.length) == (0, 4, 4)
+        s = square(0, 4).region().slice_at(0)
+        assert (s.intercept, s.t_lo, s.t_hi) == (0, 0, 4)
 
     def test_square_outside(self):
-        assert diag_slice(square(0, 4), 6).is_empty
+        assert square(0, 4).region().slice_at(6).is_empty
 
     def test_thick_l_center(self, thick_l):
-        assert diag_slice(thick_l, 0).length == 3
+        s = thick_l.region().slice_at(0)
+        assert s.t_hi - s.t_lo == 3
 
     def test_nonempty_exactly_on_intercept_range(self, thick_l):
         reg = thick_l.region()
         for c in (reg.clo, reg.chi, Fraction(1, 2)):
-            assert not diag_slice(thick_l, c).is_empty
+            assert not reg.slice_at(c).is_empty
         for c in (reg.clo - 1, reg.chi + 1):
-            assert diag_slice(thick_l, c).is_empty
+            assert reg.slice_at(c).is_empty
 
-
-class TestDlSigned:
-    def test_below(self):
-        assert dl_signed(point(0, 0), square(1, 3)) == 1
-
-    def test_inside(self):
-        assert dl_signed(point(2, 2), square(1, 3)) == 0
-
-    def test_missed_diagonal(self):
-        assert dl_signed(point(5, 0), square(1, 3)) is INF
-
-    def test_upper_boundary_signed(self, thick_l):
-        assert dl_signed(point(4, 4), thick_l, side="upper") == -1
-
-    def test_zero_iff_member(self, rng):
+    def test_holds_exactly_the_members(self, rng):
         I = random_staircase(rng, size=6)
+        reg = I.region()
         for _ in range(50):
             x = Fraction(rng.randint(-2, 22), 2)
             y = Fraction(rng.randint(-2, 22), 2)
-            member = contains_point(I, x, y)
-            assert (dl_signed(point(x, y), I) == 0) == member
+            s = reg.slice_at(y - x)
+            got = not s.is_empty and s.t_lo <= (x + y) / 2 <= s.t_hi
+            assert got == contains_point(I, x, y)
+
+
+def test_tuple_records():
+    # fields in order, tuple equality and hashing, no per-instance dict
+    s = square(0, 4).region().slice_at(0)
+    for rec, fields, values in ((point(1, 2), ("x1", "x2"), (1, 2)),
+                                (band(0, 1), ("lo", "hi"), (0, 1)),
+                                (s, ("intercept", "t_lo", "t_hi"), (0, 0, 4))):
+        assert rec._fields == fields
+        assert rec == values and hash(rec) == hash(values)
+        assert not hasattr(rec, "__dict__")
+    assert not s.is_empty and s._replace(t_lo=None).is_empty
 
 
 class TestHausdorff:
@@ -130,22 +129,28 @@ class TestIntersectComponents:
 
 
 class TestCornerRects:
+    # the bounding rectangle, and the rectangles spanned by the first and
+    # by the last corner of each staircase
+    @staticmethod
+    def corners(I):
+        return ((I.bounding_r, I.bounding_s), (I.mins[0], I.maxs[0]),
+                (I.mins[-1], I.maxs[-1]))
+
     def test_square(self):
-        b, t, bo = bounding_and_corner_rects(square(0, 2))
-        for r in (b, t, bo):
-            assert (r.r, r.s) == (point(0, 0), point(2, 2))
+        for r, s in self.corners(square(0, 2)):
+            assert (r, s) == (point(0, 0), point(2, 2))
 
     def test_thick_l(self, thick_l):
-        b, t, bo = bounding_and_corner_rects(thick_l)
-        assert (b.r, b.s) == (point(0, 0), point(4, 4))
-        assert (t.r, t.s) == (point(0, 0), point(3, 4))
-        assert (bo.r, bo.s) == (point(0, 0), point(4, 3))
+        b, t, bo = self.corners(thick_l)
+        assert b == (point(0, 0), point(4, 4))
+        assert t == (point(0, 0), point(3, 4))
+        assert bo == (point(0, 0), point(4, 3))
 
     def test_thin_l(self, thin_l):
-        b, t, bo = bounding_and_corner_rects(thin_l)
-        assert (b.r, b.s) == (point(0, 0), point(3, 3))
-        assert (t.r, t.s) == (point(0, 0), point(1, 3))
-        assert (bo.r, bo.s) == (point(0, 0), point(3, 1))
+        b, t, bo = self.corners(thin_l)
+        assert b == (point(0, 0), point(3, 3))
+        assert t == (point(0, 0), point(1, 3))
+        assert bo == (point(0, 0), point(3, 1))
 
 
 class TestTransforms:
@@ -167,8 +172,9 @@ class TestTransforms:
         assert scale(scale(thick_l, a), inv) == thick_l
 
     def test_contains(self):
-        assert contains(square(0, 4), square(1, 2))
-        assert not contains(square(1, 2), square(0, 4))
+        big, small = square(0, 4).region(), square(1, 2).region()
+        assert big.contains(small)
+        assert not small.contains(big)
 
     def test_restrict_band_slices(self):
         C = band(-2, 2)

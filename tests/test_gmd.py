@@ -7,9 +7,8 @@ import pytest
 
 from oracles import (band_epsilon_oracle, band_points_oracle, closure_oracle,
                      dim_oracle, dmatch_oracle, exhaustive_bottleneck,
-                     gmd_oracle, point_bottleneck_oracle)
-from stairdist.bottleneck import (bottleneck_distance, pairwise_costs,
-                                  point_bottleneck)
+                     gmd_oracle, point_bottleneck_oracle, pointwise_dim)
+from stairdist.bottleneck import bottleneck_distance, pairwise_costs
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.generate import random_presentation
 from stairdist.geometry import Point2, band, point
@@ -17,12 +16,12 @@ from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_points,
                            _band_values, _Pairings, _sample_intercepts,
                            _scaled_covering, _scaled_ints, anchors,
                            default_directions, diagonalize, dmatch_sampled,
-                           gmd, pointwise_dim, push_band, refine_alpha,
-                           scale_presentation, validate_presentation)
+                           gmd, push_band, refine_alpha, scale_presentation,
+                           validate_presentation)
 from stairdist.rect_approx import construction1
 from stairdist.scalars import INF, NINF, is_inf
 
-from conftest import band_closures, block_pair
+from conftest import band_closures, block_pair, point_bottleneck
 
 FULL = band(NINF, INF)
 GMD = importlib.import_module("stairdist.gmd")  # stairdist.gmd is the function
@@ -122,7 +121,7 @@ class TestAnchors:
 
     def test_comparable_pair_is_trivial(self):
         cov = anchors([pres([(0, 0), (1, 1)])])
-        assert cov.trivial
+        assert cov.intercepts == ()
         assert cov.bands == (FULL,)
 
     def test_asymmetric_pair(self):
@@ -362,7 +361,7 @@ class TestGmd:
     def test_free_quadrants(self):
         rep = gmd(pres([(0, 0)]), pres([(1, 1)]), directions=16)
         assert rep.value == 1
-        assert rep.covering.trivial
+        assert rep.covering.intercepts == ()
 
     def test_anchored_dimension_mismatch(self):
         M = pres([(0, 1), (1, 0)])

@@ -8,36 +8,15 @@ from hypothesis import strategies as st
 from oracles import diag_sup_oracle, triv_oracle, unscaled_di_oracle
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
-                                diag_slice, hausdorff, intersect_components,
-                                point, scale)
+                                hausdorff, point)
 from stairdist.generate import random_staircase
-from stairdist.interleaving import (check_component, di_decision, di_diag,
+from stairdist.interleaving import (_classify, di_decision, di_diag,
                                     di_interval, di_interval_vs_rect,
-                                    normalize_rect, slice_di, triv_distance)
+                                    triv_distance)
 from stairdist.pl import PL
 from stairdist.scalars import INF, NINF, Dual
 
-from conftest import square
-
-
-class TestSliceDi:
-    def test_textbook_bars(self):
-        s1 = diag_slice(square(0, 4), 0)
-        s2 = diag_slice(square(1, 3), 0)
-        assert slice_di(s1, s2) == 1
-
-    def test_identical(self):
-        s = diag_slice(square(0, 4), 2)
-        assert slice_di(s, s) == 0
-
-    def test_against_empty(self):
-        s1 = diag_slice(square(0, 4), 0)
-        s2 = diag_slice(square(0, 4), 6)
-        assert slice_di(s1, s2) == 2
-
-    def test_intercept_mismatch(self):
-        with pytest.raises(PreconditionError):
-            slice_di(diag_slice(square(0, 4), 0), diag_slice(square(0, 4), 1))
+from conftest import intersect_components, scale, square
 
 
 class TestDiagSup:
@@ -72,26 +51,28 @@ class TestTrivDistance:
 
 
 class TestCheckComponent:
+    @staticmethod
+    def check(Q, M, N, delta):
+        """The verdict on the overlap component Q of M and N for the
+        canonical morphism that maps sections of N into sections of M."""
+        return _classify(Q.region(), N.region(), M.region(), delta)
+
     def test_valid_overlap(self):
         Q = intersect_components(square(0, 2), square(1, 3))[0]
-        res = check_component(Q, square(0, 2), square(1, 3), 1)
+        res = self.check(Q, square(0, 2), square(1, 3), 1)
         assert res.verdict == "valid"
 
     def test_swapped_overlap_trivializes(self):
         Q = intersect_components(square(1, 3), square(0, 2))[0]
-        res = check_component(Q, square(1, 3), square(0, 2), Fraction(3, 5))
+        res = self.check(Q, square(1, 3), square(0, 2), Fraction(3, 5))
         assert res.verdict == "trivializable"
         assert res.triv_sup == Fraction(1, 2)
-        res = check_component(Q, square(1, 3), square(0, 2), Fraction(1, 2))
+        res = self.check(Q, square(1, 3), square(0, 2), Fraction(1, 2))
         assert res.verdict == "fails"
 
     def test_self(self, thick_l):
-        res = check_component(thick_l, thick_l, thick_l, 0)
+        res = self.check(thick_l, thick_l, thick_l, 0)
         assert res.verdict == "valid"
-
-    def test_component_outside_rejected(self, thick_l):
-        with pytest.raises(PreconditionError):
-            check_component(square(10, 11), thick_l, thick_l, 0)
 
 
 class TestDiDecision:
@@ -187,20 +168,6 @@ class TestIntervalVsRect:
             R = RectangleSpec((r1, r2), (s1, s2))
             got = di_interval_vs_rect(M, R)
             assert got == di_interval(M, R.as_interval())
-
-
-class TestNormalizeRect:
-    def test_inside_unchanged(self, thick_l):
-        R = RectangleSpec((1, 1), (2, 2))
-        assert normalize_rect(thick_l, R) == R
-
-    def test_clamp_square(self):
-        R = normalize_rect(square(0, 4), RectangleSpec((-1, 0), (3, 5)))
-        assert (R.r, R.s) == (point(0, 0), point(3, 4))
-
-    def test_clamp_to_bounding(self, thick_l):
-        R = normalize_rect(thick_l, RectangleSpec((0, 0), (5, 5)))
-        assert (R.r, R.s) == (point(0, 0), point(4, 4))
 
 
 # --------------------------------------------------------------------------

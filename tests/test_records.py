@@ -47,8 +47,3 @@ def test_defaults():
     assert a.reason == "" and a.checks == []
     a.checks.append("x")
     assert b.checks == []
-
-
-def test_anchor_covering_trivial():
-    assert AnchorCovering((), (), ()).trivial
-    assert not AnchorCovering((), (0,), ()).trivial

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from oracles import fraction_simplex, rect_grid_oracle
 from stairdist import rect_approx
 from stairdist.errors import PreconditionError
-from stairdist.geometry import (RectangleSpec, StaircaseInterval, diag_shift,
-                                point)
+from stairdist.geometry import RectangleSpec, StaircaseInterval, point
 from stairdist.generate import random_staircase
 from stairdist.interleaving import di_interval_vs_rect, triv_distance
 from stairdist.rect_approx import (_CellGeometry, approx_decomposable,
                                    band_partition, construction1,
-                                   diam_tables, optimal_rectangle,
-                                   optimize_cell, solve_lp)
+                                   diam_tables, optimal_rectangle, solve_lp)
 from stairdist.scalars import INF, NINF
 
-from conftest import square
+from conftest import diag_shift, optimize_cell, square
 
 HALF = Fraction(1, 2)
 
@@ -413,8 +411,3 @@ class TestApproxDecomposable:
         assert epss == [HALF, HALF]
         assert agg == HALF
         assert not rects[0].is_zero and rects[1].is_zero
-
-    def test_construction_method(self, thick_l):
-        rects, epss, agg = approx_decomposable([thick_l],
-                                               method="construction1")
-        assert agg == HALF
