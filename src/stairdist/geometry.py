@@ -301,6 +301,27 @@ def region_intersection(a: DiagRegion, b: DiagRegion):
 # the public interval type
 
 
+def _slice_gap(spans, clo, chi):
+    """An intercept in [clo, chi] outside every span, or None.  The spans
+    are closed intervals with falling ends, so a gap lies above the first,
+    between two neighbours or below the last."""
+    top = chi
+    for lo, hi in spans:
+        if hi < top:
+            return _inside(hi, top)
+        top = lo
+    return _inside(clo, top) if clo < top else None
+
+
+def _inside(a, b):
+    """An intercept strictly between a < b, of which one may be infinite."""
+    if is_inf(a):
+        return b - 1
+    if is_inf(b):
+        return a + 1
+    return qdiv(a + b, 2)
+
+
 class StaircaseInterval:
     __slots__ = ("mins", "maxs", "_region")
 
@@ -317,21 +338,30 @@ class StaircaseInterval:
         maxs = _maximal(maxs)
         if not mins or not maxs:
             raise ValidationError("empty corner set")
-        j = 0
+        # The maxima above a minimum v are maxs[j:k]: of those with
+        # x1 >= v.x1 the first is the highest, and x2 >= v.x2 holds up to k.
+        # up(v) meets down(maxs) in a set star-shaped about v, so its
+        # intercepts are one interval, from v.x2 - maxs[k - 1].x1 up to
+        # maxs[j].x2 - v.x1.  j and k never fall as v moves right, so both
+        # ends fall, and the region's nonempty slices are the union of
+        # these intervals in falling order.
+        spans = []
+        j = k = 0
         for v in mins:
-            # of the maxima with x1 >= v.x1, the first is the highest
             while j < len(maxs) and maxs[j].x1 < v.x1:
                 j += 1
             if j == len(maxs) or maxs[j].x2 < v.x2:
                 raise ValidationError("lower staircase exceeds upper staircase")
+            while k < len(maxs) and maxs[k].x2 >= v.x2:
+                k += 1
+            spans.append((v.x2 - maxs[k - 1].x1, maxs[j].x2 - v.x1))
         self = cls(mins, maxs, _internal=True)
         reg = self.region()
-        g = reg.length_fn()
-        if g is not INF:
-            worst, arg = g.inf()
-            if worst < 0:
+        if reg.tlo is not NINF and reg.thi is not INF:
+            gap = _slice_gap(spans, reg.clo, reg.chi)
+            if gap is not None:
                 raise ValidationError(
-                    "disconnected region: empty diagonal slice at intercept %s" % (arg,))
+                    "disconnected region: empty diagonal slice at intercept %s" % (gap,))
         return self
 
     @classmethod

@@ -22,6 +22,8 @@ from .record import Record
 from .scalars import INF, NINF, Dual, ext, is_inf, qdiv, real_part
 
 HALF = Fraction(1, 2)
+# The eps part of a one-sided probe of _gap_root.
+EPS_UNIT = 2
 
 
 def _as_region(x) -> DiagRegion:
@@ -137,33 +139,36 @@ class ComponentCheck(Record):
         self.witness = witness
 
 
-def _component_status(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
-    """Validity and trivialization bound for one overlap component Q.
+def _kill_bound(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
+    """(Kill bound of one overlap component Q, a Point2 where it is tight).
 
     Q must be a component of the intersection of src and shifted, and the
     canonical componentwise morphism under consideration maps src-sections
-    into shifted-sections.  Q is valid (the morphism may be the identity on
-    it) when everything of src below Q already lies in shifted and
-    everything of shifted above Q lies back in src.  Otherwise the morphism
-    must vanish on Q, which is possible only when every section dies within
-    the kill bound: half the larger of the climb from Q's bottom out of
-    src's upper boundary and the drop from Q's top out of shifted's lower
-    boundary.
+    into shifted-sections.  Where that morphism must vanish on Q, it can
+    only when every section dies within the kill bound: half the larger of
+    the climb from Q's bottom out of src's upper boundary and the drop from
+    Q's top out of shifted's lower boundary.  Both are read on Q's own
+    intercept range.
     """
-    valid = True
-    down = region_intersection(src, Q.down_extension())
-    if down is not None and not shifted.contains(down):
-        valid = False
-    if valid:
-        up = region_intersection(shifted, Q.up_extension())
-        if up is not None and not src.contains(up):
-            valid = False
     t1, w1 = _sup_gap(src.thi, Q.tlo, INF, NINF, Q, lower=True)
     t2, w2 = _sup_gap(Q.thi, shifted.tlo, INF, NINF, Q, lower=False)
     if t2 > t1:
         t1, w1 = t2, w2
-    triv_sup = t1 if is_inf(t1) else qdiv(t1, 2)
-    return valid, triv_sup, w1
+    return (t1 if is_inf(t1) else qdiv(t1, 2)), w1
+
+
+def _is_valid(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
+    """Whether the morphism of _kill_bound may be the identity on Q.
+
+    It may when everything of src below Q already lies in shifted and
+    everything of shifted above Q lies back in src, tested on the full
+    intercept range.
+    """
+    down = region_intersection(src, Q.down_extension())
+    if down is not None and not shifted.contains(down):
+        return False
+    up = region_intersection(shifted, Q.up_extension())
+    return up is None or src.contains(up)
 
 
 def _sup_gap(f, g, f_sent, g_sent, Q, lower):
@@ -183,7 +188,8 @@ def _classify(Q, src, shifted, delta) -> ComponentCheck:
     """The verdict on one overlap component at shift delta: valid, else
     trivializable when every section dies strictly within delta, else
     fails."""
-    valid, triv_sup, witness = _component_status(Q, src, shifted)
+    valid = _is_valid(Q, src, shifted)
+    triv_sup, witness = _kill_bound(Q, src, shifted)
     if valid:
         verdict = "valid"
     elif triv_sup < delta:
@@ -237,19 +243,25 @@ def _probe_components(A, B, dprime):
 
 
 def _kill_requirement(A, B, dprime):
-    """Largest trivialization bound over non-valid overlap components.
+    """The kill requirement K: the largest kill bound over the non-valid
+    overlap components.
 
     None means every component carries its canonical identity morphism, so
-    the shift is acceptable regardless of the threshold.
+    the shift is acceptable regardless of the threshold.  The bounds are
+    cheap (two PL gaps on each component's own intercept range) and the
+    validity test is not (two region intersections and containments over
+    the full range), so every bound is computed first and the components
+    are tested in falling bound: the first non-valid one has the largest
+    bound of all the non-valid ones, which is K, and the rest are never
+    tested.
     """
-    worst = None
-    for _, _, comp, src, sh in _probe_components(A, B, dprime):
-        valid, triv_sup, _ = _component_status(comp, src, sh)
-        if not valid and (worst is None or triv_sup > worst):
-            worst = triv_sup
-            if worst is INF:
-                break
-    return worst
+    probes = [(_kill_bound(comp, src, sh)[0], comp, src, sh)
+              for _, _, comp, src, sh in _probe_components(A, B, dprime)]
+    probes.sort(key=lambda p: p[0], reverse=True)
+    for bound, comp, src, sh in probes:
+        if not _is_valid(comp, src, sh):
+            return bound
+    return None
 
 
 def di_decision(M, N, delta) -> DecisionReport:
@@ -297,22 +309,34 @@ def _gap_root(A, B, a, upper):
     finitely many steps.  The gap's right end b comes from upper() (None
     for an unbounded gap), called only once the chase moves.  Returns None
     when the gap contains no accepted shift.
+
+    Each probe evaluates K just above cur, at Dual(cur, EPS_UNIT): the real
+    part of h = K - delta is the one-sided limit and its eps part is
+    EPS_UNIT times the one-sided slope, so the tangent of h meets zero at
+    cur - EPS_UNIT * hr / hs.  Every Dual operation is linear in the eps
+    part (substituting EPS_UNIT * eps for eps maps Q[eps]/(eps^2) into
+    itself), so a unit u > 0 scales every eps part by u and leaves every
+    real part and every comparison as it was; see Dual for the one quotient
+    whose eps part is dropped, which drops it at any unit.  With u = 2 the
+    halvings of the kill bounds and the crossings of pl_max keep eps parts
+    of the int-scaled regions whole, where u = 1 made them Fractions.
     """
     cur = a
     b = None
     for step in range(64):
-        K = _kill_requirement(A, B, Dual(cur, 1))
+        probe = Dual(cur, EPS_UNIT)
+        K = _kill_requirement(A, B, probe)
         if K is None:
             return cur
         if K is INF:
             return None
-        h = K - Dual(cur, 1)
+        h = K - probe
         hr, hs = (h.a, h.b) if isinstance(h, Dual) else (h, 0)
         if hr < 0 or (hr == 0 and hs < 0):
             return cur
         if hs >= 0:
             return None
-        nxt = cur - qdiv(hr, hs)
+        nxt = cur - qdiv(EPS_UNIT * hr, hs)
         if step == 0:
             b = upper()
         if b is not None and nxt >= b:

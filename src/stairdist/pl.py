@@ -289,6 +289,33 @@ def pl_sub(f, g):
     return pl_add(f, -g)
 
 
+def _crossing(x0, x1, v0, v1, d0, d1):
+    """Where the gap d, going from d0 at x0 to d1 at x1, crosses zero, and
+    the value there of the piece going from v0 to v1.
+
+    One division each, x0 + d0 (x1 - x0) / (d0 - d1), rather than first
+    forming the ratio t = d0 / (d0 - d1): over Duals of ints the eps part of
+    t is a Fraction, which then spreads through the probe, while the
+    crossing itself is mostly whole.  In Q[eps]/(eps^2) both forms are
+    equal whenever d0 - d1 has a nonzero real part, since it is then a
+    unit.  Where d0 - d1 is a pure infinitesimal, Dual division drops the
+    eps part of the quotient (see Dual), so the forms differ, and the ratio
+    form is kept there.
+    """
+    den = d0 - d1
+    if type(den) is Dual and den.a == 0:
+        t = qdiv(d0, den)
+        return x0 + qmul(t, x1 - x0), v0 + qmul(t, v1 - v0)
+    return (_whole(x0 + qdiv(d0 * (x1 - x0), den)),
+            _whole(v0 + qdiv(d0 * (v1 - v0), den)))
+
+
+def _whole(x):
+    """x, as an int where it is a whole Fraction: a value read off a tail
+    can be a Fraction while the crossing it gives is whole."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 def pl_max(f, g):
     al = align(f, g)
     if al is None:
@@ -300,9 +327,7 @@ def pl_max(f, g):
             d0 = fv[i - 1] - gv[i - 1]
             d1 = fv[i] - gv[i]
             if (d0 > 0 > d1) or (d0 < 0 < d1):
-                t = qdiv(d0, d0 - d1)
-                xc = xs[i - 1] + qmul(t, xs[i] - xs[i - 1])
-                vc = fv[i - 1] + qmul(t, fv[i] - fv[i - 1])
+                xc, vc = _crossing(xs[i - 1], xs[i], fv[i - 1], fv[i], d0, d1)
                 if out_x[-1] < xc < xs[i]:
                     out_x.append(xc)
                     out_v.append(vc)
@@ -313,8 +338,8 @@ def pl_max(f, g):
         d0 = fv[0] - gv[0]
         ds = lf - lg
         if d0 != 0 and ds != 0 and (d0 > 0) == (ds > 0):
-            xc = xs[0] - qdiv(d0 * ds.denominator, ds.numerator)
-            vc = fv[0] + qmul(lf, xc - xs[0])
+            xc = _whole(xs[0] - qdiv(d0 * ds.denominator, ds.numerator))
+            vc = _whole(fv[0] + qmul(lf, xc - xs[0]))
             out_x.insert(0, xc)
             out_v.insert(0, vc)
         if ds < 0:
@@ -327,8 +352,8 @@ def pl_max(f, g):
         d1 = fv[-1] - gv[-1]
         ds = rf - rg
         if d1 != 0 and ds != 0 and (d1 < 0) == (ds > 0):
-            xc = xs[-1] - qdiv(d1 * ds.denominator, ds.numerator)
-            vc = fv[-1] + qmul(rf, xc - xs[-1])
+            xc = _whole(xs[-1] - qdiv(d1 * ds.denominator, ds.numerator))
+            vc = _whole(fv[-1] + qmul(rf, xc - xs[-1]))
             out_x.append(xc)
             out_v.append(vc)
         if ds > 0:

@@ -116,6 +116,16 @@ class Dual:
     eps^2 terms and comes out 0.  Results with zero eps part collapse back
     to the plain scalar so mixed knot sets stay consistent.  Parts are kept
     as given, int or Fraction.
+
+    The unit of eps is free.  Every operation, that quotient included, is
+    linear in the eps parts (substituting u eps for eps maps Q[eps]/(eps^2)
+    into itself), and the order reads only the sign of the eps part, so a
+    unit u > 0 scales every eps part by u and leaves every real part and
+    every comparison as it was: Dual(a, u) is "just above a" for any u > 0.
+    And because a Dual of nonzero real part is a unit of Q[eps]/(eps^2),
+    x0 + d0 (x1 - x0) / (d0 - d1) equals x0 + t (x1 - x0) with
+    t = d0 / (d0 - d1) whenever d0 - d1 has a nonzero real part, which is
+    why pl_max places its crossings with one division there.
     """
 
     __slots__ = ("a", "b")

@@ -17,7 +17,7 @@ import numpy as np
 from stairdist.bottleneck import CostProfile, delta_matched, linf_gap
 from stairdist.errors import ValidationError
 from stairdist.geometry import (DiagRegion, Point2, StaircaseInterval, band,
-                                point, pt_le, tval)
+                                point, pt_le, region_intersection, tval)
 from stairdist.gmd import (GmdReport, _sample_intercepts, _scaled_covering,
                            anchors, diagonalize, push_band, refine_alpha,
                            scale_presentation)
@@ -89,6 +89,16 @@ def region_fold_oracle(mins, maxs):
     return DiagRegion(clo, chi, tlo, thi)
 
 
+def slice_gap_oracle(mins, maxs):
+    """Whether the region between two sorted corner antichains has an empty
+    diagonal slice inside its intercept hull, read off the least value of
+    its slice length function; None where the slices are unbounded."""
+    g = DiagRegion.from_antichains(mins, maxs).length_fn()
+    if g is INF:
+        return None
+    return g.inf()[0] < 0
+
+
 # --------------------------------------------------------------------------
 # dense sampling along the diagonal direction
 
@@ -147,13 +157,45 @@ def diag_sup_oracle(M, N, step=Fraction(1, 1000)):
 def unscaled_di_oracle(M, N):
     """di_interval's search run on the unscaled Fraction regions.
 
-    The one exception to the rule above: this is the code under test, minus
+    An exception to the rule above: this is the code under test, minus
     the int scaling di_interval wraps it in, so it checks that the scaling
     and the division back are exact, not the search itself."""
     from stairdist.interleaving import _di_diag, _least_accepted
     A, B = M.region(), N.region()
     dd, _ = _di_diag(A, B)
     return INF if dd is INF else _least_accepted(A, B, dd)
+
+
+def kill_requirement_oracle(A, B, dprime):
+    """The kill requirement as the largest kill bound over the non-valid
+    overlap components, with every component's validity and bound computed.
+
+    Another exception: the components, the validity test and the bounds are
+    the library's own (_probe_components, region_intersection, contains,
+    _sup_gap), so this checks the order in which _kill_requirement visits
+    the components and where it stops, not those primitives."""
+    from stairdist.interleaving import _probe_components, _sup_gap
+    worst = None
+    for _, _, Q, src, sh in _probe_components(A, B, dprime):
+        down = region_intersection(src, Q.down_extension())
+        up = region_intersection(sh, Q.up_extension())
+        valid = ((down is None or sh.contains(down))
+                 and (up is None or src.contains(up)))
+        t1, _ = _sup_gap(src.thi, Q.tlo, INF, NINF, Q, lower=True)
+        t2, _ = _sup_gap(Q.thi, sh.tlo, INF, NINF, Q, lower=False)
+        t = max(t1, t2)
+        bound = t if is_inf(t) else HALF * t
+        if not valid and (worst is None or bound > worst):
+            worst = bound
+    return worst
+
+
+def t_form_crossing(x0, x1, v0, v1, d0, d1):
+    """Where a gap going from d0 at x0 to d1 at x1 crosses zero, and the
+    value there of the piece going from v0 to v1, through the ratio
+    t = d0 / (d0 - d1)."""
+    t = (Fraction(d0) if type(d0) is int else d0) / (d0 - d1)
+    return x0 + t * (x1 - x0), v0 + t * (v1 - v0)
 
 
 # --------------------------------------------------------------------------

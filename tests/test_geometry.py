@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import contains_point, raster_components, region_fold_oracle
+from oracles import (contains_point, raster_components, region_fold_oracle,
+                     slice_gap_oracle)
 from stairdist.errors import ValidationError
-from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
+from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
+                                StaircaseInterval,
                                 _maximal, _minimal, band, hausdorff, point,
                                 pt_le, validate_interval)
 from stairdist.generate import random_staircase
@@ -334,3 +336,60 @@ def test_lower_exceeds_upper_by_pairwise_comparison(rng):
         except ValidationError as e:
             got = str(e) == "lower staircase exceeds upper staircase"
         assert got == want
+
+
+# --------------------------------------------------------------------------
+# connectivity from the corners against the slice length function
+
+GAP = "disconnected region: empty diagonal slice at intercept "
+
+
+def check_connectivity(mins, maxs):
+    """from_antichains against slice_gap_oracle.  True when the input is
+    rejected as disconnected, False when accepted, None when its lower
+    staircase exceeds its upper one."""
+    try:
+        StaircaseInterval.from_antichains(mins, maxs)
+    except ValidationError as e:
+        if str(e) == "lower staircase exceeds upper staircase":
+            return None
+        assert str(e).startswith(GAP)
+        mins, maxs = _minimal(mins), _maximal(maxs)
+        assert slice_gap_oracle(mins, maxs)
+        c = Fraction(str(e)[len(GAP):])
+        reg = DiagRegion.from_antichains(mins, maxs)
+        assert reg.clo <= c <= reg.chi and reg.slice_at(c).is_empty
+        return True
+    assert not slice_gap_oracle(_minimal(mins), _maximal(maxs))
+    return False
+
+
+@pytest.mark.parametrize("mins, maxs", [
+    ([(0, 3), (3, 0)], [(1, 4), (4, 1)]),          # two squares
+    ([(0, 0)], [(-1, 10), (5, 5)]),                # a maximum above no minimum
+    ([("-inf", 3), (3, "-inf")], [(1, 4), (4, 1)]),
+    ([(0, 3), (3, 0)], [(1, "inf"), ("inf", 1)]),
+])
+def test_disconnected_regions_rejected(mins, maxs):
+    assert check_connectivity([point(*p) for p in mins],
+                              [point(*p) for p in maxs])
+
+
+def test_connectivity_matches_slice_length_oracle(rng):
+    def corner(inf):
+        p = [rng.randint(0, 8), rng.randint(0, 8)]
+        if rng.random() < 0.15:
+            p[rng.randrange(2)] = inf
+        return point(*p)
+
+    verdicts = []
+    for _ in range(600):
+        verdicts.append(check_connectivity(
+            [corner(NINF) for _ in range(rng.randint(1, 4))],
+            [corner(INF) for _ in range(rng.randint(1, 4))]))
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+    for _ in range(100):
+        I = random_staircase(rng, size=rng.randint(2, 8))
+        J = _with_infinite_corners(I, *(rng.random() < 0.4 for _ in range(4)))
+        for K in (I, J):
+            assert check_connectivity(list(K.mins), list(K.maxs)) is False

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import diag_sup_oracle, triv_oracle, unscaled_di_oracle
+from oracles import (diag_sup_oracle, kill_requirement_oracle, triv_oracle,
+                     unscaled_di_oracle)
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
                                 hausdorff, point)
 from stairdist.generate import random_staircase
-from stairdist.interleaving import (_classify, di_decision, di_diag,
+from stairdist.interleaving import (EPS_UNIT, _candidate_deltas, _classify,
+                                    _int_scale, _kill_requirement,
+                                    _probe_components, di_decision, di_diag,
                                     di_interval, di_interval_vs_rect,
                                     triv_distance)
 from stairdist.pl import PL
@@ -308,3 +311,70 @@ def test_no_float_reaches_a_pl(monkeypatch, rng):
             di_decision(a, b, d / 2)
             assert not any(isinstance(x, float) for x in parts(seen))
     assert not any(isinstance(x, float) for x in slopes)
+
+
+# --------------------------------------------------------------------------
+# the kill requirement: every bound first, validity in falling bound
+
+
+def _parts(x):
+    return (x.a, x.b) if isinstance(x, Dual) else (x, 0)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_kill_requirement_matches_oracle(seed, unbounded, scaled):
+    """At every candidate shift, plainly and just above it: the oracle
+    probes one-sided at Dual(a, 1), _gap_root at Dual(a, EPS_UNIT), so
+    the real parts agree and the eps parts are in ratio EPS_UNIT."""
+    rng = random.Random(seed)
+    if unbounded:
+        a, b = opened_pair(rng, 3)
+    else:
+        a, b = random_staircase(rng, size=3), random_staircase(rng, size=3)
+    A, B = a.region(), b.region()
+    if scaled:
+        S = _int_scale(A, B)
+        A, B = A.dilate(S), B.dilate(S)
+    for d in _candidate_deltas(A, B):
+        assert _kill_requirement(A, B, d) == kill_requirement_oracle(A, B, d)
+        got = _kill_requirement(A, B, Dual(d, EPS_UNIT))
+        want = kill_requirement_oracle(A, B, Dual(d, 1))
+        if want is None or want is INF:
+            assert got is want
+        else:
+            (gr, ge), (wr, we) = _parts(got), _parts(want)
+            assert (gr, ge) == (wr, EPS_UNIT * we)
+
+
+def test_one_sided_probe_stays_on_ints(monkeypatch):
+    """On int-scaled k = 16 staircases, every knot and value of every
+    overlap component at a one-sided probe is an int or a Dual of two
+    ints, and so is the kill requirement; every slope built on the way is
+    a +-1/2 Fraction."""
+    slopes = []
+    init = PL.__init__
+
+    def recording_init(self, xs, vs, lslope=None, rslope=None):
+        slopes.extend(s for s in (lslope, rslope) if s is not None)
+        init(self, xs, vs, lslope, rslope)
+
+    def whole(x):
+        return all(type(p) is int for p in _parts(x))
+
+    monkeypatch.setattr(PL, "__init__", recording_init)
+    rng = random.Random(16)
+    a, b = k_corner_staircase(rng, 16, 2), k_corner_staircase(rng, 16, 2)
+    A, B = a.region(), b.region()
+    S = _int_scale(A, B)
+    A, B = A.dilate(S), B.dilate(S)
+    for d in _candidate_deltas(A, B):
+        probe = Dual(d, EPS_UNIT)
+        for _, _, comp, _, _ in _probe_components(A, B, probe):
+            assert whole(comp.clo) and whole(comp.chi)
+            for f in (comp.tlo, comp.thi):
+                assert all(whole(x) for x in f.xs + f.vs)
+        K = _kill_requirement(A, B, probe)
+        assert K is None or whole(K)
+    assert slopes and all(type(s) is Fraction and abs(s) == Fraction(1, 2)
+                          for s in slopes)

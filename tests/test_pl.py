@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stairdist.pl import PL, align, pl_max
+from oracles import t_form_crossing
+from stairdist import pl
+from stairdist.pl import PL, _crossing, align, pl_max
 from stairdist.scalars import INF, NINF, Dual
 
 HALF = Fraction(1, 2)
@@ -91,6 +95,8 @@ def test_align_infinite_tails_and_dual_knots():
 
 @given(pls(plain), pls(plain))
 @settings(max_examples=300, deadline=None)
+@example(f=PL([-1], [0], None, -HALF), g=PL([2], [-1], Fraction(0), None))
+@example(f=PL([0], [0], Fraction(1), None), g=PL([1], [0], HALF, None))
 def test_pl_max_is_pointwise_max(f, g):
     m = pl_max(f, g)
     lo, hi = max(f.dom_lo, g.dom_lo), min(f.dom_hi, g.dom_hi)
@@ -104,6 +110,49 @@ def test_pl_max_is_pointwise_max(f, g):
     for x in probes:
         if lo <= x <= hi:
             assert m(x) == max(f(x), g(x))
-    # on int data, every crossing that lands on an integer is an int
+    # on int data, every crossing that lands on an integer is an int, also
+    # where it is placed from a Fraction value read off a tail (examples)
     if all(type(v) is int for v in f.xs + f.vs + g.xs + g.vs):
         assert all(type(v) is int for v in m.xs + m.vs if v.denominator == 1)
+
+
+positives = st.builds(_scalar, st.integers(1, 12),
+                      st.sampled_from([0, 0, 1, 2, 3]),
+                      st.sampled_from([0, 0, -1, 1]))
+
+
+@given(scalars, positives, scalars, scalars, positives, positives,
+       st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_crossing_is_the_t_form(x0, dx, v0, v1, p, q, rising):
+    """One division per coordinate gives the crossing of the t-form on
+    int, Fraction and Dual operands whenever d0 - d1 has a nonzero real
+    part, as here, where d0 and d1 have real parts of opposite signs."""
+    d0, d1 = (-p, q) if rising else (p, -q)
+    args = (x0, x0 + dx, v0, v1, d0, d1)
+    assert _crossing(*args) == t_form_crossing(*args)
+
+
+def test_crossing_keeps_the_t_form_on_a_pure_infinitesimal():
+    """Where d0 - d1 is a pure infinitesimal, Dual division drops the eps
+    part of the quotient, so one division would lose the eps part of
+    x1 - x0 that the t-form keeps."""
+    x0, x1, v0, v1 = Fraction(0), Dual(2, 1), Fraction(0), Dual(4, 2)
+    d0, d1 = Dual(0, 1), Dual(0, -1)
+    t_form = t_form_crossing(x0, x1, v0, v1, d0, d1)
+    assert t_form == (Dual(1, HALF), Dual(2, 1))
+    assert _crossing(x0, x1, v0, v1, d0, d1) == t_form
+    assert x0 + d0 * (x1 - x0) / (d0 - d1) == 1
+
+
+@given(pls(), pls())
+@settings(max_examples=300, deadline=None)
+def test_pl_max_crossings_match_the_t_form(f, g):
+    m = pl_max(f, g)
+    with mock.patch.object(pl, "_crossing", t_form_crossing):
+        want = pl_max(f, g)
+    if m is None:
+        assert want is None
+        return
+    assert (m.xs, m.vs, m.lslope, m.rslope) == (
+        want.xs, want.vs, want.lslope, want.rslope)
