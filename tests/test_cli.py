@@ -12,6 +12,7 @@ from stairdist.cli import main
 from stairdist.generate import random_presentation, random_staircase
 from stairdist.geometry import point
 
+import golden_cli
 from conftest import square
 
 SQ04 = {"lower": [[0, 0]], "upper": [[4, 4]]}
@@ -316,3 +317,11 @@ def test_startup_imports_no_typing():
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("root, case", [
+    pytest.param(root, case, id=" ".join(case["args"]))
+    for root, case in golden_cli.cases()])
+def test_committed_outputs(root, case):
+    # stdout and exit code byte for byte against tests/data (golden_cli.py)
+    assert golden_cli.run_case(root, case) is None
