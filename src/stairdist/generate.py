@@ -7,77 +7,47 @@ degenerate branches and keeps candidate sets small for the distance search.
 import random
 from fractions import Fraction
 
+from .errors import ValidationError
 from .geometry import StaircaseInterval, point
 from .gmd import GradedMatrix, validate_presentation
 
 
-def _coord(rng, lo=0, hi=20):
-    return Fraction(rng.randint(2 * lo, 2 * hi), 2)
+def _coord(rng, hi):
+    """A random multiple of 1/2 in [0, hi]."""
+    return Fraction(rng.randint(0, 2 * hi), 2)
 
 
-def random_staircase(rng: random.Random, size=6, lo=0, hi=10,
-                     band_width=None) -> StaircaseInterval:
-    """A random staircase interval with at most `size` vertices per chain.
-
-    With band_width set, the support is placed inside the diagonal band
-    of intercepts [0, band_width] (shifted staircases stay in band).
-    """
+def random_staircase(rng: random.Random, size=6) -> StaircaseInterval:
+    """A random staircase interval in [0, 10]^2 with at most `size`
+    vertices per chain."""
     for _ in range(2000):
         n = rng.randint(1, max(1, size // 2))
         m = rng.randint(1, max(1, size // 2))
-        mins = [point(_coord(rng, lo, hi), _coord(rng, lo, hi))
-                for _ in range(n)]
-        maxs = [point(_coord(rng, lo, hi), _coord(rng, lo, hi))
-                for _ in range(m)]
-        if band_width is not None:
-            w = Fraction(band_width)
-            clamp = lambda p: point(p.x1, min(max(p.x2, p.x1), p.x1 + w))
-            mins = [clamp(p) for p in mins]
-            maxs = [clamp(p) for p in maxs]
+        mins = [point(_coord(rng, 10), _coord(rng, 10)) for _ in range(n)]
+        maxs = [point(_coord(rng, 10), _coord(rng, 10)) for _ in range(m)]
         try:
             return StaircaseInterval.from_antichains(mins, maxs)
-        except Exception:
+        except ValidationError:
             continue
     raise RuntimeError("random staircase generation did not converge")
 
 
-def random_rectangles(rng: random.Random, count=3, lo=0, hi=10):
+def random_rectangles(rng: random.Random, count=3):
+    """`count` random rectangles with lower corners in [0, 9]^2."""
     out = []
     for _ in range(count):
-        a, b = _coord(rng, lo, hi - 1), _coord(rng, lo, hi - 1)
-        w = Fraction(rng.randint(1, 2 * (hi - lo)), 2)
-        h = Fraction(rng.randint(1, 2 * (hi - lo)), 2)
+        a, b = _coord(rng, 9), _coord(rng, 9)
+        w = Fraction(rng.randint(1, 20), 2)
+        h = Fraction(rng.randint(1, 20), 2)
         out.append(StaircaseInterval.rect(point(a, b), point(a + w, b + h)))
     return out
 
 
-def random_presentation(rng: random.Random, size=4, lo=0, hi=8,
-                        total_order=False) -> GradedMatrix:
-    """A valid graded presentation with `size` generators.
-
-    Relations dominate a random generator subset; total_order forces all
-    grades onto a single monotone chain.
-    """
+def random_presentation(rng: random.Random, size=4) -> GradedMatrix:
+    """A valid graded presentation with `size` generators graded in
+    [0, 8]^2; relations dominate a random generator subset."""
     ng = max(1, size)
-    if total_order:
-        # one monotone chain holding every grade, relations after generators
-        nr = rng.randint(0, ng)
-        x, y = _coord(rng, lo, hi // 2), _coord(rng, lo, hi // 2)
-        chain = []
-        for _ in range(ng + nr):
-            chain.append((x, y))
-            x += Fraction(rng.randint(0, 3), 2)
-            y += Fraction(rng.randint(0, 3), 2)
-        rows = chain[:ng]
-        cols, nz = [], set()
-        for j in range(nr):
-            sub = [i for i in range(ng) if rng.random() < 0.5]
-            if not sub:
-                sub = [rng.randrange(ng)]
-            cols.append(chain[ng + j])
-            nz.update((i, j) for i in sub)
-        return validate_presentation(rows, cols, nz)
-    rows = [(_coord(rng, lo, hi), _coord(rng, lo, hi)) for _ in range(ng)]
+    rows = [(_coord(rng, 8), _coord(rng, 8)) for _ in range(ng)]
     nr = rng.randint(0, ng)
     cols, nz = [], set()
     for j in range(nr):

@@ -5,9 +5,9 @@ extreme bounding-rectangle corners halfway onto the boundary staircases) and
 the optimal rectangle, found by partitioning the bounding rectangle into
 diagonal bands, placing the four rectangle corners into bands in every
 combination, and solving each placement exactly as a handful of small linear
-programs; placements that provably cannot win are skipped.  The LPs have
-rational data, scaled to ints once per module, and run on a fraction-free
-integer simplex tableau whose results are exact Fractions.
+programs; placements that provably cannot win are skipped, and their LPs
+stopped.  The LP rows are built on ints once per module and run on a
+fraction-free integer simplex tableau whose results are exact Fractions.
 """
 
 from bisect import bisect_left, bisect_right
@@ -19,9 +19,7 @@ from .geometry import (RectangleSpec, StaircaseInterval, band, intercept,
                        point, tval)
 from .interleaving import triv_distance
 from .record import Record
-from .scalars import INF, NINF, ext, is_inf
-
-HALF = Fraction(1, 2)
+from .scalars import INF, NINF, is_inf
 
 
 class RectApproxResult(Record):
@@ -138,7 +136,7 @@ def band_partition(M: StaircaseInterval):
 # exact fraction-free simplex (min c.x, A x <= b, x >= 0, b >= 0)
 
 
-def solve_lp(c, A, b):
+def solve_lp(c, A, b, stop=None):
     """Simplex with Bland's rule on int data with b >= 0.
 
     The entries of c, A and b must be ints and those of b nonnegative
@@ -157,12 +155,19 @@ def solve_lp(c, A, b):
     those of the rational tableau: the entering column is the first with a
     negative reduced cost, and the ratio test compares T[r][-1] / T[r][col]
     by cross-multiplication, ties going to the lower basis index.
+
+    With stop (an int or a Fraction), it returns None instead once a basis
+    that is not optimal has objective c.x below stop.  Every basis visited
+    is feasible and no pivot raises the objective, so the optimum is below
+    stop too, or the LP is unbounded.  Otherwise the result is unchanged.
     """
     m, n = len(A), len(c)
     if not all(type(v) is int for row in (c, b, *A) for v in row):
         raise ValueError("solve_lp takes int entries only")
     if any(bi < 0 for bi in b):
         raise ValueError("solve_lp needs b >= 0")
+    if stop is not None:
+        sn, sd = stop.numerator, stop.denominator
     # rows 0..m-1 are the constraints over the slack basis, row m the
     # reduced costs, which over the slack basis are c itself
     T = [list(a) + [0] * i + [1] + [0] * (m - i - 1) + [bi]
@@ -175,6 +180,9 @@ def solve_lp(c, A, b):
         col = next((j for j in range(n + m) if red[j] < 0), None)
         if col is None:
             break
+        # the objective of the current basis is -red[-1] / D
+        if stop is not None and -red[-1] * sd < sn * D:
+            return None
         row = None
         for r in range(m):
             a = T[r][col]
@@ -211,61 +219,51 @@ def solve_lp(c, A, b):
 # --------------------------------------------------------------------------
 # per-cell optimization
 
-# affine expressions a0 + a.(p1, p2, q1, q2): the rectangle has lower corner
-# r = (p1, q2) and upper corner s = (q1, p2), so p = (p1, p2) is its top-left
-# corner and q = (q1, q2) its bottom-right one
-_ZERO4 = (Fraction(0),) * 4
-
-
-def _aff(const, coeffs=_ZERO4):
-    return (ext(const), tuple(Fraction(v) for v in coeffs))
-
-_P1 = _aff(0, (1, 0, 0, 0))
-_P2 = _aff(0, (0, 1, 0, 0))
-_Q1 = _aff(0, (0, 0, 1, 0))
-_Q2 = _aff(0, (0, 0, 0, 1))
-
-
-def _acomb(k1, e1, k2=0, e2=None, const=0):
-    c = ext(const) + k1 * e1[0] + (k2 * e2[0] if e2 is not None else 0)
-    v2 = e2[1] if e2 is not None else _ZERO4
-    return (c, tuple(k1 * a + k2 * b for a, b in zip(e1[1], v2)))
-
-# corner intercepts c = x2 - x1 and diagonal parameters t = (x1 + x2) / 2;
-# the intercepts satisfy c_r + c_s = c_p + c_q
-_CORNERS = {
-    "p": (_acomb(1, _P2, -1, _P1), _acomb(HALF, _P1, HALF, _P2)),
-    "q": (_acomb(1, _Q2, -1, _Q1), _acomb(HALF, _Q1, HALF, _Q2)),
-    "r": (_acomb(1, _Q2, -1, _P1), _acomb(HALF, _P1, HALF, _Q2)),
-    "s": (_acomb(1, _P2, -1, _Q1), _acomb(HALF, _Q1, HALF, _P2)),
-}
-_WIDTH = _acomb(HALF, _Q1, -HALF, _P1)
-_HEIGHT = _acomb(HALF, _P2, -HALF, _Q2)
+# the LP variables are (p1, p2, q1, q2): the rectangle has lower corner
+# r = (p1, q2) and upper corner s = (q1, p2), so p = (p1, p2) is its
+# top-left corner and q = (q1, q2) its bottom-right one; each corner maps
+# to the positions of its x1 and x2.  The corner intercepts c = x2 - x1
+# satisfy c_r + c_s = c_p + c_q.
+_CORNERS = {"p": (0, 1), "q": (2, 3), "r": (0, 3), "s": (2, 1)}
 # the boundary gaps of the hull branch: (corner, boundary, sign) for
 # thi(c_p) - t_p, thi(c_q) - t_q, tlo(c_r) - t_r, t_p - tlo(c_p),
-# t_q - tlo(c_q) and t_s - thi(c_s)
+# t_q - tlo(c_q) and t_s - thi(c_s), with t = (x1 + x2) / 2
 _GAPS = (("p", "hi", 1), ("q", "hi", 1), ("r", "lo", 1),
          ("p", "lo", -1), ("q", "lo", -1), ("s", "hi", -1))
 
 
-def _piece(f, lo, hi):
-    """PL f as (alpha, beta) with f(c) = alpha + beta*c on the band [lo, hi]."""
-    if lo == hi:
-        return (f(lo), Fraction(0))
-    beta = (f(hi) - f(lo)) / (hi - lo)
-    return (f(lo) - beta * lo, beta)
+def _col(corner, u1, u2, epi):
+    """The dual column with u1 and u2 at the corner's x1 and x2 and epi
+    at the epigraph variable."""
+    col = [0, 0, 0, 0, epi]
+    i1, i2 = _CORNERS[corner]
+    col[i1], col[i2] = u1, u2
+    return tuple(col)
 
 
 class _CellGeometry:
-    """The rows of every cell LP of one bounded interval, built once.
+    """The rows of every cell LP of one bounded interval, built once on ints.
 
     The LP variables are (p1, p2, q1, q2), shifted to start at the bounding
-    corner, and the epigraph variable.  A row `a.x <= b` is kept as (-a, b),
-    the column it contributes to the dual LP that `_solve_rows` solves.
-    Constraints carry epigraph coefficient 0, atoms (`atom <= epigraph`) -1.
-    The right-hand side of the dual LP, dual_rhs, says that the four shifted
-    corner coordinates are free of cost and the epigraph variable costs 1.
+    corner rb, and the epigraph variable.  A row `a.x <= b` is kept as
+    (-a, b), the column it contributes to the dual LP that `_solve_rows`
+    solves.  Constraints carry epigraph coefficient 0, atoms
+    (`atom <= epigraph`) -1.  The right-hand side of the dual LP, dual_rhs,
+    says that the four shifted corner coordinates are free of cost and the
+    epigraph variable costs 1.
+
+    Each row combines corner intercepts c = x2 - x1 and parameters
+    t = (x1 + x2) / 2 with coefficients +-1, +-1/2 or +-1/4, set by the
+    band's boundary slopes beta in {-1/2, 0, 1/2}, so its column is an int
+    column times col_scale = 4.  Its right-hand side is its constant at rb
+    (a box side, half a slice length, a band edge minus rb.x2 - rb.x1, or a
+    boundary alpha + beta*c - t), times rhs_scale, the lcm of their
+    denominators.  Positive scalings of all columns and of all right-hand
+    sides change no pivot of solve_lp: its LPs are the rational ones.
     """
+
+    col_scale = 4
+    dual_rhs = [0, 0, 0, 0, 4]
 
     def __init__(self, M: StaircaseInterval):
         rb, sb = M.bounding_r, M.bounding_s
@@ -275,86 +273,65 @@ class _CellGeometry:
         self.bands = band_partition(M)
         self.tables = diam_tables(M)
         self.lbs = (rb.x1, rb.x2, rb.x1, rb.x2)
-        ubs = (sb.x1, sb.x2, sb.x1, sb.x2)
-        self.box = [self._row(e) for e in (
-            _acomb(-1, _P1, const=rb.x1), _acomb(-1, _Q2, const=rb.x2),
-            _acomb(1, _Q1, const=-sb.x1), _acomb(1, _P2, const=-sb.x2),
-            _acomb(1, _P1, -1, _Q1), _acomb(1, _Q2, -1, _P2))]
-        self.var_box = []
-        for v in range(4):
-            col = [Fraction(0)] * 5
-            col[v] = Fraction(-1)
-            self.var_box.append((tuple(col), ubs[v] - self.lbs[v]))
-        self.width = self._row(_WIDTH, -1)
-        self.height = self._row(_HEIGHT, -1)
-        self.zero = self._row(_aff(0), -1)
+        cb, tb = rb.x2 - rb.x1, (rb.x1 + rb.x2) / 2
+        # per band and boundary (tlo, thi), the piece t = alpha + beta*c as
+        # (2 beta, alpha + beta*cb - tb): a staircase boundary has slope
+        # +-1/2 between vertex diagonals, and a one-point band slope 0
+        pieces, self.min_len = [], []
+        for b in self.bands:
+            ends = [(f(b.lo), f(b.hi)) for f in (reg.tlo, reg.thi)]
+            piece = []
+            for flo, fhi in ends:
+                beta = (fhi - flo) / (b.hi - b.lo) if b.hi != b.lo else 0
+                piece.append((int(2 * beta), flo + beta * (cb - b.lo) - tb))
+            pieces.append(piece)
+            # slice length is linear across a band: min at the ends
+            (llo, lhi), (hlo, hhi) = ends
+            self.min_len.append(max(min(hlo - llo, hhi - lhi), Fraction(0)))
+        w, h = sb.x1 - rb.x1, sb.x2 - rb.x2
+        half_diam = {v: v / 2 for v in set(self.tables.lengths)}
+        consts = [w, h, *half_diam.values()]
+        for b, ((_, glo), (_, ghi)) in zip(self.bands, pieces):
+            consts += [b.lo - cb, b.hi - cb, glo, ghi, (ghi - glo) / 2]
+        rs = self.rhs_scale = lcm(*(v.denominator for v in consts))
+
+        def ints(v):
+            return v.numerator * (rs // v.denominator)
+
+        W, H = ints(w), ints(h)
+        self.box = [((4, 0, 0, 0, 0), 0), ((0, 0, 0, 4, 0), 0),
+                    ((0, 0, -4, 0, 0), W), ((0, -4, 0, 0, 0), H),
+                    ((-4, 0, 4, 0, 0), 0), ((0, 4, 0, -4, 0), 0)]
+        self.var_box = [(tuple(-4 * (k == v) for k in range(5)), ub)
+                        for v, ub in enumerate((W, H, W, H))]
+        self.width = ((2, 0, -2, 0, 4), 0)
+        self.height = ((0, -2, 0, 2, 4), 0)
+        self.zero = ((0, 0, 0, 0, 4), 0)
+        # the outside and inside diameters of pair() are slice lengths
+        self.half_diam = {v: (self.zero[0], -ints(hv))
+                          for v, hv in half_diam.items()}
         # per band: the rows lo <= c and c <= hi of each corner intercept,
-        # half the slice length at c_p and c_q, the boundary gaps, and the
-        # least slice length
+        # half the slice length at c_p and c_q, and the boundary gaps
         self.lo_rows = {name: [] for name in _CORNERS}
         self.hi_rows = {name: [] for name in _CORNERS}
         self.half_len = {"p": [], "q": []}
         self.gaps = {g: [] for g in _GAPS}
-        self.min_len = []
-        for b in self.bands:
-            for name, (ce, _) in _CORNERS.items():
-                self.lo_rows[name].append(self._row(_acomb(-1, ce,
-                                                           const=b.lo)))
-                self.hi_rows[name].append(self._row(_acomb(1, ce,
-                                                           const=-b.hi)))
-            pieces = {"lo": _piece(reg.tlo, b.lo, b.hi),
-                      "hi": _piece(reg.thi, b.lo, b.hi)}
-            a = pieces["hi"][0] - pieces["lo"][0]
-            k = pieces["hi"][1] - pieces["lo"][1]
+        for b, piece in zip(self.bands, pieces):
+            for name in _CORNERS:
+                self.lo_rows[name].append((_col(name, -4, 4, 0),
+                                           ints(cb - b.lo)))
+                self.hi_rows[name].append((_col(name, 4, -4, 0),
+                                           ints(b.hi - cb)))
+            (blo, glo), (bhi, ghi) = piece
             for name in self.half_len:
-                length = _acomb(k, _CORNERS[name][0], const=a)
-                self.half_len[name].append(self._row(_acomb(HALF, length),
-                                                     -1))
+                self.half_len[name].append((_col(name, bhi - blo, blo - bhi, 4),
+                                            -ints((ghi - glo) / 2)))
+            side = {"lo": piece[0], "hi": piece[1]}
             for g in _GAPS:
-                name, side, sign = g
-                (alpha, beta), (ce, te) = pieces[side], _CORNERS[name]
-                gap = _acomb(beta, ce, -1, te, const=alpha)
-                self.gaps[g].append(self._row(_acomb(sign, gap), -1))
-            # slice length is linear across a band: min at the ends
-            self.min_len.append(max(min(a + k * b.lo, a + k * b.hi),
-                                    Fraction(0)))
-        # the outside and inside diameters of pair() are slice lengths
-        self.half_diam = {v: self._row(_aff(v / 2), -1)
-                          for v in set(self.tables.lengths)}
-        self._scale_to_ints()
-
-    def _row(self, expr, epi=0):
-        """The dual column of the primal row expr - epi * t <= 0."""
-        c0, cv = expr
-        shift = c0 + sum(k * l for k, l in zip(cv, self.lbs))
-        return (tuple(-v for v in cv) + (Fraction(-epi),), -shift)
-
-    def _scale_to_ints(self):
-        """Multiply every dual column by one positive int, col_scale, and
-        every right-hand side by another, rhs_scale, the least that leave
-        only ints, so that the simplex runs on ints."""
-        per_band = (self.lo_rows, self.hi_rows, self.half_len, self.gaps)
-        rows = [*self.box, *self.var_box, self.width, self.height, self.zero,
-                *self.half_diam.values()]
-        rows += [r for t in per_band for rs in t.values() for r in rs]
-        cs = self.col_scale = lcm(*(v.denominator for col, _ in rows
-                                    for v in col))
-        rs = self.rhs_scale = lcm(*(rhs.denominator for _, rhs in rows))
-
-        def ints(row):
-            col, rhs = row
-            return (tuple(v.numerator * (cs // v.denominator) for v in col),
-                    rhs.numerator * (rs // rhs.denominator))
-
-        self.box = [ints(r) for r in self.box]
-        self.var_box = [ints(r) for r in self.var_box]
-        self.width, self.height, self.zero = map(
-            ints, (self.width, self.height, self.zero))
-        self.half_diam = {v: ints(r) for v, r in self.half_diam.items()}
-        for t in per_band:
-            for key, family in t.items():
-                t[key] = [ints(r) for r in family]
-        self.dual_rhs = [0] * 4 + [cs]
+                name, (b2, gv), sign = g[0], side[g[1]], g[2]
+                self.gaps[g].append((_col(name, sign * (2 + 2 * b2),
+                                          sign * (2 - 2 * b2), 4),
+                                     -sign * ints(gv)))
 
     def pair(self, i, j):
         """Lower bound lb/2 on every cell with p in band i and q in band j,
@@ -380,38 +357,39 @@ class _CellGeometry:
         return (b[k].hi + b[l].hi >= b[i].lo + b[j].lo
                 and b[k].lo + b[l].lo <= b[i].hi + b[j].hi)
 
-    def solve(self, cell, t1, t2a, which):
-        """Best (rect, value) of one band placement, or None.
+    def solve(self, cell, t1, t2a, which, stop):
+        """Best (rect, value) of one band placement, or None when it is
+        infeasible or its value is above stop.
 
-        which selects the solved branches: "all" (the per-cell problem),
-        "pinch" (the two width/height branches, with the r and s corner
-        intercepts relaxed to the contiguous band range j..i - they do not
-        appear in those objectives) or "hull" (the boundary-shift branch).
+        which selects the solved branches: "pinch" (the two width/height
+        branches, with the r and s corner intercepts relaxed to the
+        contiguous band range j..i - they do not appear in those
+        objectives) or "hull" (the boundary-shift branch).  A branch whose
+        value is above stop may be dropped (see _solve_rows).
         """
         i, j, k, l = cell
-        rk, sl = ((j, i), (j, i)) if which == "pinch" else ((k, k), (l, l))
+        if which == "pinch":
+            rk, sl = (j, i), (j, i)
+            branches = [t1 + t2a + [self.width], t1 + t2a + [self.height]]
+        else:
+            rk, sl = (k, k), (l, l)
+            bands = {"p": i, "q": j, "r": k, "s": l}
+            branches = [t1 + [self.gaps[g][bands[g[0]]] for g in _GAPS]
+                        + [self.zero]]
         cons = [self.lo_rows["p"][i], self.hi_rows["p"][i],
                 self.lo_rows["q"][j], self.hi_rows["q"][j],
                 self.lo_rows["r"][rk[0]], self.hi_rows["r"][rk[1]],
                 self.lo_rows["s"][sl[0]], self.hi_rows["s"][sl[1]]] \
             + self.box
-        branches = []
-        if which != "hull":
-            branches.append(t1 + t2a + [self.width])
-            branches.append(t1 + t2a + [self.height])
-        if which != "pinch":
-            bands = {"p": i, "q": j, "r": k, "s": l}
-            branches.append(t1 + [self.gaps[g][bands[g[0]]] for g in _GAPS]
-                            + [self.zero])
         outs = []
         for atoms in branches:
-            res = self._solve_rows(cons + atoms + self.var_box)
+            res = self._solve_rows(cons + atoms + self.var_box, stop)
             if res is not None:
                 val, (p1, p2, q1, q2) = res
                 outs.append((RectangleSpec((p1, q2), (q1, p2)), val))
         return min(outs, key=_rank, default=None)
 
-    def _solve_rows(self, rows):
+    def _solve_rows(self, rows, stop):
         """Minimize the epigraph variable t over the rows (max(atoms) <= t).
 
         Solved through the dual: min b.y  s.t.  -A^T y <= (0,0,0,0,1), y >= 0.
@@ -420,12 +398,22 @@ class _CellGeometry:
         primal point is the dual point of this LP.  The rows are scaled to
         ints, so the dual value comes back times rhs_scale and the dual
         point times rhs_scale / col_scale.
+
+        Returns None when the rows are infeasible (the dual is unbounded)
+        or, possibly, when the minimum is above stop: each dual feasible y
+        the simplex visits gives the lower bound -b.y / rhs_scale on the
+        minimum (weak duality), rising from pivot to pivot, and solve_lp
+        stops once that bound is above stop.
         """
         cols, rhs = zip(*rows)
         try:
-            dval, _, x = solve_lp(rhs, list(zip(*cols)), self.dual_rhs)
+            res = solve_lp(rhs, list(zip(*cols)), self.dual_rhs,
+                           -stop * self.rhs_scale)
         except ArithmeticError:
             return None  # unbounded dual: the placement is infeasible
+        if res is None:
+            return None  # stopped: the minimum is above stop
+        dval, _, x = res
         back = Fraction(self.col_scale, self.rhs_scale)
         return (-dval / self.rhs_scale,
                 tuple(x[v] * back + self.lbs[v] for v in range(4)))
@@ -454,7 +442,11 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     bound lb/2 is above the best value so far or at least the midpoint
     construction's epsilon (a cell only displaces that when strictly
     better), and when its r and s intercept bands cannot sum to a value
-    of c_p + c_q.
+    of c_p + c_q.  A placement's LPs stop once weak duality puts its value
+    above the least of the best value so far and the midpoint epsilon:
+    it could neither become the best (ties are solved, for the tie-break)
+    nor displace the midpoint construction, and the skips above read only
+    best values below that epsilon.
     """
     rb, sb = M.bounding_r, M.bounding_s
     if M.is_rectangle() or any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
@@ -466,6 +458,7 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     nb = len(geo.bands)
     seed = construction1(M)
     best = None  # best cell result: (rect, value)
+    stop = seed.epsilon  # a cell above min(best value, seed) cannot matter
 
     for j in range(nb):
         for i in range(j, nb):
@@ -480,10 +473,10 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
             for cell, which in cells:
                 if best is not None and lb2 > best[1]:
                     break
-                out = geo.solve(cell, t1, t2a, which)
+                out = geo.solve(cell, t1, t2a, which, stop)
                 if out is not None and (best is None
                                         or _rank(out) < _rank(best)):
-                    best = out
+                    best, stop = out, min(stop, out[1])
     # a cell only displaces the midpoint construction when strictly better
     rect, eps = seed.rect, seed.epsilon
     if best is not None and best[1] < eps:

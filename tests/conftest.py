@@ -4,16 +4,123 @@ from math import lcm
 
 import pytest
 
-from oracles import closure_oracle
+from oracles import FractionCellGeometry, closure_oracle
 from stairdist.bottleneck import int_point_bottleneck
 from stairdist.errors import ValidationError
 from stairdist.geometry import (Point2, StaircaseInterval, _sigma, point,
                                 point_at, region_intersection)
 from stairdist.gmd import diagonalize, push_band, validate_presentation
-from stairdist.rect_approx import _CellGeometry
 from stairdist.scalars import NINF, ext, is_inf, qdiv
 
 HALF = Fraction(1, 2)
+
+
+def _coord(rng, lo, hi):
+    return Fraction(rng.randint(2 * lo, 2 * hi), 2)
+
+
+def random_staircase(rng, size=6, lo=0, hi=10, band_width=None):
+    """`stairdist.generate.random_staircase` on the half-integer grid
+    [lo, hi]^2, the same draws at the defaults.  With band_width set, the
+    support is placed inside the diagonal band of intercepts
+    [0, band_width] (shifted staircases stay in band)."""
+    for _ in range(2000):
+        n = rng.randint(1, max(1, size // 2))
+        m = rng.randint(1, max(1, size // 2))
+        mins = [point(_coord(rng, lo, hi), _coord(rng, lo, hi))
+                for _ in range(n)]
+        maxs = [point(_coord(rng, lo, hi), _coord(rng, lo, hi))
+                for _ in range(m)]
+        if band_width is not None:
+            w = Fraction(band_width)
+            clamp = lambda p: point(p.x1, min(max(p.x2, p.x1), p.x1 + w))
+            mins = [clamp(p) for p in mins]
+            maxs = [clamp(p) for p in maxs]
+        try:
+            return StaircaseInterval.from_antichains(mins, maxs)
+        except ValidationError:
+            continue
+    raise RuntimeError("random staircase generation did not converge")
+
+
+def random_rectangles(rng, count=3, lo=0, hi=10):
+    """`stairdist.generate.random_rectangles` with corners on the
+    half-integer grid [lo, hi - 1]^2, the same draws at the defaults."""
+    out = []
+    for _ in range(count):
+        a, b = _coord(rng, lo, hi - 1), _coord(rng, lo, hi - 1)
+        w = Fraction(rng.randint(1, 2 * (hi - lo)), 2)
+        h = Fraction(rng.randint(1, 2 * (hi - lo)), 2)
+        out.append(StaircaseInterval.rect(point(a, b), point(a + w, b + h)))
+    return out
+
+
+def random_presentation(rng, size=4, lo=0, hi=8, total_order=False):
+    """`stairdist.generate.random_presentation` with grades on the
+    half-integer grid [lo, hi]^2, the same draws at the defaults.
+    total_order puts every grade on one monotone chain, relations after
+    generators."""
+    ng = max(1, size)
+    if total_order:
+        nr = rng.randint(0, ng)
+        x, y = _coord(rng, lo, hi // 2), _coord(rng, lo, hi // 2)
+        chain = []
+        for _ in range(ng + nr):
+            chain.append((x, y))
+            x += Fraction(rng.randint(0, 3), 2)
+            y += Fraction(rng.randint(0, 3), 2)
+        rows = chain[:ng]
+        cols, nz = [], set()
+        for j in range(nr):
+            sub = [i for i in range(ng) if rng.random() < 0.5]
+            if not sub:
+                sub = [rng.randrange(ng)]
+            cols.append(chain[ng + j])
+            nz.update((i, j) for i in sub)
+        return validate_presentation(rows, cols, nz)
+    rows = [(_coord(rng, lo, hi), _coord(rng, lo, hi)) for _ in range(ng)]
+    nr = rng.randint(0, ng)
+    cols, nz = [], set()
+    for j in range(nr):
+        sub = [i for i in range(ng) if rng.random() < 0.5]
+        if not sub:
+            sub = [rng.randrange(ng)]
+        cg = (max(rows[i][0] for i in sub) + Fraction(rng.randint(0, 4), 2),
+              max(rows[i][1] for i in sub) + Fraction(rng.randint(0, 4), 2))
+        cols.append(cg)
+        nz.update((i, j) for i in sub)
+    return validate_presentation(rows, cols, nz)
+
+
+def banded_staircase(rng, nmins, nmaxs, thin):
+    """A bounded staircase with nmins minimal and nmaxs maximal corners on
+    two chains of half-integer steps, the maxima moved up-right past the
+    minima by 1/2 to 1 (thin) or 2 to 4 (wide): the shape of the
+    rectapprox benchmark's modules."""
+    def half(lo, hi):
+        return Fraction(rng.randint(int(2 * lo), int(2 * hi)), 2)
+
+    def chain(k, x, y):
+        steps = [(half(1, 2), half(1, 2)) for _ in range(k)]
+        y += sum(dy for _, dy in steps)
+        out = []
+        for dx, dy in steps:
+            out.append((x, y))
+            x, y = x + dx, y - dy
+        return out
+
+    while True:
+        mins = chain(nmins, 0, 0)
+        maxs = chain(nmaxs, half(0, 2), half(0, 2))
+        gap = max(max(v[0] for v in mins) - max(w[0] for w in maxs),
+                  max(v[1] for v in mins) - max(w[1] for w in maxs))
+        off = max(gap, 0) + (half(0.5, 1) if thin else half(2, 4))
+        try:
+            return StaircaseInterval.from_antichains(
+                [point(*p) for p in mins],
+                [point(x + off, y + off) for x, y in maxs])
+        except ValidationError:
+            continue
 
 
 def square(a, b):
@@ -98,10 +205,12 @@ def optimize_cell(M, cell, geo=None):
 
     cell = (i, j, k, l): the band indices for the top-left, bottom-right,
     bottom-left and top-right corners.  Returns (RectangleSpec, value) or
-    None when the placement is infeasible.
+    None when the placement is infeasible.  Solved on the reference
+    geometry (oracles.FractionCellGeometry), the only one with the
+    per-cell problem.
     """
     if geo is None:
-        geo = _CellGeometry(M)
+        geo = FractionCellGeometry(M)
     _, t1, t2a = geo.pair(cell[0], cell[1])
     return geo.solve(cell, t1, t2a, "all")
 

@@ -5,24 +5,30 @@ sampling, brute-force grid search, exhaustive enumeration, a separate
 GF(2) elimination, a bottleneck search that probes every threshold
 with a full matching on the doubled graph (delta_matched), and gmd and
 dmatch on the per-band Fraction path (push_band, diagonalize) instead of
-their int kernel.  Values are floats where sampling is involved and exact
+their int kernel, and the optimal-rectangle search on Fraction rows with
+no early stop.  Values are floats where sampling is involved and exact
 rationals where enumeration is.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import numpy as np
 
 from stairdist.bottleneck import CostProfile, delta_matched, linf_gap
-from stairdist.errors import ValidationError
-from stairdist.geometry import (DiagRegion, Point2, StaircaseInterval, band,
-                                point, pt_le, region_intersection, tval)
+from stairdist.errors import PreconditionError, ValidationError
+from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
+                                StaircaseInterval, band, point, pt_le,
+                                region_intersection, tval)
 from stairdist.gmd import (GmdReport, _sample_intercepts, _scaled_covering,
                            anchors, diagonalize, push_band, refine_alpha,
                            scale_presentation)
 from stairdist.interleaving import triv_distance
 from stairdist.pl import PL, pl_max, pl_min
+from stairdist.rect_approx import (_GAPS, _CellGeometry, _rank,
+                                   band_partition, construction1,
+                                   diam_tables, solve_lp)
 from stairdist.scalars import INF, NINF, is_inf
 
 HALF = Fraction(1, 2)
@@ -658,3 +664,195 @@ def fraction_simplex(c, A, b, duals=False):
         y = [red[n + i] * senses[i] for i in range(m)]
         return val, x, y
     return val, x
+
+
+# --------------------------------------------------------------------------
+# the optimal-rectangle search on Fraction rows, without the early stop
+
+# affine expressions a0 + a.(p1, p2, q1, q2): the rectangle has lower corner
+# r = (p1, q2) and upper corner s = (q1, p2)
+_ZERO4 = (Fraction(0),) * 4
+
+
+def _aff(const, coeffs=_ZERO4):
+    return (Fraction(const), tuple(Fraction(v) for v in coeffs))
+
+
+_P1 = _aff(0, (1, 0, 0, 0))
+_P2 = _aff(0, (0, 1, 0, 0))
+_Q1 = _aff(0, (0, 0, 1, 0))
+_Q2 = _aff(0, (0, 0, 0, 1))
+
+
+def _acomb(k1, e1, k2=0, e2=None, const=0):
+    c = Fraction(const) + k1 * e1[0] + (k2 * e2[0] if e2 is not None else 0)
+    v2 = e2[1] if e2 is not None else _ZERO4
+    return (c, tuple(k1 * a + k2 * b for a, b in zip(e1[1], v2)))
+
+
+# corner intercepts c = x2 - x1 and diagonal parameters t = (x1 + x2) / 2
+_AFF_CORNERS = {
+    "p": (_acomb(1, _P2, -1, _P1), _acomb(HALF, _P1, HALF, _P2)),
+    "q": (_acomb(1, _Q2, -1, _Q1), _acomb(HALF, _Q1, HALF, _Q2)),
+    "r": (_acomb(1, _Q2, -1, _P1), _acomb(HALF, _P1, HALF, _Q2)),
+    "s": (_acomb(1, _P2, -1, _Q1), _acomb(HALF, _Q1, HALF, _P2)),
+}
+_WIDTH = _acomb(HALF, _Q1, -HALF, _P1)
+_HEIGHT = _acomb(HALF, _P2, -HALF, _Q2)
+
+
+def _piece(f, lo, hi):
+    """PL f as (alpha, beta) with f(c) = alpha + beta*c on the band [lo, hi]."""
+    if lo == hi:
+        return (f(lo), Fraction(0))
+    beta = (f(hi) - f(lo)) / (hi - lo)
+    return (f(lo) - beta * lo, beta)
+
+
+class FractionCellGeometry(_CellGeometry):
+    """`rect_approx._CellGeometry` with every row built in Fraction affine
+    algebra and kept as Fractions: the int geometry's rows are these times
+    its (col_scale, rhs_scale).  Each LP is scaled to ints only when it is
+    solved, by the lcm of the denominators of all columns and of all
+    right-hand sides, and it runs to optimality.  solve also takes
+    which="all", the per-cell problem: both branch families with the r and
+    s corners held to their own bands."""
+
+    def __init__(self, M):
+        rb, sb = M.bounding_r, M.bounding_s
+        if any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
+            raise PreconditionError("cell optimization needs a bounded interval")
+        reg = M.region()
+        self.bands = band_partition(M)
+        self.tables = diam_tables(M)
+        self.lbs = (rb.x1, rb.x2, rb.x1, rb.x2)
+        ubs = (sb.x1, sb.x2, sb.x1, sb.x2)
+        self.box = [self._row(e) for e in (
+            _acomb(-1, _P1, const=rb.x1), _acomb(-1, _Q2, const=rb.x2),
+            _acomb(1, _Q1, const=-sb.x1), _acomb(1, _P2, const=-sb.x2),
+            _acomb(1, _P1, -1, _Q1), _acomb(1, _Q2, -1, _P2))]
+        self.var_box = []
+        for v in range(4):
+            col = [Fraction(0)] * 5
+            col[v] = Fraction(-1)
+            self.var_box.append((tuple(col), ubs[v] - self.lbs[v]))
+        self.width = self._row(_WIDTH, -1)
+        self.height = self._row(_HEIGHT, -1)
+        self.zero = self._row(_aff(0), -1)
+        self.lo_rows = {name: [] for name in _AFF_CORNERS}
+        self.hi_rows = {name: [] for name in _AFF_CORNERS}
+        self.half_len = {"p": [], "q": []}
+        self.gaps = {g: [] for g in _GAPS}
+        self.min_len = []
+        for b in self.bands:
+            for name, (ce, _) in _AFF_CORNERS.items():
+                self.lo_rows[name].append(
+                    self._row(_acomb(-1, ce, const=b.lo)))
+                self.hi_rows[name].append(
+                    self._row(_acomb(1, ce, const=-b.hi)))
+            pieces = {"lo": _piece(reg.tlo, b.lo, b.hi),
+                      "hi": _piece(reg.thi, b.lo, b.hi)}
+            a = pieces["hi"][0] - pieces["lo"][0]
+            k = pieces["hi"][1] - pieces["lo"][1]
+            for name in self.half_len:
+                length = _acomb(k, _AFF_CORNERS[name][0], const=a)
+                self.half_len[name].append(
+                    self._row(_acomb(HALF, length), -1))
+            for g in _GAPS:
+                name, side, sign = g
+                (alpha, beta), (ce, te) = pieces[side], _AFF_CORNERS[name]
+                gap = _acomb(beta, ce, -1, te, const=alpha)
+                self.gaps[g].append(self._row(_acomb(sign, gap), -1))
+            self.min_len.append(max(min(a + k * b.lo, a + k * b.hi),
+                                    Fraction(0)))
+        self.half_diam = {v: self._row(_aff(v / 2), -1)
+                          for v in set(self.tables.lengths)}
+        rows = [*self.box, *self.var_box, self.width, self.height, self.zero,
+                *self.half_diam.values()]
+        rows += [r for t in (self.lo_rows, self.hi_rows, self.half_len,
+                             self.gaps)
+                 for rs in t.values() for r in rs]
+        self.col_scale = lcm(*(v.denominator for col, _ in rows for v in col))
+        self.rhs_scale = lcm(*(rhs.denominator for _, rhs in rows))
+
+    def _row(self, expr, epi=0):
+        """The dual column of the primal row expr - epi * t <= 0."""
+        c0, cv = expr
+        shift = c0 + sum(k * l for k, l in zip(cv, self.lbs))
+        return (tuple(-v for v in cv) + (Fraction(-epi),), -shift)
+
+    def solve(self, cell, t1, t2a, which):
+        """Best (rect, value) of one band placement, or None: which is
+        "all", "pinch" or "hull"."""
+        i, j, k, l = cell
+        rk, sl = ((j, i), (j, i)) if which == "pinch" else ((k, k), (l, l))
+        cons = [self.lo_rows["p"][i], self.hi_rows["p"][i],
+                self.lo_rows["q"][j], self.hi_rows["q"][j],
+                self.lo_rows["r"][rk[0]], self.hi_rows["r"][rk[1]],
+                self.lo_rows["s"][sl[0]], self.hi_rows["s"][sl[1]]] \
+            + self.box
+        branches = []
+        if which != "hull":
+            branches.append(t1 + t2a + [self.width])
+            branches.append(t1 + t2a + [self.height])
+        if which != "pinch":
+            bands = {"p": i, "q": j, "r": k, "s": l}
+            branches.append(t1 + [self.gaps[g][bands[g[0]]] for g in _GAPS]
+                            + [self.zero])
+        outs = []
+        for atoms in branches:
+            res = self._solve_rows(cons + atoms + self.var_box)
+            if res is not None:
+                val, (p1, p2, q1, q2) = res
+                outs.append((RectangleSpec((p1, q2), (q1, p2)), val))
+        return min(outs, key=_rank, default=None)
+
+    def _solve_rows(self, rows):
+        cs, rs = self.col_scale, self.rhs_scale
+        cols = [[int(v * cs) for v in col] for col, _ in rows]
+        rhs = [int(r * rs) for _, r in rows]
+        try:
+            dval, _, x = solve_lp(rhs, list(map(list, zip(*cols))),
+                                  [0] * 4 + [cs])
+        except ArithmeticError:
+            return None
+        back = Fraction(cs, rs)
+        return (-dval / rs,
+                tuple(x[v] * back + self.lbs[v] for v in range(4)))
+
+
+def reference_optimal_rectangle(M):
+    """`rect_approx.optimal_rectangle` on FractionCellGeometry, every LP
+    run to optimality: the same pruned search, cell order and tie-break,
+    as (rect, epsilon)."""
+    rb, sb = M.bounding_r, M.bounding_s
+    if M.is_rectangle() or any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
+        res = construction1(M)
+        return res.rect, res.epsilon
+    geo = FractionCellGeometry(M)
+    nb = len(geo.bands)
+    seed = construction1(M)
+    best = None
+    for j in range(nb):
+        for i in range(j, nb):
+            lb2, t1, t2a = geo.pair(i, j)
+            if lb2 >= seed.epsilon:
+                continue
+            cells = [((i, j, j, j), "pinch")]
+            cells += [((i, j, k, l), "hull")
+                      for k in range(j, i + 1) for l in range(j, i + 1)
+                      if geo.sums_meet(i, j, k, l)]
+            for cell, which in cells:
+                if best is not None and lb2 > best[1]:
+                    break
+                out = geo.solve(cell, t1, t2a, which)
+                if out is not None and (best is None
+                                        or _rank(out) < _rank(best)):
+                    best = out
+    rect, eps = seed.rect, seed.epsilon
+    if best is not None and best[1] < eps:
+        rect, eps = best
+    triv = triv_distance(M)
+    if rect.is_zero or triv <= eps:
+        return RectangleSpec.zero(), triv
+    return rect, eps

@@ -15,8 +15,6 @@ from oracles import (dim_oracle, exhaustive_bottleneck, pointwise_dim,
                      rect_grid_oracle)
 from stairdist.bottleneck import (bottleneck_distance,
                                   interleaving_lower_bound, pairwise_costs)
-from stairdist.generate import (random_presentation, random_rectangles,
-                                random_staircase)
 from stairdist.geometry import RectangleSpec, hausdorff, point, pt_le
 from stairdist.gmd import (_sample_intercepts, anchors, default_directions,
                            diagonalize, dmatch_sampled, gmd, push_band,
@@ -26,7 +24,8 @@ from stairdist.interleaving import (di_decision, di_interval,
 from stairdist.rect_approx import construction1, optimal_rectangle
 from stairdist.scalars import is_inf
 
-from conftest import block_pair, square
+from conftest import (block_pair, random_presentation, random_rectangles,
+                      random_staircase, square)
 
 
 @pytest.fixture(scope="module")

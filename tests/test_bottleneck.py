@@ -12,14 +12,14 @@ from stairdist.bottleneck import (CostProfile, bottleneck_distance,
                                   bottleneck_from_profile, delta_matched,
                                   interleaving_lower_bound, linf_gap,
                                   pairwise_costs)
-from stairdist.generate import (random_presentation, random_rectangles,
-                                random_staircase)
+from stairdist.generate import random_presentation, random_staircase
 from stairdist.geometry import StaircaseInterval, point
 from stairdist.gmd import anchors
 from stairdist.interleaving import di_interval, triv_distance
 from stairdist.scalars import INF, NINF, is_inf
 
-from conftest import band_closures, point_bottleneck, square
+from conftest import (band_closures, point_bottleneck, random_rectangles,
+                      square)
 
 
 class TestPairwiseCosts:

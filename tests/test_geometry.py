@@ -12,11 +12,10 @@ from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
                                 StaircaseInterval,
                                 _maximal, _minimal, band, hausdorff, point,
                                 pt_le, validate_interval)
-from stairdist.generate import random_staircase
 from stairdist.scalars import INF, NINF
 
-from conftest import (diag_shift, intersect_components, rect, scale, square,
-                      staircase_from_region)
+from conftest import (diag_shift, intersect_components, random_staircase,
+                      rect, scale, square, staircase_from_region)
 
 
 class TestValidateInterval:

@@ -10,7 +10,6 @@ from oracles import (band_epsilon_oracle, band_points_oracle, closure_oracle,
                      gmd_oracle, point_bottleneck_oracle, pointwise_dim)
 from stairdist.bottleneck import bottleneck_distance, pairwise_costs
 from stairdist.errors import PreconditionError, ValidationError
-from stairdist.generate import random_presentation
 from stairdist.geometry import Point2, band, point
 from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_points,
                            _band_values, _Pairings, _sample_intercepts,
@@ -21,7 +20,8 @@ from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_points,
 from stairdist.rect_approx import construction1
 from stairdist.scalars import INF, NINF, is_inf
 
-from conftest import band_closures, block_pair, point_bottleneck
+from conftest import (band_closures, block_pair, point_bottleneck,
+                      random_presentation)
 
 FULL = band(NINF, INF)
 GMD = importlib.import_module("stairdist.gmd")  # stairdist.gmd is the function

@@ -7,7 +7,8 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_simplex, rect_grid_oracle
+from oracles import (FractionCellGeometry, fraction_simplex,
+                     rect_grid_oracle, reference_optimal_rectangle)
 from stairdist import rect_approx
 from stairdist.errors import PreconditionError
 from stairdist.geometry import RectangleSpec, StaircaseInterval, point
@@ -18,7 +19,8 @@ from stairdist.rect_approx import (_CellGeometry, approx_decomposable,
                                    diam_tables, optimal_rectangle, solve_lp)
 from stairdist.scalars import INF, NINF
 
-from conftest import diag_shift, optimize_cell, square
+from conftest import (banded_staircase, diag_shift, optimize_cell, scale,
+                      square)
 
 HALF = Fraction(1, 2)
 
@@ -213,13 +215,14 @@ class TestSolveLp:
 
     def test_cell_lps_match_fraction_tableau(self, thick_l, thin_l,
                                              monkeypatch):
-        # every LP optimal_rectangle solves, against the Fraction tableau on
-        # the same LP before _CellGeometry scaled its rows to ints
+        # every LP optimal_rectangle starts, run without its stop, against
+        # the Fraction tableau on the same LP with its rows and right-hand
+        # sides divided by the geometry's scales
         seen = []
 
-        def record(c, A, b):
+        def record(c, A, b, stop=None):
             seen.append((c, A, b))
-            return solve_lp(c, A, b)
+            return solve_lp(c, A, b, stop)
 
         monkeypatch.setattr(rect_approx, "solve_lp", record)
         for M in (thick_l, thin_l):
@@ -242,6 +245,37 @@ class TestSolveLp:
                 else:
                     assert got == want
 
+    @given(lps(), st.fractions(-6, 6, max_denominator=4))
+    @settings(max_examples=400, deadline=None)
+    # the cell LP shape, stopped on its way to the optimum -14/3
+    @example(([-2, -3, 1, 2, -1, -2, -2],
+              [[1, -1, 1, -1, -1, 0, 1], [-1, 0, -1, -1, 1, 1, -1],
+               [-1, -1, -1, 0, 1, 1, -1], [0, 1, 1, -1, -1, -1, 0],
+               [1, 1, 0, 1, 1, 1, 1]], [0, 0, 0, 0, 2]), Fraction(-9, 2))
+    # unbounded: min -x1 with x1 - x2 <= 1
+    @example(([-1, 0], [[1, -1]], [1]), Fraction(-3))
+    def test_stop(self, lp, stop):
+        # with stop, solve_lp returns what it returns without, or None only
+        # when the optimum is below stop or the LP is unbounded
+        c, A, b = lp
+        got = lp_outcome(lambda *a: solve_lp(*a, stop=stop), c, A, b)
+        if got is None:
+            want = lp_outcome(oracle_lp, c, A, b)
+            assert want == "unbounded" or want[0] < stop
+        else:
+            assert got == lp_outcome(solve_lp, c, A, b)
+
+    def test_stop_examples(self):
+        # one pivot from the slack basis, at 0, to the optimum -1: only a
+        # basis that is not optimal stops
+        assert solve_lp([-1], [[1]], [1], stop=0) == solve_lp([-1], [[1]], [1])
+        # two pivots, through a basis at -1 to the optimum -2
+        c, A, b = [-1, -1], [[1, 0], [0, 1]], [1, 1]
+        assert solve_lp(c, A, b, stop=Fraction(-1, 2)) is None
+        assert solve_lp(c, A, b, stop=-1) == solve_lp(c, A, b)
+        with pytest.raises(ArithmeticError):
+            solve_lp([-1, 0], [[1, -1]], [1], stop=-3)
+
     def test_matches_scipy(self, rng):
         for _ in range(40):
             n = rng.randint(2, 4)
@@ -257,6 +291,56 @@ class TestSolveLp:
                                          bounds=(0, None), method="highs")
             assert ref.status == 0
             assert abs(float(val) - ref.fun) < 1e-7
+
+
+def row_families(geo):
+    """Every row of a cell geometry, by family (and key) in band order."""
+    fams = {"box": geo.box, "var_box": geo.var_box, "width": [geo.width],
+            "height": [geo.height], "zero": [geo.zero],
+            "half_diam": [geo.half_diam[v] for v in sorted(geo.half_diam)]}
+    for name in ("lo_rows", "hi_rows", "half_len", "gaps"):
+        for key, rows in getattr(geo, name).items():
+            fams[name, key] = rows
+    return fams
+
+
+def rect_corpus(rng):
+    """Random non-rectangle staircases of sizes 4-10, thin and wide banded
+    ones, and a dozen of them shifted by 1/3 along the diagonal and scaled
+    by (3/5, 7/3)."""
+    out = [random_staircase(rng, size=4 + k % 7) for k in range(30)]
+    out += [banded_staircase(rng, m, n, thin)
+            for m, n in ((2, 2), (3, 3), (4, 3), (3, 4))
+            for thin in (True, False)]
+    out = [M for M in out if not M.is_rectangle()]
+    return out + [scale(diag_shift(M, Fraction(1, 3)),
+                        (Fraction(3, 5), Fraction(7, 3))) for M in out[-12:]]
+
+
+class TestCellRows:
+    """_CellGeometry's int rows and the search on them, against the
+    reference geometry's Fraction rows and its search without the stop."""
+
+    def test_int_rows_are_scaled_fraction_rows(self, rng):
+        for M in rect_corpus(rng):
+            geo, ref = _CellGeometry(M), FractionCellGeometry(M)
+            cs, rs = geo.col_scale, geo.rhs_scale
+            assert geo.dual_rhs == [0, 0, 0, 0, cs]
+            assert (geo.bands, geo.min_len) == (ref.bands, ref.min_len)
+            got, want = row_families(geo), row_families(ref)
+            assert got.keys() == want.keys()
+            for key, rows in want.items():
+                assert got[key] == [(tuple(v * cs for v in col), r * rs)
+                                    for col, r in rows], key
+                assert all(type(v) is int for col, r in got[key]
+                           for v in (*col, r))
+
+    def test_search_matches_reference(self, rng):
+        for M in rect_corpus(rng):
+            res = optimal_rectangle(M)
+            rect, eps = reference_optimal_rectangle(M)
+            assert (res.rect.r, res.rect.s, res.epsilon) == \
+                (rect.r, rect.s, eps)
 
 
 class TestOptimizeCell:
@@ -359,8 +443,9 @@ class TestSearchEquivalence:
 
     def unpruned(self, M):
         """(epsilon from optimize_cell over every cell, (rect, epsilon) from
-        the search's own branches over every cell without pruning)."""
-        geo = _CellGeometry(M)
+        the search's branches over every cell without pruning), both on the
+        reference geometry with Fraction rows and no early stop."""
+        geo = FractionCellGeometry(M)
         nb = len(geo.bands)
         vals, keyed = [], []
         for j in range(nb):
