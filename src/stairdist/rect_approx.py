@@ -8,10 +8,15 @@ combination, and solving each placement exactly as a handful of small linear
 programs; placements that provably cannot win are skipped, and their LPs
 stopped.  The LP rows are built on ints once per module and run on a
 fraction-free integer simplex tableau whose results are exact Fractions.
+Cell LPs share most of their rows, and each LP ends on an exact
+certificate (an optimal or stopped dual point, or an unbounded ray) that
+holds in every later LP containing its rows, so most cell LPs are settled
+by an earlier certificate and never run.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .errors import PreconditionError
@@ -136,7 +141,7 @@ def band_partition(M: StaircaseInterval):
 # exact fraction-free simplex (min c.x, A x <= b, x >= 0, b >= 0)
 
 
-def solve_lp(c, A, b, stop=None):
+def solve_lp(c, A, b, stop=None, cert=None):
     """Simplex with Bland's rule on int data with b >= 0.
 
     The entries of c, A and b must be ints and those of b nonnegative
@@ -160,6 +165,18 @@ def solve_lp(c, A, b, stop=None):
     that is not optimal has objective c.x below stop.  Every basis visited
     is feasible and no pivot raises the objective, so the optimum is below
     stop too, or the LP is unbounded.  Otherwise the result is unchanged.
+
+    With cert (a list), it also appends the certificate it ends on, as
+    (kind, v, D): v maps column indices to positive ints, the vector v / D
+    over the columns being 0 elsewhere.
+      - "opt": the optimal x, with c.x the value;
+      - "stop": the feasible basic x at which it stopped, with c.x below
+        stop;
+      - "ray": from the ratio test that found no leaving row, a d >= 0
+        with A d <= 0 and c.d < 0, so that x + s*d stays feasible for every
+        s >= 0 while its objective falls without bound.
+    Each proves its outcome from the columns in its support alone, so it
+    holds on every LP with the same b that has those columns.
     """
     m, n = len(A), len(c)
     if not all(type(v) is int for row in (c, b, *A) for v in row):
@@ -175,6 +192,12 @@ def solve_lp(c, A, b, stop=None):
     T.append(list(c) + [0] * (m + 1))
     basis = list(range(n, n + m))
     D = 1
+
+    def support(k):
+        # the structural entries of tableau column k over the basis
+        return {bv: T[r][k] for r, bv in enumerate(basis)
+                if bv < n and T[r][k]}
+
     while True:
         red = T[m]
         col = next((j for j in range(n + m) if red[j] < 0), None)
@@ -182,6 +205,8 @@ def solve_lp(c, A, b, stop=None):
             break
         # the objective of the current basis is -red[-1] / D
         if stop is not None and -red[-1] * sd < sn * D:
+            if cert is not None:
+                cert.append(("stop", support(-1), D))
             return None
         row = None
         for r in range(m):
@@ -195,6 +220,11 @@ def solve_lp(c, A, b, stop=None):
             if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
                 row = r
         if row is None:
+            if cert is not None:
+                ray = {bv: -a for bv, a in support(col).items()}
+                if col < n:
+                    ray[col] = D
+                cert.append(("ray", ray, D))
             raise ArithmeticError("unbounded linear program")
         prow = T[row]
         p = prow[col]
@@ -212,6 +242,8 @@ def solve_lp(c, A, b, stop=None):
     for r, bv in enumerate(basis):
         if bv < n:
             x[bv] = Fraction(T[r][-1], D)
+    if cert is not None:
+        cert.append(("opt", support(-1), D))
     return (Fraction(-T[m][-1], D), x,
             [Fraction(v, D) for v in T[m][n:n + m]])
 
@@ -260,6 +292,14 @@ class _CellGeometry:
     boundary alpha + beta*c - t), times rhs_scale, the lcm of their
     denominators.  Positive scalings of all columns and of all right-hand
     sides change no pivot of solve_lp: its LPs are the rational ones.
+
+    Every cell LP has the same dual right-hand side, and a row is the same
+    dual column wherever it appears, so a certificate solve_lp reports on
+    one LP's rows holds on any later LP that has them all.  pool keeps each
+    one, with its support (a frozenset of rows) and the bound it proves
+    (None for a ray), under one row of its support: any row will do, since
+    _skip probes every row of the LP it settles.  A pool lives as long as
+    its geometry, which is one optimal_rectangle call.
     """
 
     col_scale = 4
@@ -299,6 +339,7 @@ class _CellGeometry:
             return v.numerator * (rs // v.denominator)
 
         W, H = ints(w), ints(h)
+        self.pool = {}  # row -> {support: bound} (see _keep)
         self.box = [((4, 0, 0, 0, 0), 0), ((0, 0, 0, 4, 0), 0),
                     ((0, 0, -4, 0, 0), W), ((0, -4, 0, 0, 0), H),
                     ((-4, 0, 4, 0, 0), 0), ((0, 4, 0, -4, 0), 0)]
@@ -332,6 +373,9 @@ class _CellGeometry:
                 self.gaps[g].append((_col(name, sign * (2 + 2 * b2),
                                           sign * (2 - 2 * b2), 4),
                                      -sign * ints(gv)))
+        # the int band edges of hull_cells: the lo and hi rows' right sides
+        self.edge_lo = [r for _, r in self.lo_rows["p"]]
+        self.edge_hi = [r for _, r in self.hi_rows["p"]]
 
     def pair(self, i, j):
         """Lower bound lb/2 on every cell with p in band i and q in band j,
@@ -350,12 +394,19 @@ class _CellGeometry:
         t2a = lens + ([self.half_diam[in_d]] if in_d is not NINF else [])
         return lb / 2, t1, t2a
 
-    def sums_meet(self, i, j, k, l):
-        """Whether c_r + c_s = c_p + c_q can hold with the corners p, q, r,
-        s in the bands i, j, k, l."""
-        b = self.bands
-        return (b[k].hi + b[l].hi >= b[i].lo + b[j].lo
-                and b[k].lo + b[l].lo <= b[i].hi + b[j].hi)
+    def hull_cells(self, i, j):
+        """The cells (i, j, k, l), k then l ascending in j..i, whose r and s
+        intercept bands can meet c_r + c_s = c_p + c_q: with bands [lo, hi],
+        hi_k + hi_l >= lo_i + lo_j and lo_k + lo_l <= hi_i + hi_j.  Tested
+        on the ints edge_lo = rhs_scale * (cb - lo) and
+        edge_hi = rhs_scale * (hi - cb), and lazily, so that the search's
+        break ends the enumeration too."""
+        lo, hi = self.edge_lo, self.edge_hi
+        for k in range(j, i + 1):
+            for l in range(j, i + 1):
+                if (hi[k] + hi[l] + lo[i] + lo[j] >= 0
+                        and lo[k] + lo[l] + hi[i] + hi[j] >= 0):
+                    yield i, j, k, l
 
     def solve(self, cell, t1, t2a, which, stop):
         """Best (rect, value) of one band placement, or None when it is
@@ -383,7 +434,10 @@ class _CellGeometry:
             + self.box
         outs = []
         for atoms in branches:
-            res = self._solve_rows(cons + atoms + self.var_box, stop)
+            # a repeated row is a repeated dual column, which Bland's rule
+            # never enters: only its first copy is kept
+            rows = list(dict.fromkeys(cons + atoms + self.var_box))
+            res = self._solve_rows(rows, stop)
             if res is not None:
                 val, (p1, p2, q1, q2) = res
                 outs.append((RectangleSpec((p1, q2), (q1, p2)), val))
@@ -403,20 +457,56 @@ class _CellGeometry:
         or, possibly, when the minimum is above stop: each dual feasible y
         the simplex visits gives the lower bound -b.y / rhs_scale on the
         minimum (weak duality), rising from pivot to pivot, and solve_lp
-        stops once that bound is above stop.
+        stops once that bound is above stop.  Before any pivot, a pooled
+        certificate may show either (_skip); every LP that runs adds the
+        certificate it ends on to the pool.
         """
+        if self._skip(rows, stop):
+            return None
         cols, rhs = zip(*rows)
+        cert = []
         try:
             res = solve_lp(rhs, list(zip(*cols)), self.dual_rhs,
-                           -stop * self.rhs_scale)
+                           -stop * self.rhs_scale, cert)
         except ArithmeticError:
-            return None  # unbounded dual: the placement is infeasible
+            res = None  # unbounded dual: the placement is infeasible
+        self._keep(rows, *cert[0])
         if res is None:
-            return None  # stopped: the minimum is above stop
+            return None  # stopped or infeasible
         dval, _, x = res
         back = Fraction(self.col_scale, self.rhs_scale)
         return (-dval / self.rhs_scale,
                 tuple(x[v] * back + self.lbs[v] for v in range(4)))
+
+    def _keep(self, rows, kind, v, D):
+        """Pool the certificate solve_lp ended on, as its support (a set
+        of rows) and the bound it proves.  A ray proves the rows
+        infeasible (None).  A stopped or optimal y, zero off the support,
+        is dual feasible on any rows that hold the support, so by weak
+        duality -c.y / rhs_scale bounds their minimum from below (for an
+        optimal y it is the minimum itself).  Of two certificates on one
+        support the pool keeps the stronger."""
+        if not v:
+            return  # y = 0 proves only the bound 0
+        support = frozenset(rows[j] for j in v)
+        bound = None if kind == "ray" else Fraction(
+            -sum(rows[j][1] * vj for j, vj in v.items()), D * self.rhs_scale)
+        bucket = self.pool.setdefault(min(support), {})
+        old = bucket.get(support, 0)
+        if old is not None and (bound is None or bound > old):
+            bucket[support] = bound
+
+    def _skip(self, rows, stop):
+        """Whether a pooled certificate settles the rows, so that their LP
+        may end in None: its support is among them and it is a ray, or its
+        bound is above stop.  A bound equal to stop settles
+        nothing: a tie with the best value is solved, for the tie-break."""
+        have = set(rows)
+        for r in have:
+            for support, bound in self.pool.get(r, {}).items():
+                if support <= have and (bound is None or bound > stop):
+                    return True
+        return False
 
 
 def _rank(out):
@@ -447,6 +537,14 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     it could neither become the best (ties are solved, for the tie-break)
     nor displace the midpoint construction, and the skips above read only
     best values below that epsilon.
+
+    An LP is not run at all when a certificate from an earlier LP of this
+    search settles it (see _CellGeometry._skip): a ray proves it
+    infeasible, and a stopped or optimal dual point on rows it contains
+    proves its value at least L.  Only L strictly above the stop settles,
+    so a skipped LP is infeasible or above the stop, where the stop
+    already lets it end in None, and the result is the same as with every
+    LP run.
     """
     rb, sb = M.bounding_r, M.bounding_s
     if M.is_rectangle() or any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
@@ -466,10 +564,8 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
             if lb2 >= seed.epsilon:
                 continue
             # the width/height branches ignore the r and s corner bands
-            cells = [((i, j, j, j), "pinch")]
-            cells += [((i, j, k, l), "hull")
-                      for k in range(j, i + 1) for l in range(j, i + 1)
-                      if geo.sums_meet(i, j, k, l)]
+            cells = chain([((i, j, j, j), "pinch")],
+                          ((cell, "hull") for cell in geo.hull_cells(i, j)))
             for cell, which in cells:
                 if best is not None and lb2 > best[1]:
                     break

@@ -781,6 +781,14 @@ class FractionCellGeometry(_CellGeometry):
         shift = c0 + sum(k * l for k, l in zip(cv, self.lbs))
         return (tuple(-v for v in cv) + (Fraction(-epi),), -shift)
 
+    def sums_meet(self, i, j, k, l):
+        """Whether c_r + c_s = c_p + c_q can hold with the corners p, q, r,
+        s in the bands i, j, k, l (`_CellGeometry.hull_cells` lists the
+        cells that pass)."""
+        b = self.bands
+        return (b[k].hi + b[l].hi >= b[i].lo + b[j].lo
+                and b[k].lo + b[l].lo <= b[i].hi + b[j].hi)
+
     def solve(self, cell, t1, t2a, which):
         """Best (rect, value) of one band placement, or None: which is
         "all", "pinch" or "hull"."""

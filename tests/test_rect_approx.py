@@ -220,9 +220,9 @@ class TestSolveLp:
         # sides divided by the geometry's scales
         seen = []
 
-        def record(c, A, b, stop=None):
+        def record(c, A, b, stop=None, cert=None):
             seen.append((c, A, b))
-            return solve_lp(c, A, b, stop)
+            return solve_lp(c, A, b, stop, cert)
 
         monkeypatch.setattr(rect_approx, "solve_lp", record)
         for M in (thick_l, thin_l):
@@ -264,6 +264,59 @@ class TestSolveLp:
             assert want == "unbounded" or want[0] < stop
         else:
             assert got == lp_outcome(solve_lp, c, A, b)
+
+    @given(lps(), st.none() | st.fractions(-6, 6, max_denominator=4))
+    @settings(max_examples=400, deadline=None)
+    # stopped on its way to the optimum -14/3
+    @example(([-2, -3, 1, 2, -1, -2, -2],
+              [[1, -1, 1, -1, -1, 0, 1], [-1, 0, -1, -1, 1, 1, -1],
+               [-1, -1, -1, 0, 1, 1, -1], [0, 1, 1, -1, -1, -1, 0],
+               [1, 1, 0, 1, 1, 1, 1]], [0, 0, 0, 0, 2]), Fraction(-9, 2))
+    # a ray along the entering column x1 (x2 basic)
+    @example(([1, -1], [[-2, 1], [-2, 1]], [1, 2]), None)
+    # a ray along the entering slack of row 0
+    @example(([0, -1], [[-2, 1], [-1, 1]], [0, 1]), None)
+    def test_certificates(self, lp, stop):
+        # the one certificate solve_lp reports proves its outcome: a stop
+        # by a feasible point below stop, unboundedness by a ray, the
+        # optimum by its x
+        c, A, b = lp
+        cert = []
+        got = lp_outcome(lambda *a: solve_lp(*a, stop=stop, cert=cert),
+                         c, A, b)
+        [(kind, v, D)] = cert
+        assert type(D) is int and D > 0
+        assert all(type(w) is int and w > 0 and 0 <= j < len(c)
+                   for j, w in v.items())
+        y = [Fraction(v.get(j, 0), D) for j in range(len(c))]
+        Ay = [sum(a * yj for a, yj in zip(row, y)) for row in A]
+        cy = sum(cj * yj for cj, yj in zip(c, y))
+        if kind == "ray":
+            assert got == "unbounded"
+            assert all(ay <= 0 for ay in Ay) and cy < 0
+        elif kind == "stop":
+            assert got is None
+            assert all(ay <= bi for ay, bi in zip(Ay, b)) and cy < stop
+        else:
+            assert kind == "opt"
+            val, x, _ = got
+            assert x == y and cy == val
+
+    @given(lps(), st.lists(st.integers(0, 3), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_later_copies_change_nothing(self, lp, copies):
+        # Bland's rule never enters a later copy of a column, so appending
+        # copies keeps every pivot: the same value and duals, and x with
+        # zeros at the copies
+        c, A, b = lp
+        copies = [j % len(c) for j in copies]
+        got = lp_outcome(solve_lp, c + [c[j] for j in copies],
+                         [row + [row[j] for j in copies] for row in A], b)
+        want = lp_outcome(solve_lp, c, A, b)
+        if want == "unbounded":
+            assert got == want
+        else:
+            assert got == (want[0], want[1] + [0] * len(copies), want[2])
 
     def test_stop_examples(self):
         # one pivot from the slack basis, at 0, to the optimum -1: only a
@@ -341,6 +394,80 @@ class TestCellRows:
             rect, eps = reference_optimal_rectangle(M)
             assert (res.rect.r, res.rect.s, res.epsilon) == \
                 (rect.r, rect.s, eps)
+
+
+    def test_hull_cells_pass_sums_meet(self, rng):
+        for M in rect_corpus(rng):
+            geo, ref = _CellGeometry(M), FractionCellGeometry(M)
+            nb = len(geo.bands)
+            for j in range(nb):
+                for i in range(j, nb):
+                    band = range(j, i + 1)
+                    assert list(geo.hull_cells(i, j)) == [
+                        (i, j, k, l) for k in band for l in band
+                        if ref.sums_meet(i, j, k, l)]
+
+
+class TestCertificatePool:
+    """The search skips a cell LP that a certificate from an earlier one
+    settles."""
+
+    @staticmethod
+    def shapes(thick_l, thin_l):
+        rng = random.Random(15)
+        return [thick_l, thin_l, banded_staircase(rng, 3, 4, True),
+                banded_staircase(rng, 4, 3, False)]
+
+    def test_skipped_lps_are_settled(self, thick_l, thin_l, monkeypatch):
+        # every skipped LP, solved cold, is infeasible or above its stop
+        skipped = []
+        skip = _CellGeometry._skip
+
+        def record(geo, rows, stop):
+            if skip(geo, rows, stop):
+                skipped.append((geo, rows, stop))
+                return True
+            return False
+
+        monkeypatch.setattr(_CellGeometry, "_skip", record)
+        kinds = set()
+        for M in self.shapes(thick_l, thin_l):
+            start = len(skipped)
+            optimal_rectangle(M)
+            assert len(skipped) > start
+            for geo, rows, stop in skipped[start:]:
+                cols, rhs = zip(*rows)
+                got = lp_outcome(solve_lp, list(rhs),
+                                 [list(a) for a in zip(*cols)], geo.dual_rhs)
+                if got == "unbounded":
+                    kinds.add("infeasible")
+                else:
+                    assert -got[0] / geo.rhs_scale > stop
+                    kinds.add("above stop")
+        assert kinds == {"infeasible", "above stop"}
+
+    def test_pool_saves_lps(self, thick_l, thin_l, monkeypatch):
+        # fewer LPs with the pool than without, the same results, and no
+        # LP repeats a column
+        lps_run = []
+
+        def record(c, A, b, stop=None, cert=None):
+            lps_run.append(len(c))
+            assert len(set(zip(c, *A))) == len(c)
+            return solve_lp(c, A, b, stop, cert)
+
+        def search():
+            start = len(lps_run)
+            out = [optimal_rectangle(M)
+                   for M in self.shapes(thick_l, thin_l)]
+            return len(lps_run) - start, [(r.rect, r.epsilon) for r in out]
+
+        monkeypatch.setattr(rect_approx, "solve_lp", record)
+        pooled, got = search()
+        monkeypatch.setattr(_CellGeometry, "_skip",
+                            lambda geo, rows, stop: False)
+        cold, want = search()
+        assert pooled < cold and got == want
 
 
 class TestOptimizeCell:
