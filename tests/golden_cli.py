@@ -9,9 +9,18 @@ the source tree of this checkout, with nothing installed; the script
 prints one line per mismatch and exits 1 if there is any.  Standard
 library only, so it runs on every supported Python.
 
-The rectapprox cases are the benchmark workload's inputs at seeds 12 and
-77, as `stairbench/inputs.py --workload rectapprox` writes them, with the
-optimal and midpoint rect-approx reports and the csv output.
+The rectapprox, interval and gmd cases are the benchmark workloads'
+inputs at seeds 12 and 77, as `stairbench/inputs.py --workload W` writes
+them, each op's command with its outputs:
+- rectapprox: the optimal and midpoint rect-approx reports and the csv
+  output, and lower-bound as json and csv;
+- interval: interval-di with and without --explain, and bottleneck;
+- gmd: gmd (8 directions) with and without --explain, and dmatch.
+The unbounded cases are modules with infinite corners, which no workload
+reaches: a quadrant, hooks, a vertical and a horizontal strip, a staircase
+with infinite maximal corners and mixed multi-summand modules, through
+interval-di --explain in both argument orders, rect-approx with both
+methods, bottleneck as json and csv, and lower-bound.
 """
 
 import json
