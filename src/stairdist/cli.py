@@ -125,7 +125,7 @@ def cmd_interval_di(args):
             "diag_distance": mio.num(dec.diag_distance),
             "reason": dec.reason,
             "checks": [[str(tag), fmt(dp), str(kind)]
-                       for tag, dp, _, kind, *_ in dec.checks],
+                       for tag, dp, kind in dec.checks],
         }
     return report
 

@@ -6,6 +6,10 @@ a correction obtained by probing shifted overlaps at finitely many shift
 values.  All arithmetic is exact; one-sided limits at probe breakpoints are
 evaluated with infinitesimal (Dual) perturbations.
 
+Each overlap component of one module with the other shifted is valid
+(_is_valid), trivializable (its _kill_bound is below the shift) or blocks
+the interleaving: the criterion of Dey & Xin (SoCG 2018).
+
 The same code runs on Fraction data (di_decision, di_interval_vs_rect) and
 on the int data that di_interval scales its regions to; every division is
 scalars.qdiv, which keeps an even quotient of ints an int.
@@ -15,11 +19,11 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .geometry import (DiagRegion, StaircaseInterval, point_at,
-                       region_intersection, tval)
+from .geometry import (DiagRegion, StaircaseInterval, region_intersection,
+                       tval)
 from .pl import PL, pl_abs, pl_max, pl_min, pl_sub
 from .record import Record
-from .scalars import INF, NINF, Dual, ext, is_inf, qdiv, real_part
+from .scalars import INF, NINF, Dual, ext, is_inf, qdiv
 
 HALF = Fraction(1, 2)
 # The eps part of a one-sided probe of _gap_root.
@@ -123,24 +127,11 @@ def _abs_gap(f, g, sentinel, lo, hi):
 
 
 # --------------------------------------------------------------------------
-# component checks for shifted overlaps
-
-
-class ComponentCheck(Record):
-    __slots__ = ("verdict",   # "valid", "trivializable" or "fails"
-                 "valid",
-                 "triv_sup",  # sup of the pointwise kill distance
-                 "witness")   # a Point2 where the check is tight
-
-    def __init__(self, verdict, valid, triv_sup, witness=None):
-        self.verdict = verdict
-        self.valid = valid
-        self.triv_sup = triv_sup
-        self.witness = witness
+# kill bound and validity of one overlap component
 
 
 def _kill_bound(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
-    """(Kill bound of one overlap component Q, a Point2 where it is tight).
+    """Kill bound of one overlap component Q.
 
     Q must be a component of the intersection of src and shifted, and the
     canonical componentwise morphism under consideration maps src-sections
@@ -150,11 +141,16 @@ def _kill_bound(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
     Q's top out of shifted's lower boundary.  Both are read on Q's own
     intercept range.
     """
-    t1, w1 = _sup_gap(src.thi, Q.tlo, INF, NINF, Q, lower=True)
-    t2, w2 = _sup_gap(Q.thi, shifted.tlo, INF, NINF, Q, lower=False)
-    if t2 > t1:
-        t1, w1 = t2, w2
-    return (t1 if is_inf(t1) else qdiv(t1, 2)), w1
+    t = max(_sup_gap(src.thi, Q.tlo, Q), _sup_gap(Q.thi, shifted.tlo, Q))
+    return t if is_inf(t) else qdiv(t, 2)
+
+
+def _sup_gap(f, g, Q):
+    """Supremum of f - g over Q's intercept range; INF where f is the INF
+    boundary or g the NINF one."""
+    if f is INF or g is NINF:
+        return INF
+    return pl_sub(f.restrict(Q.clo, Q.chi), g.restrict(Q.clo, Q.chi)).sup()[0]
 
 
 def _is_valid(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
@@ -171,39 +167,13 @@ def _is_valid(Q: DiagRegion, src: DiagRegion, shifted: DiagRegion):
     return up is None or src.contains(up)
 
 
-def _sup_gap(f, g, f_sent, g_sent, Q, lower):
-    if f is f_sent or g is g_sent:
-        return INF, None
-    d = pl_sub(f.restrict(Q.clo, Q.chi), g.restrict(Q.clo, Q.chi))
-    v, c = d.sup()
-    if c is None:
-        return v, None
-    t = (Q.tlo(c) if lower else Q.thi(c))
-    if is_inf(t):
-        return v, None
-    return v, point_at(real_part(c), real_part(t))
-
-
-def _classify(Q, src, shifted, delta) -> ComponentCheck:
-    """The verdict on one overlap component at shift delta: valid, else
-    trivializable when every section dies strictly within delta, else
-    fails."""
-    valid = _is_valid(Q, src, shifted)
-    triv_sup, witness = _kill_bound(Q, src, shifted)
-    if valid:
-        verdict = "valid"
-    elif triv_sup < delta:
-        verdict = "trivializable"
-    else:
-        verdict = "fails"
-    return ComponentCheck(verdict, valid, triv_sup, witness)
-
-
 # --------------------------------------------------------------------------
 # the decision procedure and the distance
 
 
 class DecisionReport(Record):
+    # checks: (direction, shift, verdict) per overlap component, or
+    # ("diag", intercept, "fails") when a diagonal slice pair is too far
     __slots__ = ("delta", "accepted", "diag_distance", "reason", "checks")
 
     def __init__(self, delta, accepted, diag_distance, reason="",
@@ -238,8 +208,8 @@ def _probe_components(A, B, dprime):
         inter = region_intersection(src, sh)
         if inter is None:
             continue
-        for idx, comp in enumerate(inter.components()):
-            yield direction, idx, comp, src, sh
+        for comp in inter.components():
+            yield direction, comp, src, sh
 
 
 def _kill_requirement(A, B, dprime):
@@ -255,8 +225,8 @@ def _kill_requirement(A, B, dprime):
     bound of all the non-valid ones, which is K, and the rest are never
     tested.
     """
-    probes = [(_kill_bound(comp, src, sh)[0], comp, src, sh)
-              for _, _, comp, src, sh in _probe_components(A, B, dprime)]
+    probes = [(_kill_bound(comp, src, sh), comp, src, sh)
+              for _, comp, src, sh in _probe_components(A, B, dprime)]
     probes.sort(key=lambda p: p[0], reverse=True)
     for bound, comp, src, sh in probes:
         if not _is_valid(comp, src, sh):
@@ -283,15 +253,19 @@ def di_decision(M, N, delta) -> DecisionReport:
         rep.accepted = False
         rep.reason = "some diagonal slice pair is farther than delta"
         if ddarg is not None:
-            rep.checks.append(("diag", ddarg, None, "fails", dd, None))
+            rep.checks.append(("diag", ddarg, "fails"))
         return rep
     if is_inf(delta):
         return rep
-    for direction, idx, comp, src, sh in _probe_components(A, B, delta):
-        chk = _classify(comp, src, sh, delta)
-        rep.checks.append((direction, delta, idx, chk.verdict, chk.triv_sup,
-                           chk.witness))
-        if chk.verdict == "fails":
+    for direction, comp, src, sh in _probe_components(A, B, delta):
+        if _is_valid(comp, src, sh):
+            verdict = "valid"
+        elif _kill_bound(comp, src, sh) < delta:
+            verdict = "trivializable"
+        else:
+            verdict = "fails"
+        rep.checks.append((direction, delta, verdict))
+        if verdict == "fails":
             rep.accepted = False
             rep.reason = ("overlap component at shift %s is neither valid "
                           "nor killed within delta" % (delta,))

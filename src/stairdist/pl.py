@@ -13,11 +13,6 @@ from fractions import Fraction
 from .scalars import INF, NINF, Dual, is_inf, qdiv, qmul
 
 
-def _nm(x):
-    """Coerce a finite scalar, passing ints and Duals through."""
-    return x if isinstance(x, (int, Fraction, Dual)) else Fraction(x)
-
-
 class PL:
     __slots__ = ("xs", "vs", "lslope", "rslope")
 
@@ -38,7 +33,6 @@ class PL:
 
     @classmethod
     def const(cls, v, lo=NINF, hi=INF):
-        v = _nm(v)
         if is_inf(lo) and is_inf(hi):
             return cls([Fraction(0)], [v], Fraction(0), Fraction(0))
         if is_inf(lo):
@@ -60,7 +54,6 @@ class PL:
         return INF if self.rslope is not None else self.xs[-1]
 
     def __call__(self, x):
-        x = _nm(x)
         xs = self.xs
         i = bisect.bisect_left(xs, x)
         if i < len(xs) and xs[i] == x:
@@ -119,11 +112,9 @@ class PL:
     # -- pointwise arithmetic ---------------------------------------------
 
     def shift_y(self, d):
-        d = _nm(d)
         return PL(self.xs, [v + d for v in self.vs], self.lslope, self.rslope)
 
     def scale_y(self, k):
-        k = Fraction(k)
         sl = None if self.lslope is None else self.lslope * k
         sr = None if self.rslope is None else self.rslope * k
         return PL(self.xs, [qmul(k, v) for v in self.vs], sl, sr)

@@ -2,9 +2,10 @@
 
 Finite values are ints or fractions.Fraction, divided exactly by qdiv;
 the two infinities are the singletons INF and NINF below.  Arithmetic
-saturates (a + inf = inf) except that opposite infinities cancel to 0,
-which is the convention needed when a diagonal line degenerates to a
-corner of the extended plane.
+saturates (a + inf = inf), except that opposite infinities cancel to 0,
+the convention needed where a diagonal line degenerates to a corner of
+the extended plane (bottleneck.linf_gap relies on it for coordinates
+infinite on both sides); an infinity times 0 raises ArithmeticError.
 """
 
 from fractions import Fraction
@@ -21,9 +22,6 @@ class _Infinite:
 
     def __eq__(self, other):
         return isinstance(other, _Infinite) and other.sign == self.sign
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(("extended-real", self.sign))
@@ -51,9 +49,6 @@ class _Infinite:
     def __neg__(self):
         return NINF if self.sign > 0 else INF
 
-    def __pos__(self):
-        return self
-
     def __abs__(self):
         return INF
 
@@ -74,7 +69,7 @@ class _Infinite:
         if isinstance(other, _Infinite):
             return INF if self.sign == other.sign else NINF
         if other == 0:
-            return Fraction(0)
+            raise ArithmeticError("inf * 0")
         return self if other > 0 else -self
 
     __rmul__ = __mul__
@@ -149,12 +144,6 @@ class Dual:
         p = Dual._parts(other)
         return p is not None and (self.a, self.b) == p
 
-    def __ne__(self, other):
-        p = Dual._parts(other)
-        if p is None:
-            return NotImplemented
-        return (self.a, self.b) != p
-
     def __hash__(self):
         return hash((self.a, self.b))
 
@@ -184,12 +173,6 @@ class Dual:
 
     def __neg__(self):
         return Dual(-self.a, -self.b)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return -self if (self.a, self.b) < (0, 0) else self
 
     def __add__(self, other):
         p = Dual._parts(other)
@@ -239,9 +222,6 @@ class Dual:
             return NotImplemented
         return Dual(other, 0).__truediv__(self)
 
-    def __float__(self):
-        return float(self.a)
-
 
 def _mk_dual(a, b):
     return a if b == 0 else Dual(a, b)
@@ -262,13 +242,6 @@ def qmul(q, x):
     if type(q) is Fraction:
         return qdiv(q.numerator * x, q.denominator)
     return q * x
-
-
-def real_part(x):
-    """The standard part of a scalar: strips any infinitesimal component."""
-    if isinstance(x, Dual):
-        return x.a
-    return x
 
 
 def is_inf(x):

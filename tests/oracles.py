@@ -182,14 +182,12 @@ def kill_requirement_oracle(A, B, dprime):
     the components and where it stops, not those primitives."""
     from stairdist.interleaving import _probe_components, _sup_gap
     worst = None
-    for _, _, Q, src, sh in _probe_components(A, B, dprime):
+    for _, Q, src, sh in _probe_components(A, B, dprime):
         down = region_intersection(src, Q.down_extension())
         up = region_intersection(sh, Q.up_extension())
         valid = ((down is None or sh.contains(down))
                  and (up is None or src.contains(up)))
-        t1, _ = _sup_gap(src.thi, Q.tlo, INF, NINF, Q, lower=True)
-        t2, _ = _sup_gap(Q.thi, sh.tlo, INF, NINF, Q, lower=False)
-        t = max(t1, t2)
+        t = max(_sup_gap(src.thi, Q.tlo, Q), _sup_gap(Q.thi, sh.tlo, Q))
         bound = t if is_inf(t) else HALF * t
         if not valid and (worst is None or bound > worst):
             worst = bound
@@ -314,31 +312,37 @@ def rect_grid_oracle(M, pitch=Fraction(1, 20)):
     H = S2 - R2
     eps = float(h) / 4
     best = float(triv_distance(M))
+    # r1 enters only cp = S2 - r1 and cr = R2 - r1, and s1 only
+    # cq = R2 - s1 and cx = S2 - s1, so each corner's shift terms and slice
+    # searches are made once per grid index: s1's for every index up
+    # front, r1's once per pass of the outer loop
+    upper = []
+    for s1 in X1:
+        cq, cx = R2 - s1, S2 - s1
+        shift_s = np.maximum.reduce([
+            np.interp(cq, C, THI) - (s1 + R2) / 2,
+            (s1 + R2) / 2 - np.interp(cq, C, TLO),
+            (s1 + S2) / 2 - np.interp(cx, C, THI),
+        ])
+        upper.append((shift_s, np.searchsorted(C, cq - eps),
+                      pref[np.searchsorted(C, cq + eps) - 1]))
     for i1 in range(n1 + 1):
         r1 = X1[i1]
+        cp, cr = S2 - r1, R2 - r1
+        shift_r = np.maximum.reduce([
+            np.interp(cp, C, THI) - (r1 + S2) / 2,
+            np.interp(cr, C, TLO) - (r1 + R2) / 2,
+            (r1 + S2) / 2 - np.interp(cp, C, TLO),
+        ])
+        ihi = np.searchsorted(C, cp + eps) - 1
+        out_r = suff[np.minimum(np.searchsorted(C, cp - eps), K - 1)]
         for j1 in range(i1, n1 + 1):
-            s1 = X1[j1]
-            w = s1 - r1
-            cp = S2 - r1
-            cq = R2 - s1
-            cr = R2 - r1
-            cx = S2 - s1
-            shift = np.maximum.reduce([
-                np.interp(cp, C, THI) - (r1 + S2) / 2,
-                np.interp(cq, C, THI) - (s1 + R2) / 2,
-                np.interp(cr, C, TLO) - (r1 + R2) / 2,
-                (r1 + S2) / 2 - np.interp(cp, C, TLO),
-                (s1 + R2) / 2 - np.interp(cq, C, TLO),
-                (s1 + S2) / 2 - np.interp(cx, C, THI),
-            ])
-            shift = np.maximum(shift, 0.0)
+            shift_s, ilo, out_s = upper[j1]
+            w = X1[j1] - r1
+            shift = np.maximum(np.maximum(shift_r, shift_s), 0.0)
             pinch = 0.5 * np.minimum(w, H)
-            ilo = np.searchsorted(C, cq - eps)
-            ihi = np.searchsorted(C, cp + eps) - 1
             t_in = 0.5 * range_max(ilo, ihi)
-            iq = np.searchsorted(C, cq + eps) - 1
-            ip = np.searchsorted(C, cp - eps)
-            t_out = 0.5 * np.maximum(pref[iq], suff[np.minimum(ip, K - 1)])
+            t_out = 0.5 * np.maximum(out_s, out_r)
             obj = np.maximum(t_out,
                              np.minimum(np.maximum(t_in, pinch), shift))
             m = obj.min()

@@ -11,11 +11,11 @@ from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
                                 hausdorff, point)
 from stairdist.generate import random_staircase
-from stairdist.interleaving import (EPS_UNIT, _candidate_deltas, _classify,
-                                    _int_scale, _kill_requirement,
-                                    _probe_components, di_decision, di_diag,
-                                    di_interval, di_interval_vs_rect,
-                                    triv_distance)
+from stairdist.interleaving import (EPS_UNIT, _candidate_deltas, _di_diag,
+                                    _int_scale, _is_valid, _kill_bound,
+                                    _kill_requirement, _probe_components,
+                                    di_decision, di_diag, di_interval,
+                                    di_interval_vs_rect, triv_distance)
 from stairdist.pl import PL
 from stairdist.scalars import INF, NINF, Dual
 
@@ -55,27 +55,29 @@ class TestTrivDistance:
 
 class TestCheckComponent:
     @staticmethod
-    def check(Q, M, N, delta):
-        """The verdict on the overlap component Q of M and N for the
-        canonical morphism that maps sections of N into sections of M."""
-        return _classify(Q.region(), N.region(), M.region(), delta)
+    def check(Q, M, N):
+        """(validity, kill bound) of the overlap component Q of M and N for
+        the canonical morphism that maps sections of N into sections of M:
+        valid, else trivializable at shifts above the bound, else fails."""
+        args = (Q.region(), N.region(), M.region())
+        return _is_valid(*args), _kill_bound(*args)
 
     def test_valid_overlap(self):
         Q = intersect_components(square(0, 2), square(1, 3))[0]
-        res = self.check(Q, square(0, 2), square(1, 3), 1)
-        assert res.verdict == "valid"
+        valid, _ = self.check(Q, square(0, 2), square(1, 3))
+        assert valid
 
     def test_swapped_overlap_trivializes(self):
         Q = intersect_components(square(1, 3), square(0, 2))[0]
-        res = self.check(Q, square(1, 3), square(0, 2), Fraction(3, 5))
-        assert res.verdict == "trivializable"
-        assert res.triv_sup == Fraction(1, 2)
-        res = self.check(Q, square(1, 3), square(0, 2), Fraction(1, 2))
-        assert res.verdict == "fails"
+        valid, bound = self.check(Q, square(1, 3), square(0, 2))
+        assert not valid
+        assert bound == Fraction(1, 2)
+        # trivializable at 3/5, fails at 1/2: the bound must lie strictly below
+        assert bound < Fraction(3, 5) and not bound < Fraction(1, 2)
 
     def test_self(self, thick_l):
-        res = self.check(thick_l, thick_l, thick_l, 0)
-        assert res.verdict == "valid"
+        valid, _ = self.check(thick_l, thick_l, thick_l)
+        assert valid
 
 
 class TestDiDecision:
@@ -370,7 +372,7 @@ def test_one_sided_probe_stays_on_ints(monkeypatch):
     A, B = A.dilate(S), B.dilate(S)
     for d in _candidate_deltas(A, B):
         probe = Dual(d, EPS_UNIT)
-        for _, _, comp, _, _ in _probe_components(A, B, probe):
+        for _, comp, _, _ in _probe_components(A, B, probe):
             assert whole(comp.clo) and whole(comp.chi)
             for f in (comp.tlo, comp.thi):
                 assert all(whole(x) for x in f.xs + f.vs)
@@ -378,3 +380,25 @@ def test_one_sided_probe_stays_on_ints(monkeypatch):
         assert K is None or whole(K)
     assert slopes and all(type(s) is Fraction and abs(s) == Fraction(1, 2)
                           for s in slopes)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.integers(0, 10 ** 4),
+       st.fractions(0, 6, max_denominator=12))
+@settings(max_examples=40, deadline=None)
+def test_decision_matches_kill_requirement(seed, unbounded, pick, frac):
+    """di_decision accepts delta exactly when the slicewise distance fits
+    within delta and the kill requirement is None or below delta, at
+    candidate shifts and at other rationals alike (stairbench/checks.py
+    verifies every interval-di result with di_decision)."""
+    rng = random.Random(seed)
+    if unbounded:
+        a, b = opened_pair(rng, 3)
+    else:
+        a, b = random_staircase(rng, size=3), random_staircase(rng, size=3)
+    A, B = a.region(), b.region()
+    dd, _ = _di_diag(A, B)
+    cands = _candidate_deltas(A, B)
+    for delta in (cands[pick % len(cands)], frac):
+        K = _kill_requirement(A, B, delta)
+        want = dd <= delta and (K is None or K < delta)
+        assert di_decision(A, B, delta).accepted == want

@@ -3,7 +3,7 @@ import pytest
 from stairdist.bottleneck import CostProfile, LowerBoundReport, MatchingResult
 from stairdist.gmd import (AnchorCovering, GmdReport, GradedMatrix,
                            HalfOpenInterval)
-from stairdist.interleaving import ComponentCheck, DecisionReport
+from stairdist.interleaving import DecisionReport
 from stairdist.rect_approx import RectApproxResult
 
 FIELDS = {
@@ -18,7 +18,6 @@ FIELDS = {
     HalfOpenInterval: ("g", "r"),
     GmdReport: ("value", "direction", "band", "table", "epsilon",
                 "covering"),
-    ComponentCheck: ("verdict", "valid", "triv_sup", "witness"),
     DecisionReport: ("delta", "accepted", "diag_distance", "reason",
                      "checks"),
 }
@@ -42,7 +41,6 @@ def test_fields_equality_and_hash(cls):
 
 
 def test_defaults():
-    assert ComponentCheck("valid", True, 0).witness is None
     a, b = DecisionReport(1, True, 0), DecisionReport(1, True, 0)
     assert a.reason == "" and a.checks == []
     a.checks.append("x")

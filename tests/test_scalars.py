@@ -14,6 +14,21 @@ def test_infinity_over_zero_raises(x, zero):
         x / zero
 
 
+@pytest.mark.parametrize("x", [INF, NINF])
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_infinity_times_zero_raises(x, zero):
+    with pytest.raises(ArithmeticError):
+        x * zero
+    with pytest.raises(ArithmeticError):
+        zero * x
+
+
+def test_opposite_infinities_cancel():
+    # bottleneck.linf_gap relies on this for coordinates infinite on both
+    # sides
+    assert INF - INF == 0 and NINF - NINF == 0 and INF + NINF == 0
+
+
 def test_infinity_over_finite_keeps_sign():
     assert INF / Fraction(2) is INF
     assert INF / Fraction(-2) is NINF
