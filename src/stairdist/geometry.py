@@ -12,6 +12,10 @@ Upper boundaries mirror lower ones.  The reflection sigma(x1, x2) =
 (-x2, -x1) keeps the intercept x2 - x1, negates t, and turns down-sets into
 up-sets, so the upper endpoint of a region is the negated lower endpoint of
 its mirror image, and maximal corners are the mirrors of minimal ones.
+
+A StaircaseInterval is accepted on its corners alone: the intercept range
+[clo, chi] and the intercepts above each minimum decide it in closed form.
+Its DiagRegion is built and cached the first time region() is called.
 """
 
 from collections import namedtuple
@@ -74,8 +78,17 @@ def _sigma(p: Point2) -> Point2:
     return Point2(-p.x2, -p.x1)
 
 
+def _is_chain(points):
+    """x1 strictly rising and x2 strictly falling: an antichain sorted by
+    x1, and its own set of minimal and of maximal points."""
+    return all(p.x1 < q.x1 and p.x2 > q.x2 for p, q in zip(points, points[1:]))
+
+
 def _minimal(points):
     """The distinct minimal points, sorted by x1 (so by falling x2)."""
+    points = list(points)
+    if _is_chain(points):
+        return points
     out = []
     for p in sorted(set(points)):
         if not out or p.x2 < out[-1].x2:
@@ -84,11 +97,30 @@ def _minimal(points):
 
 
 def _maximal(points):
+    points = list(points)
+    if _is_chain(points):  # _sigma keeps a chain and its order
+        return points
     return [_sigma(p) for p in _minimal([_sigma(p) for p in points])]
 
 
 # --------------------------------------------------------------------------
 # slice-function regions
+
+
+def _hull(mins, maxs):
+    """(clo, chi): the intercept range between two corner sets, from the
+    lowest minimum against the rightmost maximum up to the highest maximum
+    against the leftmost minimum.  Raises ValidationError when it is empty
+    or a corner lies on the wrong infinity."""
+    clo = min(v.x2 for v in mins) - max(w.x1 for w in maxs)
+    chi = max(w.x2 for w in maxs) - min(v.x1 for v in mins)
+    if clo > chi:
+        raise ValidationError("lower staircase exceeds upper staircase")
+    if any(v.x1 is INF or v.x2 is INF for v in mins):
+        raise ValidationError("minimal corner with a +inf coordinate")
+    if any(w.x1 is NINF or w.x2 is NINF for w in maxs):
+        raise ValidationError("maximal corner with a -inf coordinate")
+    return clo, chi
 
 
 def _lower_walk(mins):
@@ -136,14 +168,7 @@ class DiagRegion:
     @classmethod
     def from_antichains(cls, mins, maxs):
         """The region between two antichains sorted by x1."""
-        clo = min(v.x2 for v in mins) - max(w.x1 for w in maxs)
-        chi = max(w.x2 for w in maxs) - min(v.x1 for v in mins)
-        if clo > chi:
-            raise ValidationError("lower staircase exceeds upper staircase")
-        if any(v.x1 == INF or v.x2 == INF for v in mins):
-            raise ValidationError("minimal corner with a +inf coordinate")
-        if any(w.x1 == NINF or w.x2 == NINF for w in maxs):
-            raise ValidationError("maximal corner with a -inf coordinate")
+        clo, chi = _hull(mins, maxs)
         tlo = _lower_walk(mins)
         thi = -_lower_walk([_sigma(w) for w in maxs])
         if tlo is not NINF:
@@ -322,7 +347,39 @@ def _inside(a, b):
     return qdiv(a + b, 2)
 
 
+def _spans(mins, maxs):
+    """The intercepts of the region above each minimum, one closed interval
+    per minimum, with falling ends; ValidationError when a minimum has no
+    maximum above it.
+
+    The maxima above a minimum v are maxs[j:k]: of those with x1 >= v.x1
+    the first is the highest, and x2 >= v.x2 holds up to k.  up(v) meets
+    down(maxs) in a set star-shaped about v, so its intercepts are one
+    interval, from v.x2 - maxs[k - 1].x1 up to maxs[j].x2 - v.x1.  j and k
+    never fall as v moves right, so both ends fall, and the region's
+    nonempty slices are the union of these intervals."""
+    spans = []
+    j = k = 0
+    for v in mins:
+        while j < len(maxs) and maxs[j].x1 < v.x1:
+            j += 1
+        if j == len(maxs) or maxs[j].x2 < v.x2:
+            raise ValidationError("lower staircase exceeds upper staircase")
+        while k < len(maxs) and maxs[k].x2 >= v.x2:
+            k += 1
+        spans.append((v.x2 - maxs[k - 1].x1, maxs[j].x2 - v.x1))
+    return spans
+
+
 class StaircaseInterval:
+    """An interval module supported on the region between an antichain of
+    minimal corners and one of maximal corners, both sorted by x1.
+
+    Construction reads everything it checks off the corners: the intercept
+    range [clo, chi], the span above each minimum and the gaps between
+    spans.  The diagonal region is built and cached the first time
+    region() reads it: a distance, an approximation or triv."""
+
     __slots__ = ("mins", "maxs", "_region")
 
     def __init__(self, mins, maxs, _internal=False):
@@ -338,31 +395,15 @@ class StaircaseInterval:
         maxs = _maximal(maxs)
         if not mins or not maxs:
             raise ValidationError("empty corner set")
-        # The maxima above a minimum v are maxs[j:k]: of those with
-        # x1 >= v.x1 the first is the highest, and x2 >= v.x2 holds up to k.
-        # up(v) meets down(maxs) in a set star-shaped about v, so its
-        # intercepts are one interval, from v.x2 - maxs[k - 1].x1 up to
-        # maxs[j].x2 - v.x1.  j and k never fall as v moves right, so both
-        # ends fall, and the region's nonempty slices are the union of
-        # these intervals in falling order.
-        spans = []
-        j = k = 0
-        for v in mins:
-            while j < len(maxs) and maxs[j].x1 < v.x1:
-                j += 1
-            if j == len(maxs) or maxs[j].x2 < v.x2:
-                raise ValidationError("lower staircase exceeds upper staircase")
-            while k < len(maxs) and maxs[k].x2 >= v.x2:
-                k += 1
-            spans.append((v.x2 - maxs[k - 1].x1, maxs[j].x2 - v.x1))
-        self = cls(mins, maxs, _internal=True)
-        reg = self.region()
-        if reg.tlo is not NINF and reg.thi is not INF:
-            gap = _slice_gap(spans, reg.clo, reg.chi)
-            if gap is not None:
-                raise ValidationError(
-                    "disconnected region: empty diagonal slice at intercept %s" % (gap,))
-        return self
+        spans = _spans(mins, maxs)
+        # A minimum at (-inf, -inf) or a maximum at (inf, inf) makes every
+        # slice unbounded; it gives every minimum the span (-inf, inf), so
+        # the gap test needs no exception for it.
+        gap = _slice_gap(spans, *_hull(mins, maxs))
+        if gap is not None:
+            raise ValidationError(
+                "disconnected region: empty diagonal slice at intercept %s" % (gap,))
+        return cls(mins, maxs, _internal=True)
 
     @classmethod
     def rect(cls, r: Point2, s: Point2):

@@ -43,7 +43,12 @@ def _as_region(x) -> DiagRegion:
 
 
 def triv_distance(M):
-    """Distance from M to the zero module: half the longest slice."""
+    """Distance from M to the zero module: half the longest slice.  For a
+    rectangle that is half its shorter side, read off the corners."""
+    if isinstance(M, StaircaseInterval) and M.is_rectangle():
+        r, s = M.mins[0], M.maxs[0]
+        m = min(s.x1 - r.x1, s.x2 - r.x2)
+        return m if is_inf(m) else qdiv(m, 2)
     return _as_region(M).triv()
 
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import (contains_point, raster_components, region_fold_oracle,
                      slice_gap_oracle)
+from stairdist import generate
 from stairdist.errors import ValidationError
 from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
-                                StaircaseInterval,
-                                _maximal, _minimal, band, hausdorff, point,
+                                StaircaseInterval, _maximal, _minimal,
+                                _slice_gap, _spans, band, hausdorff, point,
                                 pt_le, validate_interval)
 from stairdist.scalars import INF, NINF
 
@@ -310,22 +311,48 @@ def test_region_errors_match_fold(mins, maxs):
     assert str(got.value) == str(want.value)
 
 
+def _chain(rng, lower):
+    """A strict chain (x1 rising, x2 falling) of 1 to 5 points, its ends
+    sometimes pushed to -inf (lower) or +inf (upper)."""
+    k = rng.randint(1, 5)
+    pts = [Point2(Fraction(x), Fraction(y)) for x, y in
+           zip(sorted(rng.sample(range(9), k)),
+               sorted(rng.sample(range(9), k), reverse=True))]
+    inf = NINF if lower else INF
+    if rng.random() < 0.4:
+        pts[0] = pts[0]._replace(**{"x1" if lower else "x2": inf})
+    if rng.random() < 0.4:
+        pts[-1] = pts[-1]._replace(**{"x2" if lower else "x1": inf})
+    return pts
+
+
 def test_extreme_corners_by_pairwise_comparison(rng):
     coord = lambda: rng.choice([NINF, INF] + list(range(7)))
+    by_x1 = lambda ps: sorted(set(ps), key=lambda p: p.x1)
+    samples = [[Point2(coord(), coord()) for _ in range(rng.randint(1, 8))]
+               for _ in range(200)]
     for _ in range(200):
-        pts = [Point2(coord(), coord()) for _ in range(rng.randint(1, 8))]
-        by_x1 = lambda ps: sorted(set(ps), key=lambda p: p.x1)
+        pts = _chain(rng, rng.random() < 0.5)
+        assert _minimal(pts) == _maximal(pts) == pts
+        repeated = pts + [rng.choice(pts)]
+        rng.shuffle(repeated)
+        samples += [pts, pts[::-1], repeated]
+    for pts in samples:
         assert _minimal(pts) == by_x1(
             p for p in pts if not any(pt_le(q, p) and q != p for q in pts))
         assert _maximal(pts) == by_x1(
             p for p in pts if not any(pt_le(p, q) and q != p for q in pts))
 
 
-def test_lower_exceeds_upper_by_pairwise_comparison(rng):
+def _pairwise_corner_sets(rng):
     coord = lambda: rng.choice([NINF, INF] + list(range(7)))
     for _ in range(300):
-        mins = [Point2(coord(), coord()) for _ in range(rng.randint(1, 4))]
-        maxs = [Point2(coord(), coord()) for _ in range(rng.randint(1, 4))]
+        yield ([Point2(coord(), coord()) for _ in range(rng.randint(1, 4))],
+               [Point2(coord(), coord()) for _ in range(rng.randint(1, 4))])
+
+
+def test_lower_exceeds_upper_by_pairwise_comparison(rng):
+    for mins, maxs in _pairwise_corner_sets(rng):
         lowest = [v for v in mins
                   if not any(pt_le(u, v) and u != v for u in mins)]
         want = not all(any(pt_le(v, w) for w in maxs) for v in lowest)
@@ -374,21 +401,86 @@ def test_disconnected_regions_rejected(mins, maxs):
                               [point(*p) for p in maxs])
 
 
-def test_connectivity_matches_slice_length_oracle(rng):
+def _random_corner_sets(rng):
     def corner(inf):
         p = [rng.randint(0, 8), rng.randint(0, 8)]
         if rng.random() < 0.15:
             p[rng.randrange(2)] = inf
         return point(*p)
 
-    verdicts = []
     for _ in range(600):
-        verdicts.append(check_connectivity(
-            [corner(NINF) for _ in range(rng.randint(1, 4))],
-            [corner(INF) for _ in range(rng.randint(1, 4))]))
-    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+        yield ([corner(NINF) for _ in range(rng.randint(1, 4))],
+               [corner(INF) for _ in range(rng.randint(1, 4))])
+
+
+def _staircase_corner_sets(rng):
     for _ in range(100):
         I = random_staircase(rng, size=rng.randint(2, 8))
         J = _with_infinite_corners(I, *(rng.random() < 0.4 for _ in range(4)))
         for K in (I, J):
-            assert check_connectivity(list(K.mins), list(K.maxs)) is False
+            yield list(K.mins), list(K.maxs)
+
+
+def test_connectivity_matches_slice_length_oracle(rng):
+    verdicts = [check_connectivity(mins, maxs)
+                for mins, maxs in _random_corner_sets(rng)]
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+    for mins, maxs in _staircase_corner_sets(rng):
+        assert check_connectivity(mins, maxs) is False
+
+
+# --------------------------------------------------------------------------
+# construction on the corners against building the region first
+
+
+def eager_region(mins, maxs):
+    """The region of the interval on mins and maxs, built before the gap
+    test, which then reads the region's sentinels."""
+    mins, maxs = _minimal(mins), _maximal(maxs)
+    if not mins or not maxs:
+        raise ValidationError("empty corner set")
+    spans = _spans(mins, maxs)
+    reg = DiagRegion.from_antichains(mins, maxs)
+    if reg.tlo is not NINF and reg.thi is not INF:
+        gap = _slice_gap(spans, reg.clo, reg.chi)
+        if gap is not None:
+            raise ValidationError(
+                "disconnected region: empty diagonal slice at intercept %s" % (gap,))
+    return reg
+
+
+def _region_key(reg):
+    return reg.clo, reg.chi, _pl_key(reg.tlo), _pl_key(reg.thi)
+
+
+def _outcome(build, mins, maxs):
+    try:
+        return build(mins, maxs), None
+    except ValidationError as e:
+        return None, str(e)
+
+
+def test_construction_matches_eager_region(rng):
+    sets = [*_pairwise_corner_sets(rng), *_random_corner_sets(rng),
+            *_staircase_corner_sets(rng)]
+    accepted = 0
+    for mins, maxs in sets:
+        I, got = _outcome(StaircaseInterval.from_antichains, mins, maxs)
+        reg, want = _outcome(eager_region, mins, maxs)
+        assert got == want
+        if I is not None:
+            accepted += 1
+            assert I._region is None
+            assert _region_key(I.region()) == _region_key(reg)
+            assert I.region() is I.region()
+    assert 300 <= accepted <= len(sets) - 300
+
+
+def test_construction_builds_no_region(rng):
+    built = [validate_interval([(0, 3), (1, 1), (3, 0)], [(2, 4), (4, 2)]),
+             StaircaseInterval.rect(point(0, 0), point(1, "inf")),
+             RectangleSpec((0, 0), (2, 1)).as_interval(),
+             StaircaseInterval.from_antichains([point("-inf", "-inf")],
+                                               [point(1, 2)])]
+    built += [generate.random_staircase(rng, 8) for _ in range(20)]
+    assert all(I._region is None for I in built)

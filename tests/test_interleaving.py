@@ -52,6 +52,22 @@ class TestTrivDistance:
                                               [point(INF, INF)])
         assert triv_distance(Q) is INF
 
+    def test_rectangle_closed_form_matches_region(self, rng):
+        coord = lambda: Fraction(rng.randint(0, 16), 2)
+        for _ in range(500):
+            r = [coord(), coord()]
+            s = [r[0] + coord(), r[1] + coord()]
+            for k in range(2):
+                if rng.random() < 0.2:
+                    r[k] = NINF
+                if rng.random() < 0.2:
+                    s[k] = INF
+            R = StaircaseInterval.rect(point(*r), point(*s))
+            got = triv_distance(R)
+            assert R._region is None
+            want = R.region().triv()
+            assert got == want and type(got) is type(want)
+
 
 class TestCheckComponent:
     @staticmethod
