@@ -47,12 +47,6 @@ def tval(p: Point2):
     return qdiv(p.x1 + p.x2, 2)
 
 
-def point_at(c, t) -> Point2:
-    """The point of the diagonal with intercept c at parameter t."""
-    h = qdiv(c, 2)
-    return Point2(t - h, t + h)
-
-
 class SliceSegment(namedtuple("SliceSegment", "intercept t_lo t_hi")):
     """The slice [t_lo, t_hi] at an intercept; t_lo is None when empty."""
 

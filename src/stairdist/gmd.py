@@ -28,6 +28,9 @@ from .geometry import DiagBand, Point2, band, intercept, point, pt_le
 from .record import Record
 from .scalars import INF, NINF, ext, fmt, is_inf
 
+# The most bands refine_alpha may cut a covering into.
+MAX_BANDS = 10000
+
 
 class GradedMatrix(Record):
     __slots__ = ("row_grades",  # generator grades, Point2
@@ -153,7 +156,9 @@ def refine_alpha(cov: AnchorCovering, alpha, dmatch_lb) -> AnchorCovering:
 
     Infinite end bands are peeled in slabs of that width out to four slabs
     beyond the outermost anchor intercept (in absolute value).  Synthetic
-    cut diagonals are recorded as anchor points on the axes.
+    cut diagonals are recorded as anchor points on the axes.  The bands are
+    counted before any is cut, and more than MAX_BANDS of them is a
+    ValidationError: their number grows as 1/alpha.
     """
     alpha = ext(alpha)
     if not (0 <= alpha <= 1):
@@ -164,26 +169,25 @@ def refine_alpha(cov: AnchorCovering, alpha, dmatch_lb) -> AnchorCovering:
     if dmatch_lb <= 0:
         raise PreconditionError("refinement needs a positive distance bound")
     slab = alpha * dmatch_lb / 2
-    cuts = set(cov.intercepts)
     extent = max((abs(c) for c in cov.intercepts),
                  default=Fraction(0)) + 4 * slab
     lo_end = min(cov.intercepts, default=-extent)
     hi_end = max(cov.intercepts, default=extent)
-    for b in cov.bands:
-        if is_inf(b.lo) or is_inf(b.hi):
-            continue
-        w = b.hi - b.lo
-        n = math.ceil(w / slab) if w > 0 else 1
-        for k in range(1, n):
-            cuts.add(b.lo + w * Fraction(k, n))
-    c = lo_end
-    while c - slab >= -extent:
-        c = c - slab
-        cuts.add(c)
-    c = hi_end
-    while c + slab <= extent:
-        c = c + slab
-        cuts.add(c)
+    splits = [(b.lo, b.hi - b.lo, math.ceil((b.hi - b.lo) / slab))
+              for b in cov.bands if not (is_inf(b.lo) or is_inf(b.hi))]
+    below = math.floor((lo_end + extent) / slab)
+    above = math.floor((extent - hi_end) / slab)
+    count = (len(cov.intercepts) + 1 + below + above
+             + sum(n - 1 for _, _, n in splits))
+    if count > MAX_BANDS:
+        raise ValidationError(
+            "alpha %s would cut %d bands, more than %d"
+            % (fmt(alpha), count, MAX_BANDS))
+    cuts = set(cov.intercepts)
+    for lo, w, n in splits:
+        cuts.update(lo + w * Fraction(k, n) for k in range(1, n))
+    cuts.update(lo_end - k * slab for k in range(1, below + 1))
+    cuts.update(hi_end + k * slab for k in range(1, above + 1))
     pts = list(cov.points)
     for c in sorted(cuts - set(cov.intercepts)):
         pts.append(point(0, c) if c >= 0 else point(-c, 0))

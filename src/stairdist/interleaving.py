@@ -3,8 +3,8 @@
 Everything here works on diagonal slice functions.  The slicewise distance
 is a 1-parameter computation per intercept; the full interval distance adds
 a correction obtained by probing shifted overlaps at finitely many shift
-values.  All arithmetic is exact; one-sided limits at probe breakpoints are
-evaluated with infinitesimal (Dual) perturbations.
+values: one probe inside each gap between candidate shifts decides the
+whole gap (see _least_accepted).  All arithmetic is exact.
 
 Each overlap component of one module with the other shifted is valid
 (_is_valid), trivializable (its _kill_bound is below the shift) or blocks
@@ -23,11 +23,9 @@ from .geometry import (DiagRegion, StaircaseInterval, region_intersection,
                        tval)
 from .pl import PL, pl_abs, pl_max, pl_min, pl_sub
 from .record import Record
-from .scalars import INF, NINF, Dual, ext, is_inf, qdiv
+from .scalars import INF, NINF, ext, is_inf, qdiv
 
 HALF = Fraction(1, 2)
-# The eps part of a one-sided probe of _gap_root.
-EPS_UNIT = 2
 
 
 def _as_region(x) -> DiagRegion:
@@ -278,77 +276,80 @@ def di_decision(M, N, delta) -> DecisionReport:
     return rep
 
 
-def _gap_root(A, B, a, upper):
-    """Least shift in the open gap (a, b) accepted by the kill requirement.
-
-    Inside a gap the combinatorics of the overlaps is fixed, so the kill
-    requirement K is convex piecewise linear there.  Acceptance (K < delta)
-    therefore first occurs either immediately above a or at the leftmost
-    root of K(delta) - delta, which a tangent-line chase reaches exactly in
-    finitely many steps.  The gap's right end b comes from upper() (None
-    for an unbounded gap), called only once the chase moves.  Returns None
-    when the gap contains no accepted shift.
-
-    Each probe evaluates K just above cur, at Dual(cur, EPS_UNIT): the real
-    part of h = K - delta is the one-sided limit and its eps part is
-    EPS_UNIT times the one-sided slope, so the tangent of h meets zero at
-    cur - EPS_UNIT * hr / hs.  Every Dual operation is linear in the eps
-    part (substituting EPS_UNIT * eps for eps maps Q[eps]/(eps^2) into
-    itself), so a unit u > 0 scales every eps part by u and leaves every
-    real part and every comparison as it was; see Dual for the one quotient
-    whose eps part is dropped, which drops it at any unit.  With u = 2 the
-    halvings of the kill bounds and the crossings of pl_max keep eps parts
-    of the int-scaled regions whole, where u = 1 made them Fractions.
-    """
-    cur = a
-    b = None
-    for step in range(64):
-        probe = Dual(cur, EPS_UNIT)
-        K = _kill_requirement(A, B, probe)
-        if K is None:
-            return cur
-        if K is INF:
-            return None
-        h = K - probe
-        hr, hs = (h.a, h.b) if isinstance(h, Dual) else (h, 0)
-        if hr < 0 or (hr == 0 and hs < 0):
-            return cur
-        if hs >= 0:
-            return None
-        nxt = cur - qdiv(EPS_UNIT * hr, hs)
-        if step == 0:
-            b = upper()
-        if b is not None and nxt >= b:
-            return None
-        cur = nxt
-    raise RuntimeError("tangent chase did not terminate")
-
-
 def _least_accepted(A, B, dd):
-    """Least accepted shift at or above dd, or INF.
-
-    Scans dd and then the candidate shifts above it, chasing tangents inside
-    each gap.  Most searches end at dd or in the first tangent step, so the
+    """Least accepted shift at or above dd, or INF, on int-scaled regions:
+    the first a of dd and the candidates above it whose probe at a + 2 is
+    accepted (K is None or K < a + 2).  Most searches end at dd, so the
     O(V^2) candidates are built only when first needed.
+
+    Lattice.  _int_scale makes every intercept, knot and slice value a
+    multiple of 16, so every corner coordinate t -+ c/2 is a multiple of 8
+    and every candidate a multiple of 4.  So is dd.  Where a slice end
+    function has slope +1/2 the end keeps its x1, where -1/2 its x2, and
+    that coordinate is a corner coordinate; along one diagonal a difference
+    of t is one of x1 or of x2.  So at a knot every slice length and end
+    gap is a multiple of 8, and so is any of them that is flat on one side.
+    Between knots half the longer slice and the larger end gap are convex,
+    so the slicewise sup sits where they meet, neither flat: half a slice
+    length rising at 1/2 against an end gap falling at 1, or the mirror.
+    There the distances force the slices to be equally long and the four
+    ends to lie h apart in a row, h the distance, and two neighbours in
+    the row keep the same coordinate, so h is a multiple of 8 too.  Hence
+    a + 2 lies strictly inside the gap (a, b) up to the next candidate.
+
+    Lemma.  Acceptance is constant inside each such gap, so the least
+    accepted shift is dd or a candidate, and a + 2 decides the gap above
+    a; acceptance is monotone in the shift, as interleavings are, so an
+    accepted a has an accepted gap above it.  As the candidate scan has
+    always assumed, inside a gap the overlap components and their validity
+    are fixed (a component splits, or an end of its range crosses a knot,
+    only where a boundary difference at a knot equals the shift), so K is
+    continuous there, and a change would need a root K(d) = d.  Any root
+    is a candidate:
+
+    Q's ends are Q.tlo = max(src.tlo, oth.tlo - d) and Q.thi =
+    min(src.thi, oth.thi - d), oth being the other region before its
+    shift, so both gaps of _kill_bound have the form min(P, R + d), with
+    P = L_src or L_oth a slice length and R = src.thi - oth.tlo, and 2K is
+    the sup of such a min over Q's range.  P, R have slopes in {-1, 0, 1}.
+    Call a value two-term if it is a difference of two corner coordinates:
+    by the above, a difference of two ends is two-term where it is flat on
+    one side, and at a knot of either region unless both ends belong to
+    the other; R is two-term at every knot.  Let p be the left end of a
+    maximal interval where the min attains its sup M (the mirror
+    (x1, x2) -> (x2, x1) negates intercepts, so p = -inf is the mirror
+    of a finite right end); the min rises into p unless p ends Q's range.
+    - p inside, at no knot: a min of two lines rising into p and not
+      after needs P = R + d at p with one rising and the other not.  P
+      rising at 1 against R falling at 1 would need src.thi (for L_src)
+      or oth.tlo (for L_oth) to have slope +1/2 and -1/2 at once, and the
+      mirror likewise, so one is flat: M is a two-term P, or R + d with a
+      two-term R.
+    - p inside, at a knot: M = R(p) + d, or M = P(p) with the min equal to
+      P rising into p, so p is a knot of P's own region; both two-term.
+    - p a fixed end of the range, the clo of src or oth: that region's
+      slice is one corner point, and Q's slice is that point inside the
+      other region's slice, so M = 0 or M = R(p) + d.  An end where
+      R + d = 0 gives M = 0.
+    - p an end where the shifted top meets src.tlo: Q's slice is one
+      point and both gaps are P(p).  The constraint rises through d, so
+      oth.thi has slope +1/2 and src.tlo -1/2 right of p (flat would make
+      d two-term); P is flat there (two-term) or rises at 1, and then R +
+      d = M caps it, which takes R flat: src.thi +1/2 for L_src forces
+      oth.tlo +1/2, oth.tlo -1/2 for L_oth forces src.thi -1/2.
+    An infinite P or R drops out of the min.  So at a root 2d = M is 0,
+    a two-term v - u, or v - u + d, and d is 0, (v - u)/2 or v - u: a
+    candidate.
     """
-    cands = None
+    def accepted(a):
+        K = _kill_requirement(A, B, a + 2)
+        return K is None or K < a + 2
 
-    def cand(i):
-        nonlocal cands
-        if cands is None:
-            cands = [dd] + [c for c in _candidate_deltas(A, B) if c > dd]
-        return cands[i] if i < len(cands) else None
-
-    i, a = 0, dd
-    while a is not None:
-        K = _kill_requirement(A, B, a)
-        if K is None or K < a:
+    if accepted(dd):
+        return dd
+    for a in _candidate_deltas(A, B):
+        if a > dd and accepted(a):
             return a
-        r = _gap_root(A, B, a, lambda: cand(i + 1))
-        if r is not None:
-            return r
-        i += 1
-        a = cand(i)
     return INF
 
 
@@ -356,17 +357,14 @@ def di_interval(M, N):
     """Exact interleaving distance between two interval modules.
 
     Computed as the least shift, at or above the slicewise supremum, whose
-    overlap components all pass the decision criterion, scanning the
-    combinatorial breakpoints in order and chasing tangent lines of the
-    kill requirement inside each gap.  One-sided limits at breakpoints are
-    evaluated with infinitesimal perturbations, so infima that the decision
-    itself only attains in the limit are still returned exactly.
+    overlap components all pass the decision criterion: the supremum or a
+    candidate shift, each decided by one probe inside the gap above it
+    (_least_accepted).
 
     The search runs on both regions scaled by one int S that makes their
-    knots and values ints, and its result is divided by S.  Every step
-    commutes with a positive scaling of the plane (the candidates, the
-    one-sided limits and the tangent chase alike), so this is exact, and
-    most of the search's arithmetic stays on ints.
+    knots and values multiples of 16, and its result is divided by S.
+    Every step commutes with a positive scaling of the plane, so this is
+    exact, and the search's arithmetic stays on ints.
     """
     if (isinstance(M, StaircaseInterval) and isinstance(N, StaircaseInterval)
             and M == N):
@@ -375,22 +373,22 @@ def di_interval(M, N):
     S = _int_scale(A, B)
     A, B = A.dilate(S), B.dilate(S)
     dd, _ = _di_diag(A, B)
-    d = INF if dd is INF else _least_accepted(A, B, dd)
+    d = INF if dd is INF else _least_accepted(A, B, int(dd))
     return d if d is INF else Fraction(d) / S
 
 
 def _int_scale(*regions):
-    """8 times the lcm of the denominators of the regions' finite
-    intercepts, knots and values.  Scaled by it these are multiples of 8,
-    so the halvings of corner coordinates, candidates and kill bounds stay
-    ints too."""
+    """16 times the lcm of the denominators of the regions' finite
+    intercepts, knots and values.  Scaled by it these are multiples of 16,
+    corner coordinates of 8, and the candidates and the slicewise
+    supremum of 4 (see _least_accepted)."""
     dens = set()
     for R in regions:
         dens.update(c.denominator for c in (R.clo, R.chi) if not is_inf(c))
         for f in (R.tlo, R.thi):
             if isinstance(f, PL):
                 dens.update(x.denominator for x in f.xs + f.vs)
-    return 8 * math.lcm(*dens)
+    return 16 * math.lcm(*dens)
 
 
 # --------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 A PL is defined on an interval of the extended line.  Interior knots are
 rational; a finite domain end always coincides with the first/last knot,
 while an infinite end extends the boundary piece with a constant slope.
-Knots and values are ints, Fractions or Duals, and every division is qdiv,
-so all operations are exact and int data stays int where it can.
+Knots and values are ints or Fractions, and every division is qdiv, so all
+operations are exact and int data stays int where it can.
 """
 
 import bisect
 from fractions import Fraction
 
-from .scalars import INF, NINF, Dual, is_inf, qdiv, qmul
+from .scalars import INF, NINF, is_inf, qdiv, qmul
 
 
 class PL:
@@ -85,7 +85,7 @@ class PL:
         out_x, out_v = [xs[0]], [vs[0]]
         for i in range(1, len(xs) - 1):
             x0, v0 = out_x[-1], out_v[-1]
-            # collinearity via cross-multiplication: safe for Dual knots
+            # collinearity via cross-multiplication, with no division
             if (vs[i] - v0) * (xs[i + 1] - xs[i]) != (vs[i + 1] - vs[i]) * (xs[i] - x0):
                 out_x.append(xs[i])
                 out_v.append(vs[i])
@@ -167,10 +167,6 @@ class PL:
         if self.rslope is not None and self.rslope > 0:
             return INF, None
         return best, arg
-
-    def inf(self):
-        v, a = (-self).sup()
-        return -v, a
 
     def ge_zero_regions(self):
         """Maximal closed subintervals of the domain where self >= 0."""
@@ -285,18 +281,10 @@ def _crossing(x0, x1, v0, v1, d0, d1):
     the value there of the piece going from v0 to v1.
 
     One division each, x0 + d0 (x1 - x0) / (d0 - d1), rather than first
-    forming the ratio t = d0 / (d0 - d1): over Duals of ints the eps part of
-    t is a Fraction, which then spreads through the probe, while the
-    crossing itself is mostly whole.  In Q[eps]/(eps^2) both forms are
-    equal whenever d0 - d1 has a nonzero real part, since it is then a
-    unit.  Where d0 - d1 is a pure infinitesimal, Dual division drops the
-    eps part of the quotient (see Dual), so the forms differ, and the ratio
-    form is kept there.
+    forming the ratio t = d0 / (d0 - d1), which is a Fraction on ints far
+    more often than the crossing itself.
     """
     den = d0 - d1
-    if type(den) is Dual and den.a == 0:
-        t = qdiv(d0, den)
-        return x0 + qmul(t, x1 - x0), v0 + qmul(t, v1 - v0)
     return (_whole(x0 + qdiv(d0 * (x1 - x0), den)),
             _whole(v0 + qdiv(d0 * (v1 - v0), den)))
 

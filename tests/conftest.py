@@ -8,7 +8,7 @@ from oracles import FractionCellGeometry, closure_oracle
 from stairdist.bottleneck import int_point_bottleneck
 from stairdist.errors import ValidationError
 from stairdist.geometry import (Point2, StaircaseInterval, _sigma, point,
-                                point_at, region_intersection)
+                                region_intersection)
 from stairdist.gmd import diagonalize, push_band, validate_presentation
 from stairdist.scalars import NINF, ext, is_inf, qdiv
 
@@ -177,7 +177,7 @@ def _corners_from_tlo(f):
         mins.append(Point2(NINF, f.vs[-1] + qdiv(f.xs[-1], 2)))
     for x, v, left, right in zip(f.xs, f.vs, lefts, rights):
         if (left is None or left == -HALF) and (right is None or right == HALF):
-            mins.append(point_at(x, v))
+            mins.append(Point2(v - qdiv(x, 2), v + qdiv(x, 2)))
     return mins
 
 

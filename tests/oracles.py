@@ -102,7 +102,7 @@ def slice_gap_oracle(mins, maxs):
     g = DiagRegion.from_antichains(mins, maxs).length_fn()
     if g is INF:
         return None
-    return g.inf()[0] < 0
+    return (-g).sup()[0] > 0
 
 
 # --------------------------------------------------------------------------
@@ -160,16 +160,26 @@ def diag_sup_oracle(M, N, step=Fraction(1, 1000)):
     return best
 
 
-def unscaled_di_oracle(M, N):
-    """di_interval's search run on the unscaled Fraction regions.
-
-    An exception to the rule above: this is the code under test, minus
-    the int scaling di_interval wraps it in, so it checks that the scaling
-    and the division back are exact, not the search itself."""
-    from stairdist.interleaving import _di_diag, _least_accepted
-    A, B = M.region(), N.region()
-    dd, _ = _di_diag(A, B)
-    return INF if dd is INF else _least_accepted(A, B, dd)
+def di_bracket_oracle(M, N, d):
+    """Whether d is the interleaving distance of M and N as di_decision
+    alone sees it: accepted at d + eta and, when d is above the slicewise
+    distance, rejected at d - eta.  eta is a quarter of the least common
+    grid step of the finite corner coordinates, below the spacing of the
+    candidate shifts (differences of corner coordinates and intercepts,
+    and their halves).  An infinite d must be rejected at 4 B + 1, B the
+    largest finite coordinate in absolute value, which is above every
+    candidate."""
+    from stairdist.interleaving import di_decision
+    coords = [x for I in (M, N) for p in I.mins + I.maxs for x in p
+              if not is_inf(x)]
+    if d is INF:
+        top = 4 * max((abs(x) for x in coords), default=0) + 1
+        return not di_decision(M, N, top).accepted
+    eta = Fraction(1, 4 * lcm(*(Fraction(x).denominator for x in coords)))
+    above = di_decision(M, N, d + eta)
+    if not above.accepted:
+        return False
+    return d == above.diag_distance or not di_decision(M, N, d - eta).accepted
 
 
 def kill_requirement_oracle(A, B, dprime):

@@ -115,6 +115,17 @@ class TestNumberGuards:
     def test_oversized_alpha(self, run):
         run("gmd", QUAD0, QUAD1, args=["--alpha", "1e2000000"], code=2)
 
+    def test_alpha_cutting_too_many_bands(self, run):
+        # anchors at intercepts 0 and 6: the band between them is cut into
+        # slabs of width alpha * dmatch / 2, about 10^10 of them here
+        P = {"row_grades": [[0, 4], [4, 0]], "col_grades": [],
+             "nonzeros": []}
+        Q = {"row_grades": [[0, 8], [2, 0]], "col_grades": [],
+             "nonzeros": []}
+        assert run("gmd", P, Q, args=["--alpha", "1/2"])["bands"] < 100
+        err = run("gmd", P, Q, args=["--alpha", "1e-9"], code=3)
+        assert "alpha" in err and "bands, more than 10000" in err
+
 
 class TestRectApprox:
     def test_thick_l_optimal(self, run):

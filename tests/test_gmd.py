@@ -309,6 +309,21 @@ class TestRefineAlpha:
         cov = self.cov((0, 0), (0, 4))
         assert refine_alpha(cov, 0, 4) is cov
 
+    @pytest.mark.parametrize("alpha,lb", [(Fraction(1, 2), 4),
+                                          (Fraction(1, 7), Fraction(5, 3)),
+                                          (Fraction(1, 40), 1)])
+    def test_band_count_is_counted_before_cutting(self, monkeypatch, alpha,
+                                                  lb):
+        """The closed-form count equals the number of bands cut: the limit
+        at that number passes, one below it raises."""
+        cov = self.cov((0, 0), (0, 4), (-3, 0), (0, Fraction(9, 2)))
+        n = len(refine_alpha(cov, alpha, lb).bands)
+        monkeypatch.setattr(GMD, "MAX_BANDS", n)
+        assert len(refine_alpha(cov, alpha, lb).bands) == n
+        monkeypatch.setattr(GMD, "MAX_BANDS", n - 1)
+        with pytest.raises(ValidationError, match="bands"):
+            refine_alpha(cov, alpha, lb)
+
 
 def square_pres(a, b):
     """The square [a, b]^2: generator (a, a), relations (b, a) and (a, b)."""

@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (diag_sup_oracle, kill_requirement_oracle, triv_oracle,
-                     unscaled_di_oracle)
+from oracles import (di_bracket_oracle, diag_sup_oracle,
+                     kill_requirement_oracle, triv_oracle)
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
                                 hausdorff, point)
 from stairdist.generate import random_staircase
-from stairdist.interleaving import (EPS_UNIT, _candidate_deltas, _di_diag,
+from stairdist.interleaving import (_candidate_deltas, _di_diag,
                                     _int_scale, _is_valid, _kill_bound,
                                     _kill_requirement, _probe_components,
                                     di_decision, di_diag, di_interval,
                                     di_interval_vs_rect, triv_distance)
 from stairdist.pl import PL
-from stairdist.scalars import INF, NINF, Dual
+from stairdist.scalars import INF, NINF
 
 from conftest import intersect_components, scale, square
+
+HALF = Fraction(1, 2)
 
 
 class TestDiagSup:
@@ -192,7 +194,7 @@ class TestIntervalVsRect:
 
 
 # --------------------------------------------------------------------------
-# the int-scaled search against the same search on Fraction regions
+# the int-scaled search against di_decision on either side of its result
 
 
 def k_corner_staircase(rng, k, den):
@@ -242,10 +244,20 @@ def moved(I, a, t):
                                              [mv(w) for w in I.maxs])
 
 
+def odd_half(I):
+    """I under x1 -> 4 x1 + 1/2, x2 -> 4 x2 + 3/2.  Half-integer corners go
+    to odd halves whose sums and differences are even and odd ints, so the
+    region's knots and values are ints while its corner coordinates are
+    not, and after _int_scale some candidates are 4 mod 8."""
+    mv = lambda p: Point2(4 * p.x1 + HALF, 4 * p.x2 + 3 * HALF)
+    return StaircaseInterval.from_antichains([mv(v) for v in I.mins],
+                                             [mv(w) for w in I.maxs])
+
+
 class TestIntScaledSearch:
     def assert_matches_oracle(self, a, b):
         d = di_interval(a, b)
-        assert d == unscaled_di_oracle(a, b)
+        assert di_bracket_oracle(a, b, d)
         assert d is INF or type(d) is Fraction
 
     @pytest.mark.parametrize("k,den", [(4, 2), (8, 3), (12, 2)])
@@ -272,6 +284,22 @@ class TestIntScaledSearch:
         for a in mods:
             for b in mods:
                 self.assert_matches_oracle(a, b)
+
+    def test_odd_half_coordinates(self):
+        """Candidates 4 apart after scaling: a probe at a + 4 instead of
+        a + 2 returns 39/4 for the first pair, and a scale of 8 instead
+        of 16 goes wrong on the same corpus."""
+        a = StaircaseInterval.rect(point(HALF, HALF),
+                                   point(5, Fraction(15, 2)))
+        b = StaircaseInterval.from_antichains(
+            [point(0, 1)], [point(Fraction(7, 2), 10), point(7, 9)])
+        assert di_interval(odd_half(a), odd_half(b)) == 10
+        rng = random.Random(5)
+        for _ in range(30):
+            size = rng.choice([2, 3, 4, 6])
+            a = random_staircase(rng, size=size)
+            b = random_staircase(rng, size=size)
+            self.assert_matches_oracle(odd_half(a), odd_half(b))
 
     def test_random_corpus_moved_and_scaled(self, rng):
         for _ in range(12):
@@ -310,24 +338,20 @@ def test_no_float_reaches_a_pl(monkeypatch, rng):
         slopes.extend(s for s in (lslope, rslope) if s is not None)
         init(self, xs, vs, lslope, rslope)
 
-    def parts(vals):
-        for v in vals:
-            yield from ((v.a, v.b) if isinstance(v, Dual) else (v,))
-
     monkeypatch.setattr(PL, "__init__", recording_init)
     pairs = [(k_corner_staircase(rng, 6, 2), k_corner_staircase(rng, 6, 2))]
     pairs += [opened_pair(rng, 6) for _ in range(6)]
     for a, b in pairs:
         seen.clear()
         d = di_interval(a, b)
-        kinds = [type(x) for x in parts(seen)]
+        kinds = [type(x) for x in seen]
         assert float not in kinds
         assert kinds.count(int) > len(kinds) // 2
         if d is not INF:
             seen.clear()
             di_decision(a, b, d)
             di_decision(a, b, d / 2)
-            assert not any(isinstance(x, float) for x in parts(seen))
+            assert not any(isinstance(x, float) for x in seen)
     assert not any(isinstance(x, float) for x in slopes)
 
 
@@ -335,50 +359,61 @@ def test_no_float_reaches_a_pl(monkeypatch, rng):
 # the kill requirement: every bound first, validity in falling bound
 
 
-def _parts(x):
-    return (x.a, x.b) if isinstance(x, Dual) else (x, 0)
-
-
-@given(st.integers(0, 10 ** 6), st.booleans(), st.booleans())
+@given(st.integers(0, 10 ** 6), st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_kill_requirement_matches_oracle(seed, unbounded, scaled):
-    """At every candidate shift, plainly and just above it: the oracle
-    probes one-sided at Dual(a, 1), _gap_root at Dual(a, EPS_UNIT), so
-    the real parts agree and the eps parts are in ratio EPS_UNIT."""
+def test_kill_requirement_matches_oracle(seed, unbounded):
+    """At every candidate shift d of the int-scaled regions and at d + 2,
+    inside the gap above it, where di_interval probes."""
     rng = random.Random(seed)
     if unbounded:
         a, b = opened_pair(rng, 3)
     else:
         a, b = random_staircase(rng, size=3), random_staircase(rng, size=3)
     A, B = a.region(), b.region()
-    if scaled:
-        S = _int_scale(A, B)
-        A, B = A.dilate(S), B.dilate(S)
+    S = _int_scale(A, B)
+    A, B = A.dilate(S), B.dilate(S)
     for d in _candidate_deltas(A, B):
-        assert _kill_requirement(A, B, d) == kill_requirement_oracle(A, B, d)
-        got = _kill_requirement(A, B, Dual(d, EPS_UNIT))
-        want = kill_requirement_oracle(A, B, Dual(d, 1))
-        if want is None or want is INF:
-            assert got is want
-        else:
-            (gr, ge), (wr, we) = _parts(got), _parts(want)
-            assert (gr, ge) == (wr, EPS_UNIT * we)
+        for probe in (d, d + 2):
+            assert (_kill_requirement(A, B, probe)
+                    == kill_requirement_oracle(A, B, probe))
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(),
+       st.sampled_from([1, 3, 7, odd_half]))
+@settings(max_examples=80, deadline=None)
+def test_int_scale_puts_search_on_multiples_of_four(seed, unbounded, move):
+    """After _int_scale the slicewise supremum and every candidate are
+    multiples of 4, so the probe a + 2 lies strictly inside the gap above
+    a; the supremum is a whole number (possibly a Fraction).  The pair is
+    scaled by 1/move or taken through odd_half."""
+    rng = random.Random(seed)
+    if unbounded:
+        a, b = opened_pair(rng, 4)
+    else:
+        a, b = random_staircase(rng, size=4), random_staircase(rng, size=4)
+    if move is odd_half:
+        a, b = odd_half(a), odd_half(b)
+    else:
+        a, b = moved(a, Fraction(1, move), 0), moved(b, Fraction(1, move), 0)
+    A, B = a.region(), b.region()
+    S = _int_scale(A, B)
+    A, B = A.dilate(S), B.dilate(S)
+    dd, _ = _di_diag(A, B)
+    assert dd is INF or (dd.denominator == 1 and dd % 4 == 0)
+    assert all(type(c) is int and c % 4 == 0 for c in _candidate_deltas(A, B))
 
 
 def test_one_sided_probe_stays_on_ints(monkeypatch):
     """On int-scaled k = 16 staircases, every knot and value of every
-    overlap component at a one-sided probe is an int or a Dual of two
-    ints, and so is the kill requirement; every slope built on the way is
-    a +-1/2 Fraction."""
+    overlap component at the probe a + 2 above a candidate a is an int,
+    and so is the kill requirement; every slope built on the way is a
+    +-1/2 Fraction."""
     slopes = []
     init = PL.__init__
 
     def recording_init(self, xs, vs, lslope=None, rslope=None):
         slopes.extend(s for s in (lslope, rslope) if s is not None)
         init(self, xs, vs, lslope, rslope)
-
-    def whole(x):
-        return all(type(p) is int for p in _parts(x))
 
     monkeypatch.setattr(PL, "__init__", recording_init)
     rng = random.Random(16)
@@ -387,13 +422,13 @@ def test_one_sided_probe_stays_on_ints(monkeypatch):
     S = _int_scale(A, B)
     A, B = A.dilate(S), B.dilate(S)
     for d in _candidate_deltas(A, B):
-        probe = Dual(d, EPS_UNIT)
+        probe = d + 2
         for _, comp, _, _ in _probe_components(A, B, probe):
-            assert whole(comp.clo) and whole(comp.chi)
+            assert type(comp.clo) is int and type(comp.chi) is int
             for f in (comp.tlo, comp.thi):
-                assert all(whole(x) for x in f.xs + f.vs)
+                assert all(type(x) is int for x in f.xs + f.vs)
         K = _kill_requirement(A, B, probe)
-        assert K is None or whole(K)
+        assert K is None or type(K) is int
     assert slopes and all(type(s) is Fraction and abs(s) == Fraction(1, 2)
                           for s in slopes)
 

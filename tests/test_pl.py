@@ -8,29 +8,26 @@ from hypothesis import strategies as st
 from oracles import t_form_crossing
 from stairdist import pl
 from stairdist.pl import PL, _crossing, align, pl_max
-from stairdist.scalars import INF, NINF, Dual
+from stairdist.scalars import INF, NINF
 
 HALF = Fraction(1, 2)
 
 
-def _scalar(a, d, eps):
+def _scalar(a, d):
     # d == 0 stands for the int a, the kind of scalar di_interval scales to
-    x = a if d == 0 else Fraction(a, d)
-    return Dual(x, eps) if eps else x
+    return a if d == 0 else Fraction(a, d)
 
 
-# ints and rationals, some pushed just above or below by an infinitesimal
+# ints and rationals
 scalars = st.builds(_scalar, st.integers(-12, 12),
-                    st.sampled_from([0, 0, 1, 2, 3]),
-                    st.sampled_from([0, 0, -1, 1]))
+                    st.sampled_from([0, 0, 1, 2, 3]))
 slopes = st.sampled_from([None, None, -HALF, Fraction(0), HALF, Fraction(1)])
 
 
 def _exact(values):
-    """No float among the values or the parts of Dual values."""
+    """No float among the values."""
     for v in values:
-        for p in ((v.a, v.b) if isinstance(v, Dual) else (v,)):
-            assert isinstance(p, (int, Fraction)), p
+        assert isinstance(v, (int, Fraction)), v
 
 
 @st.composite
@@ -38,10 +35,6 @@ def pls(draw, scalars=scalars):
     xs = sorted(set(draw(st.lists(scalars, min_size=1, max_size=6))))
     vs = draw(st.lists(scalars, min_size=len(xs), max_size=len(xs)))
     return PL(xs, vs, draw(slopes), draw(slopes))
-
-
-plain = st.builds(_scalar, st.integers(-12, 12),
-                  st.sampled_from([0, 0, 1, 2, 3]), st.just(0))
 
 
 @given(pls(), st.one_of(scalars, st.just(NINF)),
@@ -64,8 +57,6 @@ def test_restrict_keeps_pointwise_values(f, lo, hi):
 
 @given(pls(), pls())
 @settings(max_examples=300, deadline=None)
-@example(f=PL([Dual(-1, -1), Fraction(0)], [Fraction(0), Fraction(1)]),
-         g=PL([Fraction(-2), Fraction(-1), Dual(-1, 1)], [Fraction(0)] * 3))
 def test_align_matches_pointwise_evaluation(f, g):
     al = align(f, g)
     lo, hi = max(f.dom_lo, g.dom_lo), min(f.dom_hi, g.dom_hi)
@@ -73,27 +64,25 @@ def test_align_matches_pointwise_evaluation(f, g):
         assert lo > hi
         return
     xs, fv, gv, lf, lg, rf, rg = al
-    # values are those of the restrictions: on a piece only infinitesimally
-    # long, Dual arithmetic drops the eps^2 term and f itself can differ
     f2, g2 = f.restrict(lo, hi), g.restrict(lo, hi)
     assert xs == sorted(set(f2.xs) | set(g2.xs))
-    assert fv == [f2(x) for x in xs]
-    assert gv == [g2(x) for x in xs]
+    assert fv == [f(x) for x in xs]
+    assert gv == [g(x) for x in xs]
     _exact(fv + gv)
     assert (lf, lg, rf, rg) == (f2.lslope, g2.lslope, f2.rslope, g2.rslope)
 
 
-def test_align_infinite_tails_and_dual_knots():
-    f = PL([Fraction(0), Dual(2, 1)], [Fraction(1), Dual(3, -1)], HALF, None)
-    g = PL([Fraction(1)], [Fraction(0)], Fraction(0), Fraction(1))
+def test_align_infinite_tails():
+    f = PL([0, 2], [1, 3], HALF, None)
+    g = PL([1], [0], Fraction(0), Fraction(1))
     xs, fv, gv, lf, lg, rf, rg = align(f, g)
-    assert xs == [0, 1, Dual(2, 1)]
-    assert fv == [1, Dual(2, -1), Dual(3, -1)]
-    assert gv == [0, 0, Dual(1, 1)]
+    assert xs == [0, 1, 2]
+    assert fv == [1, 2, 3] and gv == [0, 0, 1]
+    assert all(type(v) is int for v in fv + gv)
     assert (lf, lg, rf, rg) == (HALF, 0, None, None)
 
 
-@given(pls(plain), pls(plain))
+@given(pls(), pls())
 @settings(max_examples=300, deadline=None)
 @example(f=PL([-1], [0], None, -HALF), g=PL([2], [-1], Fraction(0), None))
 @example(f=PL([0], [0], Fraction(1), None), g=PL([1], [0], HALF, None))
@@ -117,8 +106,7 @@ def test_pl_max_is_pointwise_max(f, g):
 
 
 positives = st.builds(_scalar, st.integers(1, 12),
-                      st.sampled_from([0, 0, 1, 2, 3]),
-                      st.sampled_from([0, 0, -1, 1]))
+                      st.sampled_from([0, 0, 1, 2, 3]))
 
 
 @given(scalars, positives, scalars, scalars, positives, positives,
@@ -126,23 +114,10 @@ positives = st.builds(_scalar, st.integers(1, 12),
 @settings(max_examples=500, deadline=None)
 def test_crossing_is_the_t_form(x0, dx, v0, v1, p, q, rising):
     """One division per coordinate gives the crossing of the t-form on
-    int, Fraction and Dual operands whenever d0 - d1 has a nonzero real
-    part, as here, where d0 and d1 have real parts of opposite signs."""
+    int and Fraction operands, where d0 and d1 have opposite signs."""
     d0, d1 = (-p, q) if rising else (p, -q)
     args = (x0, x0 + dx, v0, v1, d0, d1)
     assert _crossing(*args) == t_form_crossing(*args)
-
-
-def test_crossing_keeps_the_t_form_on_a_pure_infinitesimal():
-    """Where d0 - d1 is a pure infinitesimal, Dual division drops the eps
-    part of the quotient, so one division would lose the eps part of
-    x1 - x0 that the t-form keeps."""
-    x0, x1, v0, v1 = Fraction(0), Dual(2, 1), Fraction(0), Dual(4, 2)
-    d0, d1 = Dual(0, 1), Dual(0, -1)
-    t_form = t_form_crossing(x0, x1, v0, v1, d0, d1)
-    assert t_form == (Dual(1, HALF), Dual(2, 1))
-    assert _crossing(x0, x1, v0, v1, d0, d1) == t_form
-    assert x0 + d0 * (x1 - x0) / (d0 - d1) == 1
 
 
 @given(pls(), pls())

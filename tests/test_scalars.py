@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stairdist.scalars import INF, NINF, Dual, ext, qdiv, qmul
+from stairdist.scalars import INF, NINF, ext, qdiv, qmul
 
 
 @pytest.mark.parametrize("x", [INF, NINF])
@@ -65,19 +65,8 @@ def test_qmul_is_exact(n, d, x):
     q = Fraction(n, d)
     assert qmul(q, x) == q * x
     assert (type(qmul(q, x)) is int) == ((n * x) % d == 0)
-    assert qmul(q, Dual(x, 1)) == q * Dual(x, 1)
 
 
 def test_qdiv_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         qdiv(3, 0)
-
-
-def test_dual_division_keeps_ints():
-    q = Dual(6, 4) / 2
-    assert (q.a, q.b) == (3, 2) and type(q.a) is int and type(q.b) is int
-    assert 3 / Dual(2, 1) == Dual(Fraction(3, 2), Fraction(-3, 4))
-    assert Dual(0, 3) / Dual(1, 2) == Dual(0, 3)
-    assert Dual(0, 3) / Dual(0, 6) == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        Dual(1, 3) / Dual(0, 6)
