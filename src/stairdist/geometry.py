@@ -15,7 +15,8 @@ its mirror image, and maximal corners are the mirrors of minimal ones.
 
 A StaircaseInterval is accepted on its corners alone: the intercept range
 [clo, chi] and the intercepts above each minimum decide it in closed form.
-Its DiagRegion is built and cached the first time region() is called.
+Its DiagRegion is built and cached the first time region() is called; the
+int kernels build it on scaled(S), whose corners are ints.
 """
 
 from collections import namedtuple
@@ -143,8 +144,7 @@ def _lower_walk(mins):
     ls = HALF if is_inf(last.x2) else -HALF
     rs = -HALF if is_inf(first.x1) else HALF
     if not xs:  # a lone minimum with one infinite coordinate: a line
-        return PL([Fraction(0)], [first.x2 if is_inf(first.x1) else first.x1],
-                  ls, rs)
+        return PL([0], [first.x2 if is_inf(first.x1) else first.x1], ls, rs)
     return PL(xs, vs, ls, rs)
 
 
@@ -195,13 +195,6 @@ class DiagRegion:
         tlo = self.tlo if self.tlo is NINF else self.tlo.shift_y(-delta)
         thi = self.thi if self.thi is INF else self.thi.shift_y(-delta)
         return DiagRegion(self.clo, self.chi, tlo, thi)
-
-    def dilate(self, k):
-        """The region dilated by k > 0 about the origin of the plane:
-        intercepts, knots and slice endpoints times k."""
-        tlo = self.tlo if self.tlo is NINF else self.tlo.dilate(k)
-        thi = self.thi if self.thi is INF else self.thi.dilate(k)
-        return DiagRegion(qmul(self.clo, k), qmul(self.chi, k), tlo, thi)
 
     def restrict_hull(self, lo, hi):
         lo = max(lo, self.clo)
@@ -282,7 +275,7 @@ class DiagRegion:
         return sorted(ks)
 
     def corner_coordinates(self):
-        """Finite coordinates of slice endpoints at all breakpoints."""
+        """Coordinates of slice endpoints at all breakpoints, all finite."""
         coords = []
         for c in self.knots():
             for f in (self.tlo, self.thi):
@@ -404,6 +397,19 @@ class StaircaseInterval:
         if not pt_le(r, s):
             raise ValidationError("rectangle with r <= s violated")
         return cls.from_antichains([r], [s])
+
+    def scaled(self, S, origin=Point2(0, 0)):
+        """The interval moved by -origin, a finite point, with every corner
+        then times the int S > 0, on int coordinates: S must be a multiple
+        of the denominator of every finite coordinate, as scalars.int_scale
+        makes it.  A translation and a positive scaling keep the order of
+        the plane, strict chains and every intercept inequality, so they
+        keep every condition from_antichains checks, and the result is not
+        checked again."""
+        o1, o2 = origin
+        mv = lambda p: Point2(qmul(p.x1 - o1, S), qmul(p.x2 - o2, S))
+        return StaircaseInterval(map(mv, self.mins), map(mv, self.maxs),
+                                 _internal=True)
 
     def region(self) -> DiagRegion:
         if self._region is None:

@@ -26,7 +26,7 @@ from .bottleneck import int_point_bottleneck
 from .errors import PreconditionError, ValidationError
 from .geometry import DiagBand, Point2, band, intercept, point, pt_le
 from .record import Record
-from .scalars import INF, NINF, ext, fmt, is_inf
+from .scalars import INF, NINF, ext, fmt, int_scale, is_inf, qmul
 
 # The most bands refine_alpha may cut a covering into.
 MAX_BANDS = 10000
@@ -291,19 +291,18 @@ def _scaled_ints(presentations, a, values):
     grades holds a (rows, cols) pair of lists of int pairs (x1, x2) per
     presentation.
 
-    S is twice the lcm of every denominator, so every scaled number is
-    even: the halvings of the line parameter, of the unmatched cost and of
-    _band_epsilon stay whole.
+    S is int_scale(2, ...) of all of them, so every scaled number is even:
+    the halvings of the line parameter, of the unmatched cost and of
+    _band_epsilon stay whole.  S is per direction, since a direction's
+    factors bring their own denominators.
     """
     scaled = [scale_presentation(P, a) for P in presentations]
-    S = 2 * math.lcm(*(x.denominator for P in scaled
-                       for u in P.row_grades + P.col_grades for x in u),
-                     *(v.denominator for v in values))
-    to_int = lambda x: x.numerator * (S // x.denominator)
-    grades = [tuple([(to_int(u.x1), to_int(u.x2)) for u in part]
+    S = int_scale(2, [x for P in scaled for u in P.row_grades + P.col_grades
+                      for x in u] + list(values))
+    grades = [tuple([(qmul(u.x1, S), qmul(u.x2, S)) for u in part]
                     for part in (P.row_grades, P.col_grades))
               for P in scaled]
-    return S, grades, [to_int(v) for v in values]
+    return S, grades, [qmul(v, S) for v in values]
 
 
 def _order(keys):

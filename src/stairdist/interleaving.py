@@ -11,11 +11,12 @@ Each overlap component of one module with the other shifted is valid
 the interleaving: the criterion of Dey & Xin (SoCG 2018).
 
 The same code runs on Fraction data (di_decision, di_interval_vs_rect) and
-on the int data that di_interval scales its regions to; every division is
-scalars.qdiv, which keeps an even quotient of ints an int.
+on the regions of int corners that di_interval builds: it scales both
+modules' corners once (StaircaseInterval.scaled), before any region is
+built.  Every division is scalars.qdiv, which keeps an even quotient of
+ints an int.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -23,7 +24,7 @@ from .geometry import (DiagRegion, StaircaseInterval, region_intersection,
                        tval)
 from .pl import PL, pl_abs, pl_max, pl_min, pl_sub
 from .record import Record
-from .scalars import INF, NINF, ext, is_inf, qdiv
+from .scalars import INF, NINF, ext, int_scale, is_inf, qdiv
 
 HALF = Fraction(1, 2)
 
@@ -189,19 +190,13 @@ class DecisionReport(Record):
 
 
 def _candidate_deltas(A: DiagRegion, B: DiagRegion):
-    vals = set()
-    for R in (A, B):
-        vals.update(R.knots())
-        vals.update(x for x in R.corner_coordinates() if not is_inf(x))
-    vals = sorted(vals)
-    out = set()
-    for i, u in enumerate(vals):
-        for v in vals[i:]:
-            d = v - u
-            out.add(d)
-            out.add(qdiv(d, 2))
-    out.add(0)
-    return sorted(out)
+    """0 and every difference v - u of two corner coordinates of the two
+    regions, with its half, sorted: by the lemma of _least_accepted, every
+    root of K(d) = d is one of them.  A knot is itself such a difference,
+    so knots add no candidate."""
+    vals = sorted({x for R in (A, B) for x in R.corner_coordinates()})
+    ds = {0} | {v - u for i, u in enumerate(vals) for v in vals[i:]}
+    return sorted(ds | {qdiv(d, 2) for d in ds})
 
 
 def _probe_components(A, B, dprime):
@@ -282,20 +277,22 @@ def _least_accepted(A, B, dd):
     accepted (K is None or K < a + 2).  Most searches end at dd, so the
     O(V^2) candidates are built only when first needed.
 
-    Lattice.  _int_scale makes every intercept, knot and slice value a
-    multiple of 16, so every corner coordinate t -+ c/2 is a multiple of 8
-    and every candidate a multiple of 4.  So is dd.  Where a slice end
-    function has slope +1/2 the end keeps its x1, where -1/2 its x2, and
-    that coordinate is a corner coordinate; along one diagonal a difference
-    of t is one of x1 or of x2.  So at a knot every slice length and end
-    gap is a multiple of 8, and so is any of them that is flat on one side.
-    Between knots half the longer slice and the larger end gap are convex,
-    so the slicewise sup sits where they meet, neither flat: half a slice
-    length rising at 1/2 against an end gap falling at 1, or the mirror.
-    There the distances force the slices to be equally long and the four
-    ends to lie h apart in a row, h the distance, and two neighbours in
-    the row keep the same coordinate, so h is a multiple of 8 too.  Hence
-    a + 2 lies strictly inside the gap (a, b) up to the next candidate.
+    Lattice.  di_interval scales the corners to multiples of 16, so every
+    corner coordinate and knot (an intercept x2 - x1) is a multiple of 16
+    and every slice value (x1 + x2)/2 of 8.  Every candidate, (v - u)/2 or
+    v - u of two corner coordinates, is then a multiple of 8.  So is dd.
+    Where a slice end function has slope +1/2 the end keeps its x1, where
+    -1/2 its x2, and that coordinate is a corner coordinate; along one
+    diagonal a difference of t is one of x1 or of x2.  So at a knot every
+    slice length and end gap is a multiple of 16, and so is any of them
+    that is flat on one side.  Between knots half the longer slice and the
+    larger end gap are convex, so the slicewise sup sits where they meet,
+    neither flat: half a slice length rising at 1/2 against an end gap
+    falling at 1, or the mirror.  There the distances force the slices to
+    be equally long and the four ends to lie h apart in a row, h the
+    distance, and two neighbours in the row keep the same coordinate, so
+    h is a multiple of 16 too.  The probe needs only multiples of 4: a + 2
+    lies strictly inside the gap (a, b) up to the next candidate.
 
     Lemma.  Acceptance is constant inside each such gap, so the least
     accepted shift is dd or a candidate, and a + 2 decides the gap above
@@ -361,34 +358,18 @@ def di_interval(M, N):
     candidate shift, each decided by one probe inside the gap above it
     (_least_accepted).
 
-    The search runs on both regions scaled by one int S that makes their
-    knots and values multiples of 16, and its result is divided by S.
-    Every step commutes with a positive scaling of the plane, so this is
-    exact, and the search's arithmetic stays on ints.
+    The search runs on both modules with their corners scaled by one int
+    S, 16 times the lcm of their denominators, and its result is divided
+    by S.  Every step commutes with a positive scaling of the plane, so
+    this is exact, and the regions and the search stay on ints.
     """
-    if (isinstance(M, StaircaseInterval) and isinstance(N, StaircaseInterval)
-            and M == N):
+    if M == N:
         return Fraction(0)
-    A, B = _as_region(M), _as_region(N)
-    S = _int_scale(A, B)
-    A, B = A.dilate(S), B.dilate(S)
+    S = int_scale(16, (x for I in (M, N) for p in I.mins + I.maxs for x in p))
+    A, B = M.scaled(S).region(), N.scaled(S).region()
     dd, _ = _di_diag(A, B)
     d = INF if dd is INF else _least_accepted(A, B, int(dd))
-    return d if d is INF else Fraction(d) / S
-
-
-def _int_scale(*regions):
-    """16 times the lcm of the denominators of the regions' finite
-    intercepts, knots and values.  Scaled by it these are multiples of 16,
-    corner coordinates of 8, and the candidates and the slicewise
-    supremum of 4 (see _least_accepted)."""
-    dens = set()
-    for R in regions:
-        dens.update(c.denominator for c in (R.clo, R.chi) if not is_inf(c))
-        for f in (R.tlo, R.thi):
-            if isinstance(f, PL):
-                dens.update(x.denominator for x in f.xs + f.vs)
-    return 16 * math.lcm(*dens)
+    return d if d is INF else Fraction(d, S)
 
 
 # --------------------------------------------------------------------------

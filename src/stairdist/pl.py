@@ -34,7 +34,7 @@ class PL:
     @classmethod
     def const(cls, v, lo=NINF, hi=INF):
         if is_inf(lo) and is_inf(hi):
-            return cls([Fraction(0)], [v], Fraction(0), Fraction(0))
+            return cls([0], [v], Fraction(0), Fraction(0))
         if is_inf(lo):
             return cls([hi], [v], Fraction(0), None)
         if is_inf(hi):
@@ -118,12 +118,6 @@ class PL:
         sl = None if self.lslope is None else self.lslope * k
         sr = None if self.rslope is None else self.rslope * k
         return PL(self.xs, [qmul(k, v) for v in self.vs], sl, sr)
-
-    def dilate(self, k):
-        """The graph dilated by k > 0 about the origin: knots and values
-        times k, slopes unchanged."""
-        return PL([qmul(x, k) for x in self.xs], [qmul(v, k) for v in self.vs],
-                  self.lslope, self.rslope)
 
     def __neg__(self):
         sl = None if self.lslope is None else -self.lslope

@@ -6,8 +6,9 @@ the optimal rectangle, found by partitioning the bounding rectangle into
 diagonal bands, placing the four rectangle corners into bands in every
 combination, and solving each placement exactly as a handful of small linear
 programs; placements that provably cannot win are skipped, and their LPs
-stopped.  The LP rows are built on ints once per module and run on a
-fraction-free integer simplex tableau whose results are exact Fractions.
+stopped.  The search runs on the module's corners scaled to ints, where
+the LP rows are ints, built once per module; they run on a fraction-free
+integer simplex tableau whose results are exact Fractions.
 Cell LPs share most of their rows, and each LP ends on an exact
 certificate (an optimal or stopped dual point, or an unbounded ray) that
 holds in every later LP containing its rows, so most cell LPs are settled
@@ -17,14 +18,13 @@ by an earlier certificate and never run.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .errors import PreconditionError
-from .geometry import (RectangleSpec, StaircaseInterval, band, intercept,
+from .geometry import (DiagBand, RectangleSpec, StaircaseInterval, intercept,
                        point, tval)
 from .interleaving import triv_distance
 from .record import Record
-from .scalars import INF, NINF, is_inf
+from .scalars import INF, NINF, int_scale, is_inf, qdiv
 
 
 class RectApproxResult(Record):
@@ -41,17 +41,15 @@ class RectApproxResult(Record):
 
 def _corner_pull(reg, x, lower):
     """Distance from a bounding corner to its boundary staircase, and the
-    midpoint of the pull (half the diagonal gap)."""
-    c = intercept(x)
-    seg = reg.slice_at(c)
+    midpoint of the pull (half the diagonal gap, up from the lower corner
+    and down from the upper one)."""
+    seg = reg.slice_at(intercept(x))
     if seg.is_empty:
         return INF, x
-    target = seg.t_lo if lower else seg.t_hi
-    gap = (target - tval(x)) if lower else (tval(x) - target)
-    if is_inf(gap):
+    step = qdiv((seg.t_lo if lower else seg.t_hi) - tval(x), 2)
+    if is_inf(step):
         return INF, x
-    step = gap / 2 if lower else -gap / 2
-    return gap / 2, point(x.x1 + step, x.x2 + step)
+    return abs(step), point(x.x1 + step, x.x2 + step)
 
 
 def construction1(M: StaircaseInterval) -> RectApproxResult:
@@ -132,9 +130,8 @@ def band_partition(M: StaircaseInterval):
         breaks = [NINF] + breaks
     if reg.chi is INF:
         breaks = breaks + [INF]
-    if len(breaks) == 1:
-        return [band(breaks[0], breaks[0])]
-    return [band(a, b) for a, b in zip(breaks, breaks[1:])]
+    return ([DiagBand(a, b) for a, b in zip(breaks, breaks[1:])]
+            or [DiagBand(breaks[0], breaks[0])])
 
 
 # --------------------------------------------------------------------------
@@ -274,24 +271,25 @@ def _col(corner, u1, u2, epi):
 
 
 class _CellGeometry:
-    """The rows of every cell LP of one bounded interval, built once on ints.
+    """The rows of every cell LP of one bounded interval with int corners.
 
-    The LP variables are (p1, p2, q1, q2), shifted to start at the bounding
-    corner rb, and the epigraph variable.  A row `a.x <= b` is kept as
-    (-a, b), the column it contributes to the dual LP that `_solve_rows`
-    solves.  Constraints carry epigraph coefficient 0, atoms
-    (`atom <= epigraph`) -1.  The right-hand side of the dual LP, dual_rhs,
-    says that the four shifted corner coordinates are free of cost and the
-    epigraph variable costs 1.
+    optimal_rectangle builds it on its module's int image, with the
+    bounding corner rb at the origin and corners at multiples of 4.  The
+    LP variables are (p1, p2, q1, q2), nonnegative, and the epigraph
+    variable.  A row `a.x <= b` is kept as (-a, b), the column it
+    contributes to the dual LP that `_solve_rows` solves.  Constraints
+    carry epigraph coefficient 0, atoms (`atom <= epigraph`) -1.  The
+    right-hand side of the dual LP, dual_rhs, says that the four corner
+    coordinates are free of cost and the epigraph variable costs 1.
 
     Each row combines corner intercepts c = x2 - x1 and parameters
     t = (x1 + x2) / 2 with coefficients +-1, +-1/2 or +-1/4, set by the
     band's boundary slopes beta in {-1/2, 0, 1/2}, so its column is an int
-    column times col_scale = 4.  Its right-hand side is its constant at rb
-    (a box side, half a slice length, a band edge minus rb.x2 - rb.x1, or a
-    boundary alpha + beta*c - t), times rhs_scale, the lcm of their
-    denominators.  Positive scalings of all columns and of all right-hand
-    sides change no pivot of solve_lp: its LPs are the rational ones.
+    column times col_scale = 4, which changes no pivot of solve_lp: its
+    LPs are the rational ones.  Its right-hand side is its constant at the
+    origin: a box side, half a slice length, a band edge or a boundary's
+    alpha.  Slice values and lengths are even and band edges multiples of
+    4, so each of these is an int.
 
     Every cell LP has the same dual right-hand side, and a row is the same
     dual column wherever it appears, so a certificate solve_lp reports on
@@ -306,39 +304,27 @@ class _CellGeometry:
     dual_rhs = [0, 0, 0, 0, 4]
 
     def __init__(self, M: StaircaseInterval):
-        rb, sb = M.bounding_r, M.bounding_s
-        if any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
-            raise PreconditionError("cell optimization needs a bounded interval")
+        W, H = M.bounding_s
+        if M.bounding_r != (0, 0) or is_inf(W) or is_inf(H):
+            raise PreconditionError("cell optimization needs a bounded "
+                                    "interval with rb at the origin")
         reg = M.region()
         self.bands = band_partition(M)
         self.tables = diam_tables(M)
-        self.lbs = (rb.x1, rb.x2, rb.x1, rb.x2)
-        cb, tb = rb.x2 - rb.x1, (rb.x1 + rb.x2) / 2
         # per band and boundary (tlo, thi), the piece t = alpha + beta*c as
-        # (2 beta, alpha + beta*cb - tb): a staircase boundary has slope
-        # +-1/2 between vertex diagonals, and a one-point band slope 0
+        # (2 beta, alpha): a staircase boundary has slope +-1/2 between
+        # vertex diagonals, and a one-point band slope 0
         pieces, self.min_len = [], []
         for b in self.bands:
             ends = [(f(b.lo), f(b.hi)) for f in (reg.tlo, reg.thi)]
             piece = []
             for flo, fhi in ends:
-                beta = (fhi - flo) / (b.hi - b.lo) if b.hi != b.lo else 0
-                piece.append((int(2 * beta), flo + beta * (cb - b.lo) - tb))
+                b2 = qdiv(2 * (fhi - flo), b.hi - b.lo) if b.hi != b.lo else 0
+                piece.append((b2, flo - qdiv(b2 * b.lo, 2)))
             pieces.append(piece)
             # slice length is linear across a band: min at the ends
             (llo, lhi), (hlo, hhi) = ends
-            self.min_len.append(max(min(hlo - llo, hhi - lhi), Fraction(0)))
-        w, h = sb.x1 - rb.x1, sb.x2 - rb.x2
-        half_diam = {v: v / 2 for v in set(self.tables.lengths)}
-        consts = [w, h, *half_diam.values()]
-        for b, ((_, glo), (_, ghi)) in zip(self.bands, pieces):
-            consts += [b.lo - cb, b.hi - cb, glo, ghi, (ghi - glo) / 2]
-        rs = self.rhs_scale = lcm(*(v.denominator for v in consts))
-
-        def ints(v):
-            return v.numerator * (rs // v.denominator)
-
-        W, H = ints(w), ints(h)
+            self.min_len.append(max(min(hlo - llo, hhi - lhi), 0))
         self.pool = {}  # row -> {support: bound} (see _keep)
         self.box = [((4, 0, 0, 0, 0), 0), ((0, 0, 0, 4, 0), 0),
                     ((0, 0, -4, 0, 0), W), ((0, -4, 0, 0, 0), H),
@@ -349,8 +335,8 @@ class _CellGeometry:
         self.height = ((0, -2, 0, 2, 4), 0)
         self.zero = ((0, 0, 0, 0, 4), 0)
         # the outside and inside diameters of pair() are slice lengths
-        self.half_diam = {v: (self.zero[0], -ints(hv))
-                          for v, hv in half_diam.items()}
+        self.half_diam = {v: (self.zero[0], -qdiv(v, 2))
+                          for v in set(self.tables.lengths)}
         # per band: the rows lo <= c and c <= hi of each corner intercept,
         # half the slice length at c_p and c_q, and the boundary gaps
         self.lo_rows = {name: [] for name in _CORNERS}
@@ -359,21 +345,19 @@ class _CellGeometry:
         self.gaps = {g: [] for g in _GAPS}
         for b, piece in zip(self.bands, pieces):
             for name in _CORNERS:
-                self.lo_rows[name].append((_col(name, -4, 4, 0),
-                                           ints(cb - b.lo)))
-                self.hi_rows[name].append((_col(name, 4, -4, 0),
-                                           ints(b.hi - cb)))
+                self.lo_rows[name].append((_col(name, -4, 4, 0), -b.lo))
+                self.hi_rows[name].append((_col(name, 4, -4, 0), b.hi))
             (blo, glo), (bhi, ghi) = piece
             for name in self.half_len:
                 self.half_len[name].append((_col(name, bhi - blo, blo - bhi, 4),
-                                            -ints((ghi - glo) / 2)))
+                                            -qdiv(ghi - glo, 2)))
             side = {"lo": piece[0], "hi": piece[1]}
             for g in _GAPS:
                 name, (b2, gv), sign = g[0], side[g[1]], g[2]
                 self.gaps[g].append((_col(name, sign * (2 + 2 * b2),
                                           sign * (2 - 2 * b2), 4),
-                                     -sign * ints(gv)))
-        # the int band edges of hull_cells: the lo and hi rows' right sides
+                                     -sign * gv))
+        # the band edges of hull_cells: the lo and hi rows' right sides
         self.edge_lo = [r for _, r in self.lo_rows["p"]]
         self.edge_hi = [r for _, r in self.hi_rows["p"]]
 
@@ -388,18 +372,17 @@ class _CellGeometry:
         in_d = self.tables.diam(vi, vj)
         # every branch carries the outside diameter and both slice lengths
         lb = max(self.min_len[i], self.min_len[j],
-                 out_d if out_d is not NINF else Fraction(0))
+                 out_d if out_d is not NINF else 0)
         lens = [self.half_len["p"][i], self.half_len["q"][j]]
         t1 = lens + ([self.half_diam[out_d]] if out_d is not NINF else [])
         t2a = lens + ([self.half_diam[in_d]] if in_d is not NINF else [])
-        return lb / 2, t1, t2a
+        return qdiv(lb, 2), t1, t2a
 
     def hull_cells(self, i, j):
         """The cells (i, j, k, l), k then l ascending in j..i, whose r and s
         intercept bands can meet c_r + c_s = c_p + c_q: with bands [lo, hi],
         hi_k + hi_l >= lo_i + lo_j and lo_k + lo_l <= hi_i + hi_j.  Tested
-        on the ints edge_lo = rhs_scale * (cb - lo) and
-        edge_hi = rhs_scale * (hi - cb), and lazily, so that the search's
+        on edge_lo = -lo and edge_hi = hi, and lazily, so that the search's
         break ends the enumeration too."""
         lo, hi = self.edge_lo, self.edge_hi
         for k in range(j, i + 1):
@@ -449,48 +432,44 @@ class _CellGeometry:
         Solved through the dual: min b.y  s.t.  -A^T y <= (0,0,0,0,1), y >= 0.
         Its right-hand side is nonnegative, as solve_lp requires, and the
         tableau has only five rows; the primal optimum is -value and the
-        primal point is the dual point of this LP.  The rows are scaled to
-        ints, so the dual value comes back times rhs_scale and the dual
-        point times rhs_scale / col_scale.
+        primal point is the dual point of this LP.  The columns are scaled
+        to ints, so the dual point comes back over col_scale.
 
         Returns None when the rows are infeasible (the dual is unbounded)
         or, possibly, when the minimum is above stop: each dual feasible y
-        the simplex visits gives the lower bound -b.y / rhs_scale on the
-        minimum (weak duality), rising from pivot to pivot, and solve_lp
-        stops once that bound is above stop.  Before any pivot, a pooled
-        certificate may show either (_skip); every LP that runs adds the
-        certificate it ends on to the pool.
+        the simplex visits gives the lower bound -b.y on the minimum (weak
+        duality), rising from pivot to pivot, and solve_lp stops once that
+        bound is above stop.  Before any pivot, a pooled certificate may
+        show either (_skip); every LP that runs adds the certificate it
+        ends on to the pool.
         """
         if self._skip(rows, stop):
             return None
         cols, rhs = zip(*rows)
         cert = []
         try:
-            res = solve_lp(rhs, list(zip(*cols)), self.dual_rhs,
-                           -stop * self.rhs_scale, cert)
+            res = solve_lp(rhs, list(zip(*cols)), self.dual_rhs, -stop, cert)
         except ArithmeticError:
             res = None  # unbounded dual: the placement is infeasible
         self._keep(rows, *cert[0])
         if res is None:
             return None  # stopped or infeasible
         dval, _, x = res
-        back = Fraction(self.col_scale, self.rhs_scale)
-        return (-dval / self.rhs_scale,
-                tuple(x[v] * back + self.lbs[v] for v in range(4)))
+        return -dval, tuple(v * self.col_scale for v in x[:4])
 
     def _keep(self, rows, kind, v, D):
         """Pool the certificate solve_lp ended on, as its support (a set
         of rows) and the bound it proves.  A ray proves the rows
         infeasible (None).  A stopped or optimal y, zero off the support,
         is dual feasible on any rows that hold the support, so by weak
-        duality -c.y / rhs_scale bounds their minimum from below (for an
-        optimal y it is the minimum itself).  Of two certificates on one
-        support the pool keeps the stronger."""
+        duality -c.y bounds their minimum from below (for an optimal y it
+        is the minimum itself).  Of two certificates on one support the
+        pool keeps the stronger."""
         if not v:
             return  # y = 0 proves only the bound 0
         support = frozenset(rows[j] for j in v)
         bound = None if kind == "ray" else Fraction(
-            -sum(rows[j][1] * vj for j, vj in v.items()), D * self.rhs_scale)
+            -sum(rows[j][1] * vj for j, vj in v.items()), D)
         bucket = self.pool.setdefault(min(support), {})
         old = bucket.get(support, 0)
         if old is not None and (bound is None or bound > old):
@@ -545,12 +524,20 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     so a skipped LP is infeasible or above the stop, where the stop
     already lets it end in None, and the result is the same as with every
     LP run.
+
+    The search runs on M moved to put its bounding corner rb at the
+    origin and scaled by S, 4 times the lcm of the corners' denominators,
+    so that every LP row is an int row.  Every step commutes with that
+    map, which keeps the tie-break order too, so the rect and epsilon are
+    mapped back once at the end.
     """
     rb, sb = M.bounding_r, M.bounding_s
     if M.is_rectangle() or any(is_inf(v) for v in (rb.x1, rb.x2, sb.x1, sb.x2)):
         # a rectangle is its own approximation; unbounded support falls
         # back to the midpoint construction
         return construction1(M)
+    S = int_scale(4, (x for p in M.mins + M.maxs for x in p))
+    M = M.scaled(S, rb)
     triv = triv_distance(M)
     geo = _CellGeometry(M)
     nb = len(geo.bands)
@@ -578,8 +565,10 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
     if best is not None and best[1] < eps:
         rect, eps = best
     if rect.is_zero or triv <= eps:
-        return RectApproxResult(RectangleSpec.zero(), triv)
-    return RectApproxResult(rect, eps)
+        return RectApproxResult(RectangleSpec.zero(), Fraction(triv, S))
+    back = lambda p: (rb.x1 + Fraction(p.x1, S), rb.x2 + Fraction(p.x2, S))
+    return RectApproxResult(RectangleSpec(back(rect.r), back(rect.s)),
+                            Fraction(eps, S))
 
 
 def approx_decomposable(summands):

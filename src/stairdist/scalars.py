@@ -6,8 +6,11 @@ saturates (a + inf = inf), except that opposite infinities cancel to 0,
 the convention needed where a diagonal line degenerates to a corner of
 the extended plane (bottleneck.linf_gap relies on it for coordinates
 infinite on both sides); an infinity times 0 raises ArithmeticError.
+A kernel that runs on ints scales its input once by S = int_scale(k, ...),
+so that qmul(x, S) is an int multiple of k, and divides its result by S.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -108,6 +111,12 @@ def qmul(q, x):
     if type(q) is Fraction:
         return qdiv(q.numerator * x, q.denominator)
     return q * x
+
+
+def int_scale(k, values):
+    """k times the lcm of the denominators of the finite values, so that
+    qmul(x, S) is an int multiple of k for each of them."""
+    return k * math.lcm(*(x.denominator for x in values if not is_inf(x)))
 
 
 def is_inf(x):

@@ -719,16 +719,18 @@ def _piece(f, lo, hi):
     """PL f as (alpha, beta) with f(c) = alpha + beta*c on the band [lo, hi]."""
     if lo == hi:
         return (f(lo), Fraction(0))
-    beta = (f(hi) - f(lo)) / (hi - lo)
+    beta = Fraction(f(hi) - f(lo), hi - lo)
     return (f(lo) - beta * lo, beta)
 
 
 class FractionCellGeometry(_CellGeometry):
     """`rect_approx._CellGeometry` with every row built in Fraction affine
-    algebra and kept as Fractions: the int geometry's rows are these times
-    its (col_scale, rhs_scale).  Each LP is scaled to ints only when it is
-    solved, by the lcm of the denominators of all columns and of all
-    right-hand sides, and it runs to optimality.  solve also takes
+    algebra and kept as Fractions, on any bounded interval.  On the int
+    image optimal_rectangle searches, with corners at multiples of 4, the
+    int geometry's rows are these with their columns times col_scale.
+    Each LP is scaled to ints only when it is solved, by the lcm of the
+    denominators of all columns (col_scale) and of all right-hand sides
+    (rhs_scale), and it runs to optimality.  solve also takes
     which="all", the per-cell problem: both branch families with the r and
     s corners held to their own bands."""
 
@@ -779,7 +781,7 @@ class FractionCellGeometry(_CellGeometry):
                 self.gaps[g].append(self._row(_acomb(sign, gap), -1))
             self.min_len.append(max(min(a + k * b.lo, a + k * b.hi),
                                     Fraction(0)))
-        self.half_diam = {v: self._row(_aff(v / 2), -1)
+        self.half_diam = {v: self._row(_aff(Fraction(v, 2)), -1)
                           for v in set(self.tables.lengths)}
         rows = [*self.box, *self.var_box, self.width, self.height, self.zero,
                 *self.half_diam.values()]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from stairdist import generate as gen
 from stairdist import io as mio
 from stairdist.cli import main
 from stairdist.generate import random_presentation, random_staircase
@@ -285,6 +286,13 @@ class TestGenerate:
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_nonpositive_size_rejected(self, capsys, kind, size):
         assert main(["generate", "--kind", kind, "--size", size]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "validation error" in err and "--size" in err
+
+    def test_presentation_size_capped(self, capsys):
+        big = str(gen.MAX_PRESENTATION_SIZE + 1)
+        assert main(["generate", "--kind", "presentation", "--size", big]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "validation error" in err and "--size" in err

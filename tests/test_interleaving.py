@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from oracles import (di_bracket_oracle, diag_sup_oracle,
                      kill_requirement_oracle, triv_oracle)
 from stairdist.errors import PreconditionError, ValidationError
-from stairdist.geometry import (Point2, RectangleSpec, StaircaseInterval,
-                                hausdorff, point)
+from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
+                                StaircaseInterval, hausdorff, point)
 from stairdist.generate import random_staircase
 from stairdist.interleaving import (_candidate_deltas, _di_diag,
-                                    _int_scale, _is_valid, _kill_bound,
+                                    _is_valid, _kill_bound,
                                     _kill_requirement, _probe_components,
                                     di_decision, di_diag, di_interval,
                                     di_interval_vs_rect, triv_distance)
 from stairdist.pl import PL
-from stairdist.scalars import INF, NINF
+from stairdist.scalars import INF, NINF, int_scale, is_inf
 
 from conftest import intersect_components, scale, square
 
@@ -248,10 +248,17 @@ def odd_half(I):
     """I under x1 -> 4 x1 + 1/2, x2 -> 4 x2 + 3/2.  Half-integer corners go
     to odd halves whose sums and differences are even and odd ints, so the
     region's knots and values are ints while its corner coordinates are
-    not, and after _int_scale some candidates are 4 mod 8."""
+    not."""
     mv = lambda p: Point2(4 * p.x1 + HALF, 4 * p.x2 + 3 * HALF)
     return StaircaseInterval.from_antichains([mv(v) for v in I.mins],
                                              [mv(w) for w in I.maxs])
+
+
+def int_regions(a, b):
+    """The regions di_interval searches: a and b with their corners scaled
+    by 16 times the lcm of their denominators."""
+    S = int_scale(16, (x for I in (a, b) for p in I.mins + I.maxs for x in p))
+    return a.scaled(S).region(), b.scaled(S).region()
 
 
 class TestIntScaledSearch:
@@ -286,9 +293,10 @@ class TestIntScaledSearch:
                 self.assert_matches_oracle(a, b)
 
     def test_odd_half_coordinates(self):
-        """Candidates 4 apart after scaling: a probe at a + 4 instead of
-        a + 2 returns 39/4 for the first pair, and a scale of 8 instead
-        of 16 goes wrong on the same corpus."""
+        """Candidates 8 apart after scaling: a probe at a + 16 instead of
+        a + 2, which can pass the next candidate, returns 19/2 for the
+        first pair, and so does a scale of 2 instead of 16; a probe at a
+        itself goes wrong on the rest of the corpus."""
         a = StaircaseInterval.rect(point(HALF, HALF),
                                    point(5, Fraction(15, 2)))
         b = StaircaseInterval.from_antichains(
@@ -327,26 +335,39 @@ def test_uniform_scaling_scales_distance(seed, s, unbounded):
 
 def test_no_float_reaches_a_pl(monkeypatch, rng):
     """Every PL built by di_interval and di_decision holds exact scalars
-    only, and the knots and values of di_interval's are mostly ints (the
-    slopes are +-1/2, 0 and +-1 at any scale)."""
+    only, and every knot, value and finite intercept range of the PLs and
+    regions di_interval builds is an int: it builds them on the scaled
+    corners (the slopes are +-1/2, 0 and +-1 at any scale).  The pairs
+    include lone minima with one infinite coordinate, whose lower boundary
+    is a single line."""
     seen, slopes = [], []
-    init = PL.__init__
+    pl_init, reg_init = PL.__init__, DiagRegion.__init__
 
-    def recording_init(self, xs, vs, lslope=None, rslope=None):
-        seen.extend(xs)
-        seen.extend(vs)
+    def record_pl(self, xs, vs, lslope=None, rslope=None):
+        seen.extend((*xs, *vs))
         slopes.extend(s for s in (lslope, rslope) if s is not None)
-        init(self, xs, vs, lslope, rslope)
+        pl_init(self, xs, vs, lslope, rslope)
 
-    monkeypatch.setattr(PL, "__init__", recording_init)
-    pairs = [(k_corner_staircase(rng, 6, 2), k_corner_staircase(rng, 6, 2))]
+    def record_region(self, clo, chi, tlo, thi):
+        seen.extend(c for c in (clo, chi) if not is_inf(c))
+        reg_init(self, clo, chi, tlo, thi)
+
+    monkeypatch.setattr(PL, "__init__", record_pl)
+    monkeypatch.setattr(DiagRegion, "__init__", record_region)
+    third = Fraction(1, 3)
+    lines = [StaircaseInterval.from_antichains([point(NINF, third)],
+                                               [point(2, 5)]),
+             StaircaseInterval.from_antichains([point(third, NINF)],
+                                               [point(5, Fraction(7, 2))])]
+    pairs = [(a, b) for a in lines for b in lines + [square(0, 4)] if a != b]
+    pairs += [(k_corner_staircase(rng, 6, 2), k_corner_staircase(rng, 6, 2))]
     pairs += [opened_pair(rng, 6) for _ in range(6)]
+    pairs += [(odd_half(random_staircase(rng, size=4)),
+               odd_half(random_staircase(rng, size=4))) for _ in range(5)]
     for a, b in pairs:
         seen.clear()
         d = di_interval(a, b)
-        kinds = [type(x) for x in seen]
-        assert float not in kinds
-        assert kinds.count(int) > len(kinds) // 2
+        assert a == b or (seen and all(type(x) is int for x in seen))
         if d is not INF:
             seen.clear()
             di_decision(a, b, d)
@@ -369,9 +390,7 @@ def test_kill_requirement_matches_oracle(seed, unbounded):
         a, b = opened_pair(rng, 3)
     else:
         a, b = random_staircase(rng, size=3), random_staircase(rng, size=3)
-    A, B = a.region(), b.region()
-    S = _int_scale(A, B)
-    A, B = A.dilate(S), B.dilate(S)
+    A, B = int_regions(a, b)
     for d in _candidate_deltas(A, B):
         for probe in (d, d + 2):
             assert (_kill_requirement(A, B, probe)
@@ -382,10 +401,11 @@ def test_kill_requirement_matches_oracle(seed, unbounded):
        st.sampled_from([1, 3, 7, odd_half]))
 @settings(max_examples=80, deadline=None)
 def test_int_scale_puts_search_on_multiples_of_four(seed, unbounded, move):
-    """After _int_scale the slicewise supremum and every candidate are
-    multiples of 4, so the probe a + 2 lies strictly inside the gap above
-    a; the supremum is a whole number (possibly a Fraction).  The pair is
-    scaled by 1/move or taken through odd_half."""
+    """With the corners scaled by 16 times the lcm of their denominators,
+    the slicewise supremum and every candidate are multiples of 8, so the
+    probe a + 2 lies strictly inside the gap above a, which needs only
+    multiples of 4; the supremum is a whole number (possibly a Fraction).
+    The pair is scaled by 1/move or taken through odd_half."""
     rng = random.Random(seed)
     if unbounded:
         a, b = opened_pair(rng, 4)
@@ -395,12 +415,10 @@ def test_int_scale_puts_search_on_multiples_of_four(seed, unbounded, move):
         a, b = odd_half(a), odd_half(b)
     else:
         a, b = moved(a, Fraction(1, move), 0), moved(b, Fraction(1, move), 0)
-    A, B = a.region(), b.region()
-    S = _int_scale(A, B)
-    A, B = A.dilate(S), B.dilate(S)
+    A, B = int_regions(a, b)
     dd, _ = _di_diag(A, B)
-    assert dd is INF or (dd.denominator == 1 and dd % 4 == 0)
-    assert all(type(c) is int and c % 4 == 0 for c in _candidate_deltas(A, B))
+    assert dd is INF or (dd.denominator == 1 and dd % 8 == 0)
+    assert all(type(c) is int and c % 8 == 0 for c in _candidate_deltas(A, B))
 
 
 def test_one_sided_probe_stays_on_ints(monkeypatch):
@@ -418,9 +436,7 @@ def test_one_sided_probe_stays_on_ints(monkeypatch):
     monkeypatch.setattr(PL, "__init__", recording_init)
     rng = random.Random(16)
     a, b = k_corner_staircase(rng, 16, 2), k_corner_staircase(rng, 16, 2)
-    A, B = a.region(), b.region()
-    S = _int_scale(A, B)
-    A, B = A.dilate(S), B.dilate(S)
+    A, B = int_regions(a, b)
     for d in _candidate_deltas(A, B):
         probe = d + 2
         for _, comp, _, _ in _probe_components(A, B, probe):

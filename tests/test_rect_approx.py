@@ -11,13 +11,15 @@ from oracles import (FractionCellGeometry, fraction_simplex,
                      rect_grid_oracle, reference_optimal_rectangle)
 from stairdist import rect_approx
 from stairdist.errors import PreconditionError
-from stairdist.geometry import RectangleSpec, StaircaseInterval, point
+from stairdist.geometry import (DiagRegion, RectangleSpec, StaircaseInterval,
+                                point)
 from stairdist.generate import random_staircase
 from stairdist.interleaving import di_interval_vs_rect, triv_distance
 from stairdist.rect_approx import (_CellGeometry, approx_decomposable,
                                    band_partition, construction1,
                                    diam_tables, optimal_rectangle, solve_lp)
-from stairdist.scalars import INF, NINF
+from stairdist.pl import PL
+from stairdist.scalars import INF, NINF, int_scale, is_inf
 
 from conftest import (banded_staircase, diag_shift, optimize_cell, scale,
                       square)
@@ -36,6 +38,14 @@ def lp_outcome(solve, c, A, b):
 def oracle_lp(c, A, b):
     """The Fraction tableau's answer in solve_lp's form (value, x, y)."""
     return fraction_simplex(c, A, b, duals=True)
+
+
+def int_image(M):
+    """M as optimal_rectangle searches it: moved to put its bounding corner
+    at the origin, then scaled by 4 times the lcm of its corners'
+    denominators."""
+    S = int_scale(4, (x for p in M.mins + M.maxs for x in p))
+    return M.scaled(S, M.bounding_r)
 
 
 # small entries, so that ratio ties and degenerate vertices are common
@@ -216,8 +226,9 @@ class TestSolveLp:
     def test_cell_lps_match_fraction_tableau(self, thick_l, thin_l,
                                              monkeypatch):
         # every LP optimal_rectangle starts, run without its stop, against
-        # the Fraction tableau on the same LP with its rows and right-hand
-        # sides divided by the geometry's scales
+        # the Fraction tableau on the same LP with its columns divided by
+        # col_scale; the search runs on int_image(M), whose right-hand
+        # sides are ints already
         seen = []
 
         def record(c, A, b, stop=None, cert=None):
@@ -225,23 +236,22 @@ class TestSolveLp:
             return solve_lp(c, A, b, stop, cert)
 
         monkeypatch.setattr(rect_approx, "solve_lp", record)
+        cs = _CellGeometry.col_scale
         for M in (thick_l, thin_l):
-            geo = _CellGeometry(M)
-            cs, rs = geo.col_scale, geo.rhs_scale
             start = len(seen)
             optimal_rectangle(M)
             assert len(seen) > start
             for c, A, b in seen[start:]:
                 assert b[:4] == [0] * 4 and b[4] > 0
                 want = lp_outcome(
-                    oracle_lp, [Fraction(v, rs) for v in c],
+                    oracle_lp, [Fraction(v) for v in c],
                     [[Fraction(v, cs) for v in row] for row in A],
                     [Fraction(v, cs) for v in b])
                 got = lp_outcome(solve_lp, c, A, b)
                 if isinstance(want, tuple):
                     val, x, y = got
-                    want_y = [v * rs / cs for v in want[2]]
-                    assert (val / rs, x, y) == (want[0], want[1], want_y)
+                    want_y = [v / cs for v in want[2]]
+                    assert (val, x, y) == (want[0], want[1], want_y)
                 else:
                     assert got == want
 
@@ -374,16 +384,39 @@ class TestCellRows:
     """_CellGeometry's int rows and the search on them, against the
     reference geometry's Fraction rows and its search without the stop."""
 
-    def test_int_rows_are_scaled_fraction_rows(self, rng):
+    def test_int_rows_are_scaled_fraction_rows(self, rng, monkeypatch):
+        # on the int image every knot, value, intercept range and band edge
+        # the int geometry builds is an int, the Fraction rows' right-hand
+        # sides are ints already, and the int rows are them with columns
+        # times col_scale
+        built = []
+        pl_init, reg_init = PL.__init__, DiagRegion.__init__
+
+        def record_pl(self, xs, vs, lslope=None, rslope=None):
+            built.extend((*xs, *vs))
+            pl_init(self, xs, vs, lslope, rslope)
+
+        def record_region(self, clo, chi, tlo, thi):
+            built.extend(c for c in (clo, chi) if not is_inf(c))
+            reg_init(self, clo, chi, tlo, thi)
+
+        monkeypatch.setattr(PL, "__init__", record_pl)
+        monkeypatch.setattr(DiagRegion, "__init__", record_region)
         for M in rect_corpus(rng):
-            geo, ref = _CellGeometry(M), FractionCellGeometry(M)
-            cs, rs = geo.col_scale, geo.rhs_scale
+            T = int_image(M)
+            built.clear()
+            geo = _CellGeometry(T)
+            assert built and all(type(v) is int for v in built)
+            assert all(type(v) is int for b in geo.bands for v in b)
+            ref = FractionCellGeometry(T)
+            cs = geo.col_scale
+            assert ref.rhs_scale == 1
             assert geo.dual_rhs == [0, 0, 0, 0, cs]
             assert (geo.bands, geo.min_len) == (ref.bands, ref.min_len)
             got, want = row_families(geo), row_families(ref)
             assert got.keys() == want.keys()
             for key, rows in want.items():
-                assert got[key] == [(tuple(v * cs for v in col), r * rs)
+                assert got[key] == [(tuple(v * cs for v in col), r)
                                     for col, r in rows], key
                 assert all(type(v) is int for col, r in got[key]
                            for v in (*col, r))
@@ -398,7 +431,8 @@ class TestCellRows:
 
     def test_hull_cells_pass_sums_meet(self, rng):
         for M in rect_corpus(rng):
-            geo, ref = _CellGeometry(M), FractionCellGeometry(M)
+            T = int_image(M)
+            geo, ref = _CellGeometry(T), FractionCellGeometry(T)
             nb = len(geo.bands)
             for j in range(nb):
                 for i in range(j, nb):
@@ -442,7 +476,7 @@ class TestCertificatePool:
                 if got == "unbounded":
                     kinds.add("infeasible")
                 else:
-                    assert -got[0] / geo.rhs_scale > stop
+                    assert -got[0] > stop
                     kinds.add("above stop")
         assert kinds == {"infeasible", "above stop"}
 
@@ -548,6 +582,26 @@ class TestOptimalRectangle:
                 assert opt.epsilon == triv
             else:
                 assert di_interval_vs_rect(M, opt.rect) == opt.epsilon
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, Fraction(1, 3)]),
+       st.fractions(-5, 5, max_denominator=7))
+@settings(max_examples=40, deadline=None)
+def test_affine_map_maps_result(seed, s, t):
+    """Under x -> s x + t on both axes the optimal rectangle's corners
+    follow the map and epsilon is times s."""
+    rng = random.Random(seed)
+    M = random_staircase(rng, size=rng.choice([4, 6, 8]))
+    f = lambda p: point(s * p.x1 + t, s * p.x2 + t)
+    got = optimal_rectangle(StaircaseInterval.from_antichains(
+        map(f, M.mins), map(f, M.maxs)))
+    want = optimal_rectangle(M)
+    assert got.epsilon == s * want.epsilon
+    assert type(got.epsilon) is type(want.epsilon) is Fraction
+    if want.rect.is_zero:
+        assert got.rect.is_zero
+    else:
+        assert (got.rect.r, got.rect.s) == (f(want.rect.r), f(want.rect.s))
 
 
 class TestSearchEquivalence:
