@@ -21,8 +21,9 @@ def _coord(rng, hi):
 
 
 def random_staircase(rng: random.Random, size=6) -> StaircaseInterval:
-    """A random staircase interval in [0, 10]^2 with at most `size`
-    vertices per chain."""
+    """A random staircase interval in [0, 10]^2 with at most size // 2
+    (and at least 1) vertices per chain: sizes below 4 always give a
+    rectangle."""
     for _ in range(2000):
         n = rng.randint(1, max(1, size // 2))
         m = rng.randint(1, max(1, size // 2))

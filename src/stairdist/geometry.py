@@ -16,7 +16,10 @@ its mirror image, and maximal corners are the mirrors of minimal ones.
 A StaircaseInterval is accepted on its corners alone: the intercept range
 [clo, chi] and the intercepts above each minimum decide it in closed form.
 Its DiagRegion is built and cached the first time region() is called; the
-int kernels build it on scaled(S), whose corners are ints.
+int kernels build it on scaled(S), whose corners are ints.  What the
+corners give directly is not read off the region: the distance to zero
+(interleaving.triv_distance) and the candidate shifts of the interleaving
+search come from the corner coordinates themselves.
 """
 
 from collections import namedtuple
@@ -175,7 +178,8 @@ class DiagRegion:
         return "DiagRegion([%r, %r])" % (self.clo, self.chi)
 
     def slice_at(self, c) -> SliceSegment:
-        c = ext(c)
+        """The slice at the intercept c, an extended real taken as it is,
+        so that an int intercept of an int region gives int ends."""
         if is_inf(c) or c < self.clo or c > self.chi:
             return SliceSegment(c, None, None)
         lo = NINF if self.tlo is NINF else self.tlo(c)
@@ -214,16 +218,6 @@ class DiagRegion:
         for a, b in g.ge_zero_regions():
             out.append(self.restrict_hull(a, b))
         return out
-
-    def triv(self):
-        """Half the supremum slice length (distance to the zero module)."""
-        g = self.length_fn()
-        if g is INF:
-            return INF
-        v, _ = g.sup()
-        if v <= 0:
-            return Fraction(0)
-        return qdiv(v, 2)
 
     def contains(self, other) -> bool:
         """Does every nonempty slice of `other` sit inside this region?"""
@@ -273,18 +267,6 @@ class DiagRegion:
             if not is_inf(c):
                 ks.add(c)
         return sorted(ks)
-
-    def corner_coordinates(self):
-        """Coordinates of slice endpoints at all breakpoints, all finite."""
-        coords = []
-        for c in self.knots():
-            for f in (self.tlo, self.thi):
-                if isinstance(f, PL):
-                    t = f(c)
-                    h = qdiv(c, 2)
-                    coords.append(t - h)
-                    coords.append(t + h)
-        return coords
 
 
 def region_intersection(a: DiagRegion, b: DiagRegion):
@@ -365,7 +347,7 @@ class StaircaseInterval:
     Construction reads everything it checks off the corners: the intercept
     range [clo, chi], the span above each minimum and the gaps between
     spans.  The diagonal region is built and cached the first time
-    region() reads it: a distance, an approximation or triv."""
+    region() reads it: a distance or an approximation."""
 
     __slots__ = ("mins", "maxs", "_region")
 
@@ -441,8 +423,13 @@ class StaircaseInterval:
 
 def validate_interval(lower, upper) -> StaircaseInterval:
     """Build an interval from its two corner chains (top-left to bottom-right)."""
-    lower = [point(*p) for p in lower]
-    upper = [point(*p) for p in upper]
+    return chains_interval([point(*p) for p in lower],
+                           [point(*p) for p in upper])
+
+
+def chains_interval(lower, upper) -> StaircaseInterval:
+    """validate_interval on chains of Point2s already holding extended
+    reals, as io's parser makes them: no coordinate is coerced again."""
     if not lower or not upper:
         raise ValidationError("empty vertex chain")
     for name, chain in (("lower", lower), ("upper", upper)):

@@ -47,8 +47,13 @@ def validate_presentation(rows, cols, nonzeros) -> GradedMatrix:
     """Check the grade condition and return a GradedMatrix with rows and
     columns sorted by grade (lexicographic, ties by original index).  Every
     grade coordinate must be finite."""
-    rows = [point(*u) for u in rows]
-    cols = [point(*u) for u in cols]
+    return graded_presentation([point(*u) for u in rows],
+                               [point(*u) for u in cols], nonzeros)
+
+
+def graded_presentation(rows, cols, nonzeros) -> GradedMatrix:
+    """validate_presentation on grades that are Point2s already holding
+    extended reals, as io's parser makes them: none is coerced again."""
     for u in rows + cols:
         if is_inf(u.x1) or is_inf(u.x2):
             raise ValidationError("grade (%s, %s) is not finite"

@@ -4,7 +4,9 @@ Everything here works on diagonal slice functions.  The slicewise distance
 is a 1-parameter computation per intercept; the full interval distance adds
 a correction obtained by probing shifted overlaps at finitely many shift
 values: one probe inside each gap between candidate shifts decides the
-whole gap (see _least_accepted).  All arithmetic is exact.
+whole gap (see _least_accepted).  The candidate shifts and the distance
+to the zero module (triv_distance) are read off the corners alone, with
+no region built.  All arithmetic is exact.
 
 Each overlap component of one module with the other shifted is valid
 (_is_valid), trivializable (its _kill_bound is below the shift) or blocks
@@ -41,14 +43,26 @@ def _as_region(x) -> DiagRegion:
 # distance to the zero module
 
 
-def triv_distance(M):
-    """Distance from M to the zero module: half the longest slice.  For a
-    rectangle that is half its shorter side, read off the corners."""
-    if isinstance(M, StaircaseInterval) and M.is_rectangle():
-        r, s = M.mins[0], M.maxs[0]
-        m = min(s.x1 - r.x1, s.x2 - r.x2)
-        return m if is_inf(m) else qdiv(m, 2)
-    return _as_region(M).triv()
+def triv_distance(M: StaircaseInterval):
+    """Distance from M to the zero module: half the longest diagonal slice,
+    read off the corners without building the region.
+
+    Every slice [p, q] has a minimum v <= p and a maximum w >= q, and the
+    diagonal segment from v of length min(w.x1 - v.x1, w.x2 - v.x2) lies
+    in the support, so the longest slice is the largest such min.  Over
+    the maxima by x1, w.x1 - v.x1 rises and w.x2 - v.x2 falls, so the term
+    peaks at the first maximum k where the second is the smaller (where
+    w's intercept crosses v's) or just before it; k never falls as v moves
+    right, so one sweep finds every peak."""
+    maxs, k, m = M.maxs, 0, NINF
+    for v in M.mins:
+        while k < len(maxs) and maxs[k].x1 - v.x1 <= maxs[k].x2 - v.x2:
+            k += 1
+        for w in maxs[max(k - 1, 0):k + 1]:
+            m = max(m, min(w.x1 - v.x1, w.x2 - v.x2))
+    if is_inf(m):
+        return m
+    return qdiv(m, 2) if m > 0 else Fraction(0)
 
 
 # --------------------------------------------------------------------------
@@ -189,12 +203,12 @@ class DecisionReport(Record):
         self.checks = [] if checks is None else checks
 
 
-def _candidate_deltas(A: DiagRegion, B: DiagRegion):
-    """0 and every difference v - u of two corner coordinates of the two
-    regions, with its half, sorted: by the lemma of _least_accepted, every
-    root of K(d) = d is one of them.  A knot is itself such a difference,
-    so knots add no candidate."""
-    vals = sorted({x for R in (A, B) for x in R.corner_coordinates()})
+def _candidate_deltas(M: StaircaseInterval, N: StaircaseInterval):
+    """0 and every difference v - u of two finite corner coordinates of the
+    two intervals, with its half, sorted: by the lemma of _least_accepted,
+    every root of K(d) = d is one of them."""
+    vals = sorted({x for I in (M, N) for p in I.mins + I.maxs for x in p
+                   if not is_inf(x)})
     ds = {0} | {v - u for i, u in enumerate(vals) for v in vals[i:]}
     return sorted(ds | {qdiv(d, 2) for d in ds})
 
@@ -271,8 +285,8 @@ def di_decision(M, N, delta) -> DecisionReport:
     return rep
 
 
-def _least_accepted(A, B, dd):
-    """Least accepted shift at or above dd, or INF, on int-scaled regions:
+def _least_accepted(M, N, dd):
+    """Least accepted shift at or above dd, or INF, on int-scaled intervals:
     the first a of dd and the candidates above it whose probe at a + 2 is
     accepted (K is None or K < a + 2).  Most searches end at dd, so the
     O(V^2) candidates are built only when first needed.
@@ -338,13 +352,15 @@ def _least_accepted(A, B, dd):
     a two-term v - u, or v - u + d, and d is 0, (v - u)/2 or v - u: a
     candidate.
     """
+    A, B = M.region(), N.region()
+
     def accepted(a):
         K = _kill_requirement(A, B, a + 2)
         return K is None or K < a + 2
 
     if accepted(dd):
         return dd
-    for a in _candidate_deltas(A, B):
+    for a in _candidate_deltas(M, N):
         if a > dd and accepted(a):
             return a
     return INF
@@ -366,9 +382,9 @@ def di_interval(M, N):
     if M == N:
         return Fraction(0)
     S = int_scale(16, (x for I in (M, N) for p in I.mins + I.maxs for x in p))
-    A, B = M.scaled(S).region(), N.scaled(S).region()
-    dd, _ = _di_diag(A, B)
-    d = INF if dd is INF else _least_accepted(A, B, int(dd))
+    M, N = M.scaled(S), N.scaled(S)
+    dd, _ = _di_diag(M.region(), N.region())
+    d = INF if dd is INF else _least_accepted(M, N, int(dd))
     return d if d is INF else Fraction(d, S)
 
 

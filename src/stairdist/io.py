@@ -8,9 +8,9 @@ form; reports add a float alongside for spreadsheet use.
 import json
 import math
 
-from .errors import ParseError, ValidationError
-from .geometry import StaircaseInterval, validate_interval
-from .gmd import GradedMatrix, validate_presentation
+from .errors import ParseError
+from .geometry import Point2, StaircaseInterval, chains_interval
+from .gmd import GradedMatrix, graded_presentation
 from .scalars import ext, fmt, is_inf
 
 
@@ -58,7 +58,7 @@ def _parse_points(obj, what):
     for p in obj:
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise ParseError("%s entry %r is not an [x, y] pair" % (what, p))
-        pts.append((parse_scalar(p[0]), parse_scalar(p[1])))
+        pts.append(Point2(parse_scalar(p[0]), parse_scalar(p[1])))
     return pts
 
 
@@ -67,7 +67,7 @@ def parse_interval(obj) -> StaircaseInterval:
         raise ParseError('an interval needs "lower" and "upper" vertex lists')
     lower = _parse_points(obj["lower"], "lower")
     upper = _parse_points(obj["upper"], "upper")
-    return validate_interval(lower, upper)
+    return chains_interval(lower, upper)
 
 
 def parse_module(obj):
@@ -101,7 +101,7 @@ def parse_presentation(obj) -> GradedMatrix:
                    for k in e):
             raise ParseError("nonzero entry %r is not an index pair" % (e,))
         nz.add(tuple(e))
-    return validate_presentation(rows, cols, nz)
+    return graded_presentation(rows, cols, nz)
 
 
 def load_json(path):

@@ -6,9 +6,12 @@ the optimal rectangle, found by partitioning the bounding rectangle into
 diagonal bands, placing the four rectangle corners into bands in every
 combination, and solving each placement exactly as a handful of small linear
 programs; placements that provably cannot win are skipped, and their LPs
-stopped.  The search runs on the module's corners scaled to ints, where
-the LP rows are ints, built once per module; they run on a fraction-free
-integer simplex tableau whose results are exact Fractions.
+stopped.  A placement's lower bound and diameter rows read the largest
+slice length at the knots inside and outside its intercept range, a max
+over a slice of the list of those lengths.  The search runs on the
+module's corners scaled to ints, where the LP rows are ints, built once
+per module; they run on a fraction-free integer simplex tableau whose
+results are exact Fractions.
 Cell LPs share most of their rows, and each LP ends on an exact
 certificate (an optimal or stopped dual point, or an unbounded ray) that
 holds in every later LP containing its rows, so most cell LPs are settled
@@ -20,8 +23,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import PreconditionError
-from .geometry import (DiagBand, RectangleSpec, StaircaseInterval, intercept,
-                       point, tval)
+from .geometry import (DiagBand, Point2, RectangleSpec, StaircaseInterval,
+                       intercept, tval)
 from .interleaving import triv_distance
 from .record import Record
 from .scalars import INF, NINF, int_scale, is_inf, qdiv
@@ -49,7 +52,7 @@ def _corner_pull(reg, x, lower):
     step = qdiv((seg.t_lo if lower else seg.t_hi) - tval(x), 2)
     if is_inf(step):
         return INF, x
-    return abs(step), point(x.x1 + step, x.x2 + step)
+    return abs(step), Point2(x.x1 + step, x.x2 + step)
 
 
 def construction1(M: StaircaseInterval) -> RectApproxResult:
@@ -65,7 +68,7 @@ def construction1(M: StaircaseInterval) -> RectApproxResult:
         return RectApproxResult(RectangleSpec(M.bounding_r, M.bounding_s),
                                 Fraction(0))
     reg = M.region()
-    triv = reg.triv()
+    triv = triv_distance(M)
     er, r = _corner_pull(reg, M.bounding_r, lower=True)
     es, s = _corner_pull(reg, M.bounding_s, lower=False)
     eps = max(er, es)
@@ -75,51 +78,7 @@ def construction1(M: StaircaseInterval) -> RectApproxResult:
 
 
 # --------------------------------------------------------------------------
-# slice-length tables over the vertex diagonals
-
-
-class DiamTable:
-    """Slice lengths at the vertex diagonals with range-max lookups."""
-
-    def __init__(self, intercepts, lengths):
-        self.intercepts = list(intercepts)
-        self.lengths = list(lengths)
-        n = len(lengths)
-        self.inside_max = {}
-        for i in range(n):
-            acc = NINF
-            for j in range(i, n):
-                acc = max(acc, lengths[j])
-                self.inside_max[(i, j)] = acc
-        # prefix[i] = max(lengths[:i]), suffix[j] = max(lengths[j:])
-        self.prefix = [NINF]
-        for v in lengths:
-            self.prefix.append(max(self.prefix[-1], v))
-        self.suffix = [NINF]
-        for v in reversed(lengths):
-            self.suffix.append(max(self.suffix[-1], v))
-        self.suffix.reverse()
-
-    def diam(self, i, j):
-        if j < i:
-            return NINF
-        return self.inside_max[(i, j)]
-
-    def codiam(self, i, j):
-        if j < i:
-            return self.prefix[-1]
-        return max(self.prefix[i], self.suffix[j + 1])
-
-
-def diam_tables(M: StaircaseInterval) -> DiamTable:
-    reg = M.region()
-    cs = reg.knots()
-    g = reg.length_fn()
-    if g is INF:
-        lengths = [INF for _ in cs]
-    else:
-        lengths = [g(c) for c in cs]
-    return DiamTable(cs, lengths)
+# diagonal bands
 
 
 def band_partition(M: StaircaseInterval):
@@ -310,7 +269,9 @@ class _CellGeometry:
                                     "interval with rb at the origin")
         reg = M.region()
         self.bands = band_partition(M)
-        self.tables = diam_tables(M)
+        # the slice lengths at the knots, for the diameters of pair()
+        self.knots = reg.knots()
+        self.lengths = list(map(reg.length_fn(), self.knots))
         # per band and boundary (tlo, thi), the piece t = alpha + beta*c as
         # (2 beta, alpha): a staircase boundary has slope +-1/2 between
         # vertex diagonals, and a one-point band slope 0
@@ -336,7 +297,7 @@ class _CellGeometry:
         self.zero = ((0, 0, 0, 0, 4), 0)
         # the outside and inside diameters of pair() are slice lengths
         self.half_diam = {v: (self.zero[0], -qdiv(v, 2))
-                          for v in set(self.tables.lengths)}
+                          for v in set(self.lengths)}
         # per band: the rows lo <= c and c <= hi of each corner intercept,
         # half the slice length at c_p and c_q, and the boundary gaps
         self.lo_rows = {name: [] for name in _CORNERS}
@@ -364,12 +325,12 @@ class _CellGeometry:
     def pair(self, i, j):
         """Lower bound lb/2 on every cell with p in band i and q in band j,
         and the two atom lists those cells share."""
-        cs = self.tables.intercepts
-        # the vertex diagonals certainly inside [c_q, c_p]
+        cs, L = self.knots, self.lengths
+        # the knots certainly inside [c_q, c_p] are cs[vi:vj + 1]
         vi = bisect_left(cs, self.bands[j].hi)
         vj = bisect_right(cs, self.bands[i].lo) - 1
-        out_d = self.tables.codiam(vi, vj)
-        in_d = self.tables.diam(vi, vj)
+        out_d = max(L[:vi] + L[vj + 1:], default=NINF)
+        in_d = max(L[vi:vj + 1], default=NINF)
         # every branch carries the outside diameter and both slice lengths
         lb = max(self.min_len[i], self.min_len[j],
                  out_d if out_d is not NINF else 0)

@@ -27,9 +27,8 @@ from stairdist.gmd import (GmdReport, _sample_intercepts, _scaled_covering,
 from stairdist.interleaving import triv_distance
 from stairdist.pl import PL, pl_max, pl_min
 from stairdist.rect_approx import (_GAPS, _CellGeometry, _rank,
-                                   band_partition, construction1,
-                                   diam_tables, solve_lp)
-from stairdist.scalars import INF, NINF, is_inf
+                                   band_partition, construction1, solve_lp)
+from stairdist.scalars import INF, NINF, is_inf, qdiv
 
 HALF = Fraction(1, 2)
 
@@ -115,6 +114,18 @@ def sampled_intercepts(reg, step):
         raise ValueError("dense sampling needs a bounded intercept range")
     n = int((hi - lo) / step)
     return [lo + k * step for k in range(n + 1)] + [hi]
+
+
+def triv_region_walk(M):
+    """Half the supremum of M's slice-length function, walked over the
+    pieces of its diagonal region: the exact reference for
+    interleaving.triv_distance, which reads the corners instead."""
+    g = M.region().length_fn()
+    if g is INF:
+        return INF
+    v, _ = g.sup()
+    return qdiv(v, 2) if v > 0 else Fraction(0)
+
 
 def triv_oracle(M, step=Fraction(1, 1000)):
     """Half the longest slice, by dense scanning."""
@@ -732,7 +743,9 @@ class FractionCellGeometry(_CellGeometry):
     denominators of all columns (col_scale) and of all right-hand sides
     (rhs_scale), and it runs to optimality.  solve also takes
     which="all", the per-cell problem: both branch families with the r and
-    s corners held to their own bands."""
+    s corners held to their own bands.  It sets every attribute the
+    inherited pair() reads: bands, knots, lengths (each knot's slice
+    length, from slice_at), min_len, half_len and half_diam."""
 
     def __init__(self, M):
         rb, sb = M.bounding_r, M.bounding_s
@@ -740,7 +753,8 @@ class FractionCellGeometry(_CellGeometry):
             raise PreconditionError("cell optimization needs a bounded interval")
         reg = M.region()
         self.bands = band_partition(M)
-        self.tables = diam_tables(M)
+        self.knots = reg.knots()
+        self.lengths = [s.t_hi - s.t_lo for s in map(reg.slice_at, self.knots)]
         self.lbs = (rb.x1, rb.x2, rb.x1, rb.x2)
         ubs = (sb.x1, sb.x2, sb.x1, sb.x2)
         self.box = [self._row(e) for e in (
@@ -782,7 +796,7 @@ class FractionCellGeometry(_CellGeometry):
             self.min_len.append(max(min(a + k * b.lo, a + k * b.hi),
                                     Fraction(0)))
         self.half_diam = {v: self._row(_aff(Fraction(v, 2)), -1)
-                          for v in set(self.tables.lengths)}
+                          for v in set(self.lengths)}
         rows = [*self.box, *self.var_box, self.width, self.height, self.zero,
                 *self.half_diam.values()]
         rows += [r for t in (self.lo_rows, self.hi_rows, self.half_len,

@@ -1,5 +1,4 @@
 import gc
-import importlib
 import weakref
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 from oracles import (band_epsilon_oracle, band_points_oracle, closure_oracle,
                      dim_oracle, dmatch_oracle, exhaustive_bottleneck,
                      gmd_oracle, point_bottleneck_oracle, pointwise_dim)
+from stairdist import gmd as GMD
 from stairdist.bottleneck import bottleneck_distance, pairwise_costs
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import Point2, band, point
@@ -24,7 +24,6 @@ from conftest import (band_closures, block_pair, point_bottleneck,
                       random_presentation)
 
 FULL = band(NINF, INF)
-GMD = importlib.import_module("stairdist.gmd")  # stairdist.gmd is the function
 
 
 def pres(rows, cols=(), nonzeros=()):

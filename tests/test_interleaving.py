@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (di_bracket_oracle, diag_sup_oracle,
-                     kill_requirement_oracle, triv_oracle)
+                     kill_requirement_oracle, triv_oracle, triv_region_walk)
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
                                 StaircaseInterval, hausdorff, point)
@@ -55,7 +55,11 @@ class TestTrivDistance:
         assert triv_distance(Q) is INF
 
     def test_rectangle_closed_form_matches_region(self, rng):
+        """The corner sweep against the region walk, in value and type, on
+        rectangles and staircases, with and without infinite corners, and
+        on their int images; the sweep builds no region."""
         coord = lambda: Fraction(rng.randint(0, 16), 2)
+        mods = []
         for _ in range(500):
             r = [coord(), coord()]
             s = [r[0] + coord(), r[1] + coord()]
@@ -64,11 +68,21 @@ class TestTrivDistance:
                     r[k] = NINF
                 if rng.random() < 0.2:
                     s[k] = INF
-            R = StaircaseInterval.rect(point(*r), point(*s))
-            got = triv_distance(R)
-            assert R._region is None
-            want = R.region().triv()
-            assert got == want and type(got) is type(want)
+            mods.append(StaircaseInterval.rect(point(*r), point(*s)))
+        for _ in range(300):
+            ends = [rng.random() < 0.3 for _ in range(4)]
+            M = random_staircase(rng, size=rng.randint(2, 12))
+            mods.append(opened(M, ends) if rng.random() < 0.5 else M)
+        mods.append(StaircaseInterval.from_antichains(
+            [point(NINF, NINF)], [point(1, 3), point(2, 2)]))
+        mods.append(StaircaseInterval.from_antichains(
+            [point(0, 2), point(1, 1)], [point(INF, INF)]))
+        mods += [int_scaled(M, M)[0] for M in mods[::7]]
+        for M in mods:
+            got = triv_distance(M)
+            assert M._region is None
+            want = triv_region_walk(M)
+            assert got == want and type(got) is type(want), M
 
 
 class TestCheckComponent:
@@ -254,11 +268,11 @@ def odd_half(I):
                                              [mv(w) for w in I.maxs])
 
 
-def int_regions(a, b):
-    """The regions di_interval searches: a and b with their corners scaled
-    by 16 times the lcm of their denominators."""
+def int_scaled(a, b):
+    """The intervals di_interval searches: a and b with their corners
+    scaled by 16 times the lcm of their denominators."""
     S = int_scale(16, (x for I in (a, b) for p in I.mins + I.maxs for x in p))
-    return a.scaled(S).region(), b.scaled(S).region()
+    return a.scaled(S), b.scaled(S)
 
 
 class TestIntScaledSearch:
@@ -308,6 +322,26 @@ class TestIntScaledSearch:
             a = random_staircase(rng, size=size)
             b = random_staircase(rng, size=size)
             self.assert_matches_oracle(odd_half(a), odd_half(b))
+
+    def test_answer_one_gap_above_a_candidate(self):
+        """Two rectangles at distance 3 that scale by S = 32 to candidates
+        88 and 96 with nothing between: the gap (88, 96) is not accepted,
+        but the shift 96 is.  A probe at a + 8 lands on 96 and returns
+        11/4, and so does the probe at a + 2 with a scale of 4 times the
+        lcm, where the gap is 2 wide."""
+        a = StaircaseInterval.rect(point(Fraction(7, 2), 4), point(10, 10))
+        b = StaircaseInterval.rect(point(Fraction(9, 2), 1), point(9, 9))
+        sa, sb = int_scaled(a, b)
+        cands = _candidate_deltas(sa, sb)
+        assert cands[cands.index(96) - 1] == 88
+
+        def accepted(d):
+            K = _kill_requirement(sa.region(), sb.region(), d)
+            return K is None or K < d
+
+        assert not accepted(90) and accepted(96)
+        assert di_interval(a, b) == 3
+        self.assert_matches_oracle(a, b)
 
     def test_random_corpus_moved_and_scaled(self, rng):
         for _ in range(12):
@@ -383,15 +417,16 @@ def test_no_float_reaches_a_pl(monkeypatch, rng):
 @given(st.integers(0, 10 ** 6), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_kill_requirement_matches_oracle(seed, unbounded):
-    """At every candidate shift d of the int-scaled regions and at d + 2,
+    """At every candidate shift d of the int-scaled intervals and at d + 2,
     inside the gap above it, where di_interval probes."""
     rng = random.Random(seed)
     if unbounded:
         a, b = opened_pair(rng, 3)
     else:
         a, b = random_staircase(rng, size=3), random_staircase(rng, size=3)
-    A, B = int_regions(a, b)
-    for d in _candidate_deltas(A, B):
+    a, b = int_scaled(a, b)
+    A, B = a.region(), b.region()
+    for d in _candidate_deltas(a, b):
         for probe in (d, d + 2):
             assert (_kill_requirement(A, B, probe)
                     == kill_requirement_oracle(A, B, probe))
@@ -415,10 +450,11 @@ def test_int_scale_puts_search_on_multiples_of_four(seed, unbounded, move):
         a, b = odd_half(a), odd_half(b)
     else:
         a, b = moved(a, Fraction(1, move), 0), moved(b, Fraction(1, move), 0)
-    A, B = int_regions(a, b)
+    a, b = int_scaled(a, b)
+    A, B = a.region(), b.region()
     dd, _ = _di_diag(A, B)
     assert dd is INF or (dd.denominator == 1 and dd % 8 == 0)
-    assert all(type(c) is int and c % 8 == 0 for c in _candidate_deltas(A, B))
+    assert all(type(c) is int and c % 8 == 0 for c in _candidate_deltas(a, b))
 
 
 def test_one_sided_probe_stays_on_ints(monkeypatch):
@@ -436,8 +472,9 @@ def test_one_sided_probe_stays_on_ints(monkeypatch):
     monkeypatch.setattr(PL, "__init__", recording_init)
     rng = random.Random(16)
     a, b = k_corner_staircase(rng, 16, 2), k_corner_staircase(rng, 16, 2)
-    A, B = int_regions(a, b)
-    for d in _candidate_deltas(A, B):
+    a, b = int_scaled(a, b)
+    A, B = a.region(), b.region()
+    for d in _candidate_deltas(a, b):
         probe = d + 2
         for _, comp, _, _ in _probe_components(A, B, probe):
             assert type(comp.clo) is int and type(comp.chi) is int
@@ -464,7 +501,7 @@ def test_decision_matches_kill_requirement(seed, unbounded, pick, frac):
         a, b = random_staircase(rng, size=3), random_staircase(rng, size=3)
     A, B = a.region(), b.region()
     dd, _ = _di_diag(A, B)
-    cands = _candidate_deltas(A, B)
+    cands = _candidate_deltas(a, b)
     for delta in (cands[pick % len(cands)], frac):
         K = _kill_requirement(A, B, delta)
         want = dd <= delta and (K is None or K < delta)

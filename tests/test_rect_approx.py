@@ -17,9 +17,9 @@ from stairdist.generate import random_staircase
 from stairdist.interleaving import di_interval_vs_rect, triv_distance
 from stairdist.rect_approx import (_CellGeometry, approx_decomposable,
                                    band_partition, construction1,
-                                   diam_tables, optimal_rectangle, solve_lp)
+                                   optimal_rectangle, solve_lp)
 from stairdist.pl import PL
-from stairdist.scalars import INF, NINF, int_scale, is_inf
+from stairdist.scalars import INF, int_scale, is_inf
 
 from conftest import (banded_staircase, diag_shift, optimize_cell, scale,
                       square)
@@ -123,6 +123,22 @@ class TestConstruction1:
             else:
                 assert di_interval_vs_rect(M, res.rect) == res.epsilon
 
+    def test_int_image_pulls_stay_int(self, rng, monkeypatch):
+        """On optimal_rectangle's int image, with corners at multiples of
+        4, both pulls are int distances to int points: no Fraction."""
+        pulls = []
+        pull = rect_approx._corner_pull
+
+        def record(reg, x, lower):
+            pulls.append(pull(reg, x, lower))
+            return pulls[-1]
+
+        monkeypatch.setattr(rect_approx, "_corner_pull", record)
+        for M in rect_corpus(rng):
+            construction1(int_image(M))
+        assert pulls and all(type(v) is int
+                             for eps, p in pulls for v in (eps, *p))
+
 
 class TestBandsAndTables:
     def test_thick_l_partition(self, thick_l):
@@ -131,30 +147,55 @@ class TestBandsAndTables:
             [(-4, -1), (-1, 0), (0, 1), (1, 4)]
 
     def test_thick_l_lengths(self, thick_l):
-        t = diam_tables(thick_l)
-        assert t.intercepts == [-4, -1, 0, 1, 4]
-        assert t.lengths == [0, 3, 3, 3, 0]
+        geo = FractionCellGeometry(thick_l)
+        assert geo.knots == [-4, -1, 0, 1, 4]
+        assert geo.lengths == [0, 3, 3, 3, 0]
+        # the int image is thick_l times 4
+        geo = _CellGeometry(int_image(thick_l))
+        assert geo.knots == [-16, -4, 0, 4, 16]
+        assert geo.lengths == [0, 12, 12, 12, 0]
 
     def test_range_maxima(self, thick_l):
-        t = diam_tables(thick_l)
-        assert t.diam(1, 3) == 3
-        assert t.diam(2, 1) is NINF
-        assert t.codiam(1, 3) == 0
-        assert t.codiam(2, 1) == 3
-        assert t.codiam(0, 4) is NINF
+        geo = _CellGeometry(int_image(thick_l))
+        # c_p in the top band, c_q in the bottom one: the knots -4, 0, 4
+        # lie inside [c_q, c_p], the two ends outside
+        assert diameters(geo, 3, 0) == (0, 12)
+        assert geo.pair(3, 0)[0] == 0
+        # both in the bottom band: no knot certainly inside
+        assert diameters(geo, 0, 0) == (12, None)
+        assert geo.pair(0, 0)[0] == 6
 
     def test_range_maxima_match_slices(self, rng):
+        """pair()'s outside and inside diameters and its lower bound
+        against the slice lengths at the knots, sliced one by one."""
         for _ in range(10):
-            t = diam_tables(random_staircase(rng, size=8))
-            n = len(t.lengths)
-            for i in range(n + 1):
-                for j in range(-1, n):
-                    inside = t.lengths[i:j + 1]
-                    outside = t.lengths if j < i else \
-                        t.lengths[:i] + t.lengths[j + 1:]
-                    assert t.diam(i, j) == (max(inside) if inside else NINF)
-                    assert t.codiam(i, j) == \
-                        (max(outside) if outside else NINF)
+            M = random_staircase(rng, size=8)
+            T = int_image(M)
+            for I, geo in ((T, _CellGeometry(T)), (M, FractionCellGeometry(M))):
+                reg = I.region()
+                length = {c: reg.slice_at(c).t_hi - reg.slice_at(c).t_lo
+                          for c in reg.knots()}
+                nb = len(geo.bands)
+                for j in range(nb):
+                    for i in range(j, nb):
+                        lo, hi = geo.bands[j].hi, geo.bands[i].lo
+                        inside = [v for c, v in length.items() if lo <= c <= hi]
+                        outside = [v for c, v in length.items()
+                                   if not lo <= c <= hi]
+                        assert diameters(geo, i, j) == (
+                            max(outside, default=None),
+                            max(inside, default=None))
+                        lb = max(geo.min_len[i], geo.min_len[j],
+                                 max(outside, default=0))
+                        assert geo.pair(i, j)[0] == Fraction(lb, 2)
+
+
+def diameters(geo, i, j):
+    """(outside, inside): the slice lengths whose halves pair(i, j) adds to
+    its two atom lists after the two corner half-lengths, None for none."""
+    _, t1, t2a = geo.pair(i, j)
+    return tuple(-2 * rows[2][1] if len(rows) > 2 else None
+                 for rows in (t1, t2a))
 
 
 class TestSolveLp:
