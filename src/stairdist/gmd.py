@@ -16,7 +16,9 @@ by S once.  This is exact, since pushing, the grade order, pt_le and
 L-infinity gaps all commute with a uniform positive scaling.  The GF(2)
 reduction depends only on the orders of the rows and of the columns, so
 within one call each presentation reduces each pair of orders once
-(_Pairings).
+(_Pairings).  Along one direction, every line beyond the extreme grade
+intercepts only translates both presentations' bars, so dmatch_sampled
+searches each distinct line once (its docstring proves it).
 """
 
 import math
@@ -30,6 +32,8 @@ from .scalars import INF, NINF, ext, fmt, int_scale, is_inf, qmul
 
 # The most bands refine_alpha may cut a covering into.
 MAX_BANDS = 10000
+# The most directions default_directions may build.
+MAX_DIRECTIONS = 10000
 
 
 class GradedMatrix(Record):
@@ -310,6 +314,13 @@ def _scaled_ints(presentations, a, values):
     return S, grades, [qmul(v, S) for v in values]
 
 
+def _intercept_range(grades):
+    """The least and the greatest intercept x2 - x1 over every row and
+    column grade of _scaled_ints' grades, or (0, 0) when there is none."""
+    cs = [x2 - x1 for gs in grades for part in gs for x1, x2 in part]
+    return min(cs, default=0), max(cs, default=0)
+
+
 def _order(keys):
     """Indices sorted by key, ties by index, as a tuple."""
     return tuple(sorted(range(len(keys)), key=keys.__getitem__))
@@ -373,8 +384,7 @@ def _band_values(presentations, a, bands, pairings):
     at = dict(zip(edges, ints))
     # an infinite edge stands at the extreme grade intercept, so it moves
     # no grade
-    cs = [x2 - x1 for gs in grades for part in gs for x1, x2 in part]
-    cmin, cmax = min(cs, default=0), max(cs, default=0)
+    cmin, cmax = _intercept_range(grades)
     out = []
     for C in bands:
         lo = cmin if is_inf(C.lo) else at[C.lo]
@@ -406,16 +416,48 @@ def _slice_bars(grades, h, pairing):
 def dmatch_sampled(M, N, directions, intercepts):
     """Max over sampled (direction, intercept) of the 1-parameter bottleneck
     distance between the diagonal slices of two presentations; a lower
-    bound for the matching distance."""
+    bound for the matching distance.
+
+    Each direction runs one bottleneck search per distinct line: the line
+    parameter h = c // 2 of each scaled intercept c is clamped into
+    [lo, hi], the least and the greatest (x2 - x1) // 2 over every scaled
+    row and column grade of both presentations.  Every grade is even, so
+    each of these halvings is exact.
+
+    Lemma.  The slices at h >= hi have the same bottleneck distance as the
+    slices at hi, and those at h <= lo the same as those at lo.
+
+    Proof.  Let h >= hi.  Every grade has x2 - x1 <= 2 hi <= 2 h, so
+    x1 + h >= x2 - h, and _slice_bars places it at t = x1 + h, which is its
+    t at hi plus s = h - hi.  So every t of both presentations moves by the
+    same s.  The row order and the column order of each presentation
+    (ties by index) are then those at hi, and so is its _Pairings pairing;
+    whether a pair gives a bar (cols[j] > rows[i]) compares two t's, so
+    the same pairs give bars.  Each bar of both presentations is its bar
+    at hi moved by s in both ends, a free bar's INF end staying INF.
+    int_point_bottleneck prices a pair by the L-infinity gap of the finite
+    ends, and an unmatched bar by (d - b) / 2 (INF for a free bar); both
+    are differences of t's, so every cost is the one at hi.  Hence the
+    search, INF included, returns the value at hi.  For h <= lo every grade
+    has x2 - x1 >= 2 h, it is placed at t = x2 - h, and the same argument
+    holds with s = lo - h.  lo and hi must be taken over both presentations,
+    since only a translation common to both bar sets keeps the costs.
+
+    So the clamped lines give the same set of values as the sampled ones,
+    and the early INF return and the maximum see the same values.  With
+    no grade in either presentation every slice has no bar, and the one
+    line lo = hi = 0 stands for all of them.
+    """
     if not directions or not intercepts:
         raise PreconditionError("need at least one direction and intercept")
     best = Fraction(0)
     pairings = [_Pairings(M), _Pairings(N)]
     for a in directions:
         S, grades, cs = _scaled_ints((M, N), a, intercepts)
+        lo, hi = (c // 2 for c in _intercept_range(grades))
         top = 0
-        for c in cs:
-            d = int_point_bottleneck(*(_slice_bars(gs, c // 2, p)
+        for h in {min(max(c // 2, lo), hi) for c in cs}:
+            d = int_point_bottleneck(*(_slice_bars(gs, h, p)
                                        for gs, p in zip(grades, pairings)))
             if is_inf(d):
                 return d
@@ -445,9 +487,14 @@ class GmdReport(Record):
 
 
 def default_directions(presentations, count=16):
-    """Direction sample: (1, t) and (t, 1) ladders up to the grade aspect."""
+    """Direction sample: (1, t) and (t, 1) ladders up to the grade aspect.
+    count must lie in [1, MAX_DIRECTIONS]; it is checked before anything is
+    built."""
     if count < 1:
         raise ValidationError("need at least one direction")
+    if count > MAX_DIRECTIONS:
+        raise ValidationError("%d directions are more than %d"
+                              % (count, MAX_DIRECTIONS))
     coords1, coords2 = [], []
     for P in presentations:
         for u in P.row_grades + P.col_grades:

@@ -15,7 +15,9 @@ them, each op's command with its outputs:
 - rectapprox: the optimal and midpoint rect-approx reports and the csv
   output, and lower-bound as json and csv;
 - interval: interval-di with and without --explain, and bottleneck;
-- gmd: gmd (8 directions) with and without --explain, and dmatch.
+- gmd: gmd (8 directions) with and without --explain, and dmatch; on
+  some ops also dmatch with 16 directions, and gmd --alpha 1/2, whose
+  covering refinement starts from a dmatch lower bound.
 The unbounded cases are modules with infinite corners, which no workload
 reaches: a quadrant, hooks, a vertical and a horizontal strip, a staircase
 with infinite maximal corners and mixed multi-summand modules, through

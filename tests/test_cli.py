@@ -254,6 +254,12 @@ def test_infinite_grade_rejected(run, command, bad):
     assert "not finite" in run(command, QUAD0, bad, code=3)
 
 
+@pytest.mark.parametrize("command", ["gmd", "dmatch"])
+def test_directions_capped(run, command):
+    err = run(command, QUAD0, QUAD1, args=["--directions", "10001"], code=3)
+    assert "more than 10000" in err
+
+
 class TestDmatch:
     def test_quadrants(self, run):
         rep = run("dmatch", QUAD0, QUAD1)

@@ -1,4 +1,5 @@
 import gc
+import os
 import weakref
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ from oracles import (band_epsilon_oracle, band_points_oracle, closure_oracle,
                      dim_oracle, dmatch_oracle, exhaustive_bottleneck,
                      gmd_oracle, point_bottleneck_oracle, pointwise_dim)
 from stairdist import gmd as GMD
+from stairdist import io as mio
 from stairdist.bottleneck import bottleneck_distance, pairwise_costs
 from stairdist.errors import PreconditionError, ValidationError
-from stairdist.geometry import Point2, band, point
+from stairdist.geometry import Point2, band, intercept, point
 from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_points,
                            _band_values, _Pairings, _sample_intercepts,
                            _scaled_covering, _scaled_ints, anchors,
@@ -24,6 +26,8 @@ from conftest import (band_closures, block_pair, point_bottleneck,
                       random_presentation)
 
 FULL = band(NINF, INF)
+SEED12 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                      "gmd", "seed12")
 
 
 def pres(rows, cols=(), nonzeros=()):
@@ -348,6 +352,11 @@ class TestDmatchSampled:
         got = dmatch_sampled(M, N, dirs, [Fraction(0), Fraction(1, 2), 1])
         assert got == 1
 
+    def test_no_grades(self):
+        # every slice of the zero module has no bar
+        E = pres([])
+        assert dmatch_sampled(E, E, [(1, 1), (1, 2)], [-5, 0, 5]) == 0
+
     def test_empty_samples_rejected(self):
         P = square_pres(0, 4)
         with pytest.raises(PreconditionError):
@@ -365,6 +374,18 @@ class TestDmatchSampled:
                                 Q.row_grades + Q.col_grades):
                     t = max(u.x1 + c / 2, u.x2 - c / 2)
                     assert v == (t - c / 2, t + c / 2)
+
+
+class TestDefaultDirections:
+    def test_over_the_limit_refused_before_building(self):
+        # None has no grades to read: the count is checked first
+        with pytest.raises(ValidationError, match="more than 10000"):
+            default_directions(None, GMD.MAX_DIRECTIONS + 1)
+
+    def test_at_the_limit_builds(self):
+        P = square_pres(0, 4)
+        dirs = default_directions((P, P), GMD.MAX_DIRECTIONS)
+        assert len(set(dirs)) == GMD.MAX_DIRECTIONS
 
 
 class TestGmd:
@@ -499,6 +520,44 @@ class TestIntKernel:
                 got = dmatch_sampled(kM, kN, dirs[:n], cs)
                 assert got == dmatch_oracle(kM, kN, dirs[:n], cs)
             assert got == k * dmatch_sampled(M, N, dirs, [c / k for c in cs])
+
+    @pytest.mark.parametrize("k", [1, 3, Fraction(1, 3)])
+    def test_lines_past_the_extreme_intercepts(self, rng, k):
+        # at an extreme grade intercept of both presentations, one lattice
+        # step past it and far past it: each matches the oracle, and all
+        # of one side give one value
+        for M, N in random_pairs(rng, 12):
+            M, N = scaled(M, k), scaled(N, k)
+            for a in default_directions((M, N), 3):
+                step = Fraction(2, _scaled_ints((M, N), a, [])[0])
+                sm, sn = scale_presentation(M, a), scale_presentation(N, a)
+                cs = [intercept(u) for P in (sm, sn)
+                      for u in P.row_grades + P.col_grades]
+                lo, hi = min(cs), max(cs)
+                far = 10 * max(hi - lo, step)
+                for side in ([lo, lo - step, lo - far],
+                             [hi, hi + step, hi + far]):
+                    got = [dmatch_sampled(M, N, [a], [c]) for c in side]
+                    assert got == [dmatch_oracle(M, N, [a], [c])
+                                   for c in side]
+                    assert len(set(got)) == 1
+
+    @pytest.mark.parametrize("op, searches", [("op01", 34), ("op02", 30)])
+    def test_one_search_per_distinct_line(self, monkeypatch, op, searches):
+        # the committed seed-12 dmatch inputs: 27 and 23 sampled intercepts
+        # per direction, 216 and 184 searches without the clamp
+        M, N = (mio.parse_presentation(mio.load_json(
+            os.path.join(SEED12, "%s_%s.json" % (op, side))))
+            for side in "PQ")
+        dirs = default_directions((M, N), 8)
+        cs = _sample_intercepts(anchors((M, N)), (M, N))
+        calls = []
+        search = GMD.int_point_bottleneck
+        monkeypatch.setattr(GMD, "int_point_bottleneck",
+                            lambda m, n: calls.append(1) or search(m, n))
+        got = dmatch_sampled(M, N, dirs, cs)
+        assert len(calls) == searches
+        assert got == dmatch_oracle(M, N, dirs, cs)
 
     def test_memo_matches_fresh_diagonalize(self, rng, monkeypatch):
         made = []
