@@ -318,16 +318,14 @@ def int_point_bottleneck(points_m, points_n):
 
 
 class LowerBoundReport(Record):
-    __slots__ = ("d_b", "eps_star_m", "eps_star_n", "rects_m", "rects_n",
-                 "d_b_approx", "raw", "lower_bound", "matching")
+    __slots__ = ("d_b", "eps_star_m", "eps_star_n", "d_b_approx", "raw",
+                 "lower_bound", "matching")
 
-    def __init__(self, d_b, eps_star_m, eps_star_n, rects_m, rects_n,
-                 d_b_approx, raw, lower_bound, matching: MatchingResult):
+    def __init__(self, d_b, eps_star_m, eps_star_n, d_b_approx, raw,
+                 lower_bound, matching: MatchingResult):
         self.d_b = d_b
         self.eps_star_m = eps_star_m
         self.eps_star_n = eps_star_n
-        self.rects_m = rects_m
-        self.rects_n = rects_n
         self.d_b_approx = d_b_approx
         self.raw = raw
         self.lower_bound = lower_bound
@@ -342,8 +340,8 @@ def interleaving_lower_bound(M, N) -> LowerBoundReport:
     (1/3) d_B(M, N) - (4/3)(eps_M + eps_N) both raw and clamped at 0.
     """
     matching = bottleneck_distance(M, N)
-    rects_m, _, em = approx_decomposable(M)
-    rects_n, _, en = approx_decomposable(N)
+    rects_m, em = approx_decomposable(M)
+    rects_n, en = approx_decomposable(N)
     am = [r.as_interval() for r in rects_m if not r.is_zero]
     an = [r.as_interval() for r in rects_n if not r.is_zero]
     d_b_approx = bottleneck_distance(am, an).delta
@@ -353,5 +351,4 @@ def interleaving_lower_bound(M, N) -> LowerBoundReport:
     else:
         raw = Fraction(1, 3) * d_b - Fraction(4, 3) * (em + en)
     lb = max(Fraction(0), raw)
-    return LowerBoundReport(d_b, em, en, rects_m, rects_n, d_b_approx,
-                            raw, lb, matching)
+    return LowerBoundReport(d_b, em, en, d_b_approx, raw, lb, matching)

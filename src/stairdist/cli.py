@@ -209,11 +209,9 @@ def cmd_dmatch(args):
 
 
 def cmd_generate(args):
-    if args.size <= 0:
-        raise ValidationError("--size must be positive, got %d" % args.size)
-    if args.kind == "presentation" and args.size > gen.MAX_PRESENTATION_SIZE:
-        raise ValidationError("--size of a presentation must be at most %d, "
-                              "got %d" % (gen.MAX_PRESENTATION_SIZE, args.size))
+    if not 0 < args.size <= gen.MAX_SIZE:
+        raise ValidationError("--size must lie in [1, %d], got %d"
+                              % (gen.MAX_SIZE, args.size))
     rng = random.Random(args.seed)
     if args.kind == "staircase":
         inst = mio.serialize_module([gen.random_staircase(rng, args.size)])

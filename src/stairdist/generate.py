@@ -11,8 +11,9 @@ from .errors import ValidationError
 from .geometry import StaircaseInterval, point
 from .gmd import GradedMatrix, validate_presentation
 
-# random_presentation draws about size^2 / 4 nonzeros: 0.8 s at this size
-MAX_PRESENTATION_SIZE = 500
+# The largest size of every kind; random_presentation draws about
+# size^2 / 4 nonzeros, 0.8 s at this size.
+MAX_SIZE = 500
 
 
 def _coord(rng, hi):

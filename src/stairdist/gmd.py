@@ -3,22 +3,24 @@
 A presentation is a GF(2) matrix with a grade per row (generator) and per
 column (relation).  The pipeline: collect anchor diagonals from incomparable
 grade pairs, push both presentations onto each band of the resulting
-covering (where grades become totally ordered), run 1-parameter style column
-reduction to split into summands k<g>/<rel>, and take bottleneck distances
-of the per-band decompositions, maximized over sampled scaling directions.
-Each summand is handled as the point (g, rel), so a per-band distance is an
-L-infinity point-set bottleneck distance and no staircase is built.
+covering (push_band; there the grades become totally ordered), run
+1-parameter style column reduction to split into summands k<g>/<rel>
+(diagonalize), and take bottleneck distances of the per-band
+decompositions, maximized over sampled scaling directions.  Each summand
+is handled as the point (g, rel), so a per-band distance is an L-infinity
+point-set bottleneck distance and no staircase is built.
 
 gmd and dmatch_sampled run each sampled direction on ints: the direction's
 scaled grades, band edges and intercepts are multiplied by one positive int
 S, pushed, sorted, reduced and matched there, and each value is divided back
-by S once.  This is exact, since pushing, the grade order, pt_le and
-L-infinity gaps all commute with a uniform positive scaling.  The GF(2)
-reduction depends only on the orders of the rows and of the columns, so
-within one call each presentation reduces each pair of orders once
-(_Pairings).  Along one direction, every line beyond the extreme grade
-intercepts only translates both presentations' bars, so dmatch_sampled
-searches each distinct line once (its docstring proves it).
+by S once; push_band and diagonalize take those int grades.  This is exact,
+since pushing, the grade order, pt_le and L-infinity gaps all commute with
+a uniform positive scaling.  The GF(2) reduction depends only on the orders
+of the rows and of the columns, so within one call each presentation
+reduces each pair of orders once (_Pairings).  Along one direction, every
+line beyond the extreme grade intercepts only translates both
+presentations' bars, so dmatch_sampled searches each distinct line once
+(its docstring proves it).
 """
 
 import math
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from .bottleneck import int_point_bottleneck
 from .errors import PreconditionError, ValidationError
-from .geometry import DiagBand, Point2, band, intercept, point, pt_le
+from .geometry import Point2, band, intercept, point, pt_le
 from .record import Record
 from .scalars import INF, NINF, ext, fmt, int_scale, is_inf, qmul
 
@@ -89,22 +91,6 @@ def _index_pair(e):
         raise ValidationError("nonzero entry %r is not a pair of int indices"
                               % (e,))
     return tuple(e)
-
-
-def _push_point(u: Point2, C: DiagBand) -> Point2:
-    c = intercept(u)
-    if c > C.hi:
-        return Point2(u.x2 - C.hi, u.x2)
-    if c < C.lo:
-        return Point2(u.x1, u.x1 + C.lo)
-    return u
-
-
-def push_band(P: GradedMatrix, C: DiagBand) -> GradedMatrix:
-    """Replace every grade by the least point of the band dominating it."""
-    return GradedMatrix(tuple(_push_point(u, C) for u in P.row_grades),
-                        tuple(_push_point(u, C) for u in P.col_grades),
-                        P.nonzeros)
 
 
 def scale_presentation(P: GradedMatrix, a) -> GradedMatrix:
@@ -210,17 +196,7 @@ def _scaled_covering(cov: AnchorCovering, a) -> AnchorCovering:
 
 
 # --------------------------------------------------------------------------
-# diagonalization of totally ordered presentations
-
-
-class HalfOpenInterval(Record):
-    """The summand k<g>/<r>: support {x >= g} minus {x >= r}."""
-    __slots__ = ("g",  # generator grade
-                 "r")  # relation grade, or None for a free generator
-
-    def __init__(self, g: Point2, r):
-        self.g = g
-        self.r = r
+# the per-direction int kernel
 
 
 def _pairing(nonzeros, rorder, corder):
@@ -267,33 +243,6 @@ class _Pairings:
         return got
 
 
-def diagonalize(P: GradedMatrix):
-    """Split a presentation with totally ordered row grades and totally
-    ordered column grades into half-open interval summands: the pairs of
-    _pairing, then the free generators.
-    """
-    # birth/death order: for totally ordered grades the lexicographic sort
-    # is the total order (pushing to a band may have perturbed it); sorted
-    # is stable, so ties keep index order
-    rows, cols = P.row_grades, P.col_grades
-    rorder = sorted(range(len(rows)), key=rows.__getitem__)
-    corder = sorted(range(len(cols)), key=cols.__getitem__)
-    # the grades are a chain iff each one is below the next in this sort; a
-    # lexicographically sorted pair u, v with u not below v is incomparable
-    for gs, order in ((rows, rorder), (cols, corder)):
-        for i, j in zip(order, order[1:]):
-            if not pt_le(gs[i], gs[j]):
-                raise PreconditionError("incomparable grades %r, %r"
-                                        % (gs[i], gs[j]))
-    pairs, free = _pairing(P.nonzeros, rorder, corder)
-    return ([HalfOpenInterval(rows[i], cols[j]) for i, j in pairs]
-            + [HalfOpenInterval(rows[i], None) for i in free])
-
-
-# --------------------------------------------------------------------------
-# the per-direction int kernel
-
-
 def _scaled_ints(presentations, a, values):
     """The grades of each presentation scaled by direction a, and the given
     finite values, all times one int S > 0: (S, grades, values), where
@@ -337,9 +286,9 @@ def _chain_order(grades):
     return order
 
 
-def _push(grades, lo, hi):
-    """Int grades pushed onto the band lo <= x2 - x1 <= hi, each to the
-    least point of the band above it (push_band on ints)."""
+def push_band(grades, lo, hi):
+    """Int grades (x1, x2) pushed onto the band lo <= x2 - x1 <= hi, each
+    to the least point of the band above it."""
     out = []
     for u in grades:
         x1, x2 = u
@@ -349,13 +298,13 @@ def _push(grades, lo, hi):
     return out
 
 
-def _band_points(grades, lo, hi, pairing):
-    """The summands of a presentation pushed onto the band [lo, hi], as flat
-    int points g + rel (see bottleneck.int_point_bottleneck): the pairs,
-    then the free generators with rel = (INF, INF); an empty summand
-    (rel = g) is dropped.  grades is the (rows, cols) pair of _scaled_ints
-    and pairing the presentation's _Pairings."""
-    rows, cols = _push(grades[0], lo, hi), _push(grades[1], lo, hi)
+def diagonalize(rows, cols, pairing):
+    """Split a presentation whose int row grades and column grades are
+    chains (as push_band leaves them on an anchor band) into summands
+    k<g>/<rel>, as flat int points g + rel (see
+    bottleneck.int_point_bottleneck): the pairs, then the free generators
+    with rel = (INF, INF); an empty summand (rel = g) is dropped.  pairing
+    is the presentation's _Pairings."""
     pairs, free = pairing(_chain_order(rows), _chain_order(cols))
     pts = [rows[i] + cols[j] for i, j in pairs if rows[i] != cols[j]]
     pts += [rows[i] + (INF, INF) for i in free]
@@ -367,7 +316,7 @@ def _band_epsilon(points):
     rect_approx.construction1 gives it: a hook (rel > g in both coordinates)
     gets its triv ||rel - g||_inf / 2, and strips (rel = g in one
     coordinate) and quadrants (rel at infinity) are rectangles, which add
-    0.  The points are _band_points', whose gaps are even."""
+    0.  The points are diagonalize's, whose gaps are even."""
     gap = 0
     for g1, g2, r1, r2 in points:
         if r1 is not INF and g1 < r1 and g2 < r2:
@@ -378,7 +327,8 @@ def _band_epsilon(points):
 def _band_values(presentations, a, bands, pairings):
     """(value, epsilon) per band of the covering scaled by direction a, as
     exact rationals: the bottleneck distance between the two presentations'
-    _band_points, and the larger _band_epsilon."""
+    summands, each pushed onto the band and diagonalized, and the larger
+    _band_epsilon."""
     edges = list({e for C in bands for e in C if not is_inf(e)})
     S, grades, ints = _scaled_ints(presentations, a, edges)
     at = dict(zip(edges, ints))
@@ -389,8 +339,9 @@ def _band_values(presentations, a, bands, pairings):
     for C in bands:
         lo = cmin if is_inf(C.lo) else at[C.lo]
         hi = cmax if is_inf(C.hi) else at[C.hi]
-        left, right = (_band_points(gs, lo, hi, p)
-                       for gs, p in zip(grades, pairings))
+        left, right = (diagonalize(push_band(rows, lo, hi),
+                                   push_band(cols, lo, hi), p)
+                       for (rows, cols), p in zip(grades, pairings))
         v = int_point_bottleneck(left, right)
         e = max(_band_epsilon(left), _band_epsilon(right))
         out.append((v if is_inf(v) else Fraction(v, S), Fraction(e, S)))

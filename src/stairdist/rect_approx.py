@@ -535,10 +535,9 @@ def optimal_rectangle(M: StaircaseInterval) -> RectApproxResult:
 def approx_decomposable(summands):
     """Summand-wise optimal rectangle approximation of a decomposable module.
 
-    Returns (rect specs aligned with the summands, per-summand epsilons,
-    aggregate epsilon = max).  Zero sentinels mark dropped summands.
+    Returns (rect specs aligned with the summands, aggregate epsilon = the
+    largest summand's).  Zero sentinels mark dropped summands.
     """
     results = [optimal_rectangle(Mi) for Mi in summands]
-    rects = [r.rect for r in results]
-    eps = [r.epsilon for r in results]
-    return rects, eps, (max(eps) if eps else Fraction(0))
+    return ([r.rect for r in results],
+            max((r.epsilon for r in results), default=Fraction(0)))

@@ -4,12 +4,14 @@ from math import lcm
 
 import pytest
 
-from oracles import FractionCellGeometry, closure_oracle
+from oracles import (FractionCellGeometry, closure_oracle,
+                     diagonalize_oracle, push_band_oracle)
 from stairdist.bottleneck import int_point_bottleneck
 from stairdist.errors import ValidationError
 from stairdist.geometry import (Point2, StaircaseInterval, _sigma, point,
                                 region_intersection)
-from stairdist.gmd import diagonalize, push_band, validate_presentation
+from stairdist.gmd import (_intercept_range, _scaled_covering, _scaled_ints,
+                           anchors, validate_presentation)
 from stairdist.scalars import NINF, ext, is_inf, qdiv
 
 HALF = Fraction(1, 2)
@@ -249,8 +251,23 @@ def block_pair(rng):
 def band_closures(P, C):
     """The closures of the summands of P pushed onto band C: the staircase
     intervals that gmd's band points stand for."""
-    out = [closure_oracle(iv.g, iv.r) for iv in diagonalize(push_band(P, C))]
+    out = [closure_oracle(iv.g, iv.r)
+           for iv in diagonalize_oracle(push_band_oracle(P, C))]
     return [S for S in out if S is not None]
+
+
+def int_bands(presentations, a):
+    """(S, grades, edges): _scaled_ints of the presentations along
+    direction a, and the int (lo, hi) of each band of their scaled anchor
+    covering, an infinite edge standing at the extreme grade intercept as
+    in _band_values."""
+    bands = _scaled_covering(anchors(presentations), a).bands
+    finite = sorted({e for C in bands for e in C if not is_inf(e)})
+    S, grades, ints = _scaled_ints(presentations, a, finite)
+    at = dict(zip(finite, ints))
+    cmin, cmax = _intercept_range(grades)
+    return S, grades, [(cmin if is_inf(C.lo) else at[C.lo],
+                        cmax if is_inf(C.hi) else at[C.hi]) for C in bands]
 
 
 @pytest.fixture

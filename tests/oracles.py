@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: dense
 sampling, brute-force grid search, exhaustive enumeration, a separate
 GF(2) elimination, a bottleneck search that probes every threshold
 with a full matching on the doubled graph (delta_matched), and gmd and
-dmatch on the per-band Fraction path (push_band, diagonalize) instead of
-their int kernel, and the optimal-rectangle search on Fraction rows with
+dmatch on the per-band Fraction path (push_band_oracle,
+diagonalize_oracle) instead of their int kernel (gmd.push_band,
+gmd.diagonalize), and the optimal-rectangle search on Fraction rows with
 no early stop.  Values are floats where sampling is involved and exact
 rationals where enumeration is.
 """
@@ -19,13 +20,14 @@ import numpy as np
 from stairdist.bottleneck import CostProfile, delta_matched, linf_gap
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
-                                StaircaseInterval, band, point, pt_le,
-                                region_intersection, tval)
-from stairdist.gmd import (GmdReport, _sample_intercepts, _scaled_covering,
-                           anchors, diagonalize, push_band, refine_alpha,
-                           scale_presentation)
+                                StaircaseInterval, band, intercept, point,
+                                pt_le, region_intersection, tval)
+from stairdist.gmd import (GmdReport, GradedMatrix, _pairing,
+                           _sample_intercepts, _scaled_covering, anchors,
+                           refine_alpha, scale_presentation)
 from stairdist.interleaving import triv_distance
 from stairdist.pl import PL, pl_max, pl_min
+from stairdist.record import Record
 from stairdist.rect_approx import (_GAPS, _CellGeometry, _rank,
                                    band_partition, construction1, solve_lp)
 from stairdist.scalars import INF, NINF, is_inf, qdiv
@@ -467,12 +469,61 @@ def point_bottleneck_oracle(points_m, points_n):
 # gmd and dmatch per band on Fractions
 
 
+def _push_point(u, C):
+    c = intercept(u)
+    if c > C.hi:
+        return Point2(u.x2 - C.hi, u.x2)
+    if c < C.lo:
+        return Point2(u.x1, u.x1 + C.lo)
+    return u
+
+
+def push_band_oracle(P, C):
+    """Replace every grade by the least point of the band dominating it."""
+    return GradedMatrix(tuple(_push_point(u, C) for u in P.row_grades),
+                        tuple(_push_point(u, C) for u in P.col_grades),
+                        P.nonzeros)
+
+
+class HalfOpenInterval(Record):
+    """The summand k<g>/<r>: support {x >= g} minus {x >= r}."""
+    __slots__ = ("g",  # generator grade
+                 "r")  # relation grade, or None for a free generator
+
+    def __init__(self, g, r):
+        self.g = g
+        self.r = r
+
+
+def diagonalize_oracle(P):
+    """Split a presentation with totally ordered row grades and totally
+    ordered column grades into half-open interval summands: the pairs of
+    _pairing, then the free generators.
+    """
+    # birth/death order: for totally ordered grades the lexicographic sort
+    # is the total order (pushing to a band may have perturbed it); sorted
+    # is stable, so ties keep index order
+    rows, cols = P.row_grades, P.col_grades
+    rorder = sorted(range(len(rows)), key=rows.__getitem__)
+    corder = sorted(range(len(cols)), key=cols.__getitem__)
+    # the grades are a chain iff each one is below the next in this sort; a
+    # lexicographically sorted pair u, v with u not below v is incomparable
+    for gs, order in ((rows, rorder), (cols, corder)):
+        for i, j in zip(order, order[1:]):
+            if not pt_le(gs[i], gs[j]):
+                raise PreconditionError("incomparable grades %r, %r"
+                                        % (gs[i], gs[j]))
+    pairs, free = _pairing(P.nonzeros, rorder, corder)
+    return ([HalfOpenInterval(rows[i], cols[j]) for i, j in pairs]
+            + [HalfOpenInterval(rows[i], None) for i in free])
+
+
 def band_points_oracle(P, C):
     """The summands of P pushed onto band C as flat points g + rel (see
     bottleneck.point_bottleneck); a free generator has rel = (INF, INF),
     and an empty summand (rel = g) is dropped."""
     out = []
-    for iv in diagonalize(push_band(P, C)):
+    for iv in diagonalize_oracle(push_band_oracle(P, C)):
         rel = Point2(INF, INF) if iv.r is None else iv.r
         if rel != iv.g:
             out.append(iv.g + rel)
@@ -493,7 +544,7 @@ def slice_bars_oracle(P, c):
     """Bars (t_lo, t_hi) of the presentation along the diagonal line of
     intercept c: its push onto the zero-width band [c, c]."""
     bars = []
-    for iv in diagonalize(push_band(P, band(c, c))):
+    for iv in diagonalize_oracle(push_band_oracle(P, band(c, c))):
         lo = tval(iv.g)
         hi = INF if iv.r is None else tval(iv.r)
         if hi > lo:

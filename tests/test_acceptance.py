@@ -16,16 +16,17 @@ from oracles import (dim_oracle, exhaustive_bottleneck, pointwise_dim,
 from stairdist.bottleneck import (bottleneck_distance,
                                   interleaving_lower_bound, pairwise_costs)
 from stairdist.geometry import RectangleSpec, hausdorff, point, pt_le
-from stairdist.gmd import (_sample_intercepts, anchors, default_directions,
-                           diagonalize, dmatch_sampled, gmd, push_band,
+from stairdist.gmd import (_Pairings, _sample_intercepts, _scaled_ints,
+                           anchors, default_directions, diagonalize,
+                           dmatch_sampled, gmd, push_band,
                            validate_presentation)
 from stairdist.interleaving import (di_decision, di_interval,
                                     di_interval_vs_rect, triv_distance)
 from stairdist.rect_approx import construction1, optimal_rectangle
 from stairdist.scalars import is_inf
 
-from conftest import (block_pair, random_presentation, random_rectangles,
-                      random_staircase, square)
+from conftest import (block_pair, int_bands, random_presentation,
+                      random_rectangles, random_staircase, square)
 
 
 @pytest.fixture(scope="module")
@@ -181,12 +182,13 @@ def test_08_diagonalization_dimension_contract():
     for _ in range(100):
         P = random_presentation(rng, size=rng.randint(1, 10),
                                 total_order=True)
-        intervals = diagonalize(P)
+        S, grades, _ = _scaled_ints([P], (1, 1), [])
+        points = diagonalize(*grades[0], _Pairings(P))
         for u in _grade_grid(P):
-            pu = point(*u)
-            got = sum(1 for iv in intervals
-                      if pt_le(iv.g, pu)
-                      and (iv.r is None or not pt_le(iv.r, pu)))
+            v1, v2 = (x * S for x in u)
+            got = sum(1 for g1, g2, r1, r2 in points
+                      if g1 <= v1 and g2 <= v2
+                      and not (r1 <= v1 and r2 <= v2))
             assert got == pointwise_dim(P, u)
             assert got == dim_oracle(P.row_grades, P.col_grades,
                                      P.nonzeros, u)
@@ -199,10 +201,10 @@ def test_09_anchor_bands_totally_order_grades():
     checked = 0
     for _ in range(50):
         P = random_presentation(rng, size=rng.randint(2, 6))
-        cov = anchors([P])
-        for C in cov.bands:
-            Q = push_band(P, C)
-            for gs in (Q.row_grades, Q.col_grades):
+        _, grades, edges = int_bands([P], (1, 1))
+        for lo, hi in edges:
+            for part in grades[0]:
+                gs = [point(*u) for u in push_band(part, lo, hi)]
                 for i in range(len(gs)):
                     for j in range(i + 1, len(gs)):
                         assert pt_le(gs[i], gs[j]) or pt_le(gs[j], gs[i])

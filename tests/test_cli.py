@@ -296,9 +296,11 @@ class TestGenerate:
         assert out == ""
         assert "validation error" in err and "--size" in err
 
-    def test_presentation_size_capped(self, capsys):
-        big = str(gen.MAX_PRESENTATION_SIZE + 1)
-        assert main(["generate", "--kind", "presentation", "--size", big]) == 3
+    @pytest.mark.parametrize("kind", ["staircase", "rectangles",
+                                      "presentation"])
+    def test_size_capped(self, capsys, kind):
+        big = str(gen.MAX_SIZE + 1)
+        assert main(["generate", "--kind", kind, "--size", big]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "validation error" in err and "--size" in err

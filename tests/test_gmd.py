@@ -6,32 +6,46 @@ from fractions import Fraction
 import pytest
 
 from oracles import (band_epsilon_oracle, band_points_oracle, closure_oracle,
-                     dim_oracle, dmatch_oracle, exhaustive_bottleneck,
-                     gmd_oracle, point_bottleneck_oracle, pointwise_dim)
+                     diagonalize_oracle, dim_oracle, dmatch_oracle,
+                     exhaustive_bottleneck, gmd_oracle,
+                     point_bottleneck_oracle, pointwise_dim)
 from stairdist import gmd as GMD
 from stairdist import io as mio
 from stairdist.bottleneck import bottleneck_distance, pairwise_costs
 from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import Point2, band, intercept, point
-from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_points,
-                           _band_values, _Pairings, _sample_intercepts,
-                           _scaled_covering, _scaled_ints, anchors,
-                           default_directions, diagonalize, dmatch_sampled,
-                           gmd, push_band, refine_alpha, scale_presentation,
+from stairdist.gmd import (GradedMatrix, _band_epsilon, _band_values,
+                           _Pairings, _sample_intercepts, _scaled_covering,
+                           _scaled_ints, anchors, default_directions,
+                           diagonalize, dmatch_sampled, gmd, push_band,
+                           refine_alpha, scale_presentation,
                            validate_presentation)
 from stairdist.rect_approx import construction1
 from stairdist.scalars import INF, NINF, is_inf
 
-from conftest import (band_closures, block_pair, point_bottleneck,
-                      random_presentation)
+from conftest import (band_closures, block_pair, int_bands,
+                      point_bottleneck, random_presentation)
 
 FULL = band(NINF, INF)
 SEED12 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                       "gmd", "seed12")
 
 
+def seed12(op):
+    """The committed seed-12 gmd inputs of one op, as (P, Q)."""
+    return tuple(mio.parse_presentation(mio.load_json(
+        os.path.join(SEED12, "%s_%s.json" % (op, side)))) for side in "PQ")
+
+
 def pres(rows, cols=(), nonzeros=()):
     return validate_presentation(rows, cols, nonzeros)
+
+
+def diag(rows, cols=(), nonzeros=()):
+    """diagonalize on int grades given in any order, with the pairing of
+    the presentation whose rows and columns are in that order."""
+    P = GradedMatrix(tuple(rows), tuple(cols), frozenset(nonzeros))
+    return diagonalize(list(rows), list(cols), _Pairings(P))
 
 
 def grid_points(lo=0, hi=3):
@@ -93,26 +107,24 @@ class TestPointwiseDim:
 
 class TestPushBand:
     def test_named(self):
-        C = band(0, 2)
-        P = pres([(1, 4), (3, 1), (1, 2)])
-        got = push_band(P, C).row_grades
-        assert got == (point(1, 2), point(2, 4), point(3, 3))
+        got = push_band([(1, 4), (3, 1), (1, 2)], 0, 2)
+        assert got == [(2, 4), (3, 3), (1, 2)]
 
     def test_idempotent_and_monotone(self, rng):
         for _ in range(40):
-            C = band(Fraction(rng.randint(-4, 0)), Fraction(rng.randint(0, 4)))
-            P = pres([(Fraction(rng.randint(0, 8), 2),
-                       Fraction(rng.randint(0, 8), 2)) for _ in range(3)])
-            pushed = push_band(P, C)
-            assert push_band(pushed, C).row_grades == pushed.row_grades
-            for u, v in zip(P.row_grades, pushed.row_grades):
-                assert u.x1 <= v.x1 and u.x2 <= v.x2
-                assert C.lo <= v.x2 - v.x1 <= C.hi
+            lo, hi = rng.randint(-8, 0), rng.randint(0, 8)
+            grades = [(rng.randint(0, 8), rng.randint(0, 8))
+                      for _ in range(3)]
+            pushed = push_band(grades, lo, hi)
+            assert push_band(pushed, lo, hi) == pushed
+            for (u1, u2), (v1, v2) in zip(grades, pushed):
+                assert u1 <= v1 and u2 <= v2
+                assert lo <= v2 - v1 <= hi
 
     def test_preserves_grade_condition(self):
-        P = pres([(0, 0)], [(1, 4)], {(0, 0)})
-        Q = push_band(P, band(0, 2))
-        validate_presentation(Q.row_grades, Q.col_grades, Q.nonzeros)
+        rows, cols = push_band([(0, 0)], 0, 2), push_band([(1, 4)], 0, 2)
+        assert cols == [(2, 4)]
+        validate_presentation(rows, cols, {(0, 0)})
 
 
 class TestAnchors:
@@ -133,47 +145,40 @@ class TestAnchors:
         assert cov.intercepts == (1,)
 
     def test_pushed_grades_become_comparable(self, rng):
-        from stairdist.geometry import pt_le
         for _ in range(10):
             P = random_presentation(rng, size=5, hi=6)
-            cov = anchors([P])
-            for C in cov.bands:
-                Q = push_band(P, C)
-                for gs in (Q.row_grades, Q.col_grades):
-                    for i in range(len(gs)):
-                        for j in range(i + 1, len(gs)):
-                            assert pt_le(gs[i], gs[j]) or pt_le(gs[j], gs[i])
+            for a in ((1, 1), (1, Fraction(5, 2))):
+                _, grades, edges = int_bands([P], a)
+                for lo, hi in edges:
+                    for part in grades[0]:
+                        gs = push_band(part, lo, hi)
+                        for i, (u1, u2) in enumerate(gs):
+                            for v1, v2 in gs[i + 1:]:
+                                assert (u1 <= v1 and u2 <= v2
+                                        or v1 <= u1 and v2 <= u2)
 
 
 class TestDiagonalize:
     def test_named_pairing(self):
-        P = pres([(0, 0), (1, 1)], [(2, 2)], {(0, 0), (1, 0)})
-        out = diagonalize(P)
-        got = {(iv.g, iv.r) for iv in out}
-        assert got == {(point(1, 1), point(2, 2)), (point(0, 0), None)}
+        assert diag([(0, 0), (1, 1)], [(2, 2)], {(0, 0), (1, 0)}) == \
+            [(1, 1, 2, 2), (0, 0, INF, INF)]
 
     def test_no_columns(self):
-        out = diagonalize(pres([(0, 0)]))
-        assert [(iv.g, iv.r) for iv in out] == [(point(0, 0), None)]
+        assert diag([(0, 0)]) == [(0, 0, INF, INF)]
 
     def test_redundant_relation(self):
-        P = pres([(0, 0)], [(1, 1), (2, 2)], {(0, 0), (0, 1)})
-        out = diagonalize(P)
-        assert [(iv.g, iv.r) for iv in out] == [(point(0, 0), point(1, 1))]
+        assert diag([(0, 0)], [(1, 1), (2, 2)], {(0, 0), (0, 1)}) == \
+            [(0, 0, 1, 1)]
 
     def test_incomparable_rejected(self):
         with pytest.raises(PreconditionError):
-            diagonalize(pres([(0, 1), (1, 0)]))
+            diag([(0, 1), (1, 0)])
 
     def test_unsorted_grades(self):
         # push_band can leave grades out of lexicographic order; each
         # column keeps its own entries when the columns are sorted
-        P = GradedMatrix((point(1, 1), point(0, 0)),
-                         (point(3, 3), point(2, 2)),
-                         frozenset({(1, 0), (0, 1)}))
-        out = diagonalize(P)
-        assert [(iv.g, iv.r) for iv in out] == [(point(0, 0), point(3, 3)),
-                                                (point(1, 1), point(2, 2))]
+        assert diag([(1, 1), (0, 0)], [(3, 3), (2, 2)], {(1, 0), (0, 1)}) \
+            == [(0, 0, 3, 3), (1, 1, 2, 2)]
 
     @pytest.mark.parametrize("rows, cols", [
         ([(0, 0), (2, 2), (1, 3)], []),
@@ -183,21 +188,41 @@ class TestDiagonalize:
         # one incomparable pair among otherwise ordered grades, not given
         # in sorted order
         with pytest.raises(PreconditionError, match="incomparable"):
-            diagonalize(pres(rows, cols))
+            diag(rows, cols)
 
     def test_dim_contract(self, rng):
         for _ in range(10):
             P = random_presentation(rng, size=4, total_order=True)
-            out = diagonalize(P)
+            S, grades, _ = _scaled_ints([P], (1, 1), [])
+            out = diagonalize(*grades[0], _Pairings(P))
             for u in grid_points(0, 8)[::13]:
-                want = pointwise_dim(P, u)
-                got = 0
-                for iv in out:
-                    from stairdist.geometry import pt_le
-                    if pt_le(iv.g, point(*u)) and \
-                            (iv.r is None or not pt_le(iv.r, point(*u))):
-                        got += 1
-                assert got == want
+                v1, v2 = (x * S for x in u)
+                got = sum(1 for g1, g2, r1, r2 in out
+                          if g1 <= v1 and g2 <= v2
+                          and not (r1 <= v1 and r2 <= v2))
+                assert got == pointwise_dim(P, u)
+
+    def test_matches_oracle_on_every_anchor_band(self, rng):
+        # the kernel's push and split against the Fraction pair in oracles,
+        # on int grades S times the scaled ones
+        bands = 0
+        for _ in range(30):
+            M = random_presentation(rng, size=rng.randint(2, 5), hi=6)
+            N = random_presentation(rng, size=rng.randint(2, 5), hi=6)
+            for a in default_directions((M, N), 3):
+                S, grades, edges = int_bands((M, N), a)
+                cov = _scaled_covering(anchors((M, N)), a)
+                for C, (lo, hi) in zip(cov.bands, edges):
+                    for P, (rows, cols) in zip((M, N), grades):
+                        got = diagonalize(push_band(rows, lo, hi),
+                                          push_band(cols, lo, hi),
+                                          _Pairings(P))
+                        want = band_points_oracle(scale_presentation(P, a),
+                                                  C)
+                        assert got == [tuple(x if is_inf(x) else x * S
+                                             for x in p) for p in want]
+                        bands += 1
+        assert bands > 300
 
 
 class TestClosedIntervals:
@@ -224,7 +249,8 @@ class TestBandPoints:
         # every grade intercept stand for the infinite ones
         S, grades, _ = _scaled_ints([P], (1, 1), [])
         assert S == 2
-        assert _band_points(grades[0], -10, 10, _Pairings(P)) == \
+        rows, cols = (push_band(part, -10, 10) for part in grades[0])
+        assert diagonalize(rows, cols, _Pairings(P)) == \
             [(0, 0, 6, 8), (4, 4, INF, INF)]
 
     def test_epsilon_counts_hooks_only(self):
@@ -363,17 +389,17 @@ class TestDmatchSampled:
             dmatch_sampled(P, P, [], [0])
 
     def test_zero_width_push_is_line_projection(self, rng):
-        # the slices dmatch samples: the diagonal line of intercept c first
-        # meets the up-set of u at t = max(u.x1 + c/2, u.x2 - c/2)
+        # the slices dmatch samples: the diagonal line of intercept 2h first
+        # meets the up-set of (x1, x2) at t = max(x1 + h, x2 - h), the t
+        # of _slice_bars
         for _ in range(20):
             P = random_presentation(rng, size=5)
-            for c in (Fraction(-3), Fraction(-1, 2), Fraction(0),
-                      Fraction(5, 2)):
-                Q = push_band(P, band(c, c))
-                for u, v in zip(P.row_grades + P.col_grades,
-                                Q.row_grades + Q.col_grades):
-                    t = max(u.x1 + c / 2, u.x2 - c / 2)
-                    assert v == (t - c / 2, t + c / 2)
+            _, grades, _ = _scaled_ints([P], (1, 1), [])
+            us = grades[0][0] + grades[0][1]
+            for h in (-6, -1, 0, 5):
+                for (x1, x2), v in zip(us, push_band(us, 2 * h, 2 * h)):
+                    t = max(x1 + h, x2 - h)
+                    assert v == (t - h, t + h)
 
 
 class TestDefaultDirections:
@@ -546,9 +572,7 @@ class TestIntKernel:
     def test_one_search_per_distinct_line(self, monkeypatch, op, searches):
         # the committed seed-12 dmatch inputs: 27 and 23 sampled intercepts
         # per direction, 216 and 184 searches without the clamp
-        M, N = (mio.parse_presentation(mio.load_json(
-            os.path.join(SEED12, "%s_%s.json" % (op, side))))
-            for side in "PQ")
+        M, N = seed12(op)
         dirs = default_directions((M, N), 8)
         cs = _sample_intercepts(anchors((M, N)), (M, N))
         calls = []
@@ -558,6 +582,27 @@ class TestIntKernel:
         got = dmatch_sampled(M, N, dirs, cs)
         assert len(calls) == searches
         assert got == dmatch_oracle(M, N, dirs, cs)
+
+    @pytest.mark.parametrize("op, bands", [("op00", 47), ("op01", 84),
+                                           ("op02", 96)])
+    def test_one_push_and_split_per_band(self, monkeypatch, op, bands):
+        # the committed seed-12 gmd inputs: each (direction, band) of the
+        # table pushes the rows and the columns of both presentations and
+        # splits each once, through the module's own names; dmatch_sampled
+        # does neither
+        M, N = seed12(op)
+        calls = {"push_band": 0, "diagonalize": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(GMD, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(GMD, name, counted)
+        rep = gmd(M, N, directions=8)
+        assert len(rep.table) == bands
+        assert calls == {"push_band": 4 * bands, "diagonalize": 2 * bands}
+        dmatch_sampled(M, N, default_directions((M, N), 8),
+                       _sample_intercepts(rep.covering, (M, N)))
+        assert calls == {"push_band": 4 * bands, "diagonalize": 2 * bands}
 
     def test_memo_matches_fresh_diagonalize(self, rng, monkeypatch):
         made = []
@@ -570,14 +615,15 @@ class TestIntKernel:
             for P, memo in made:
                 for (rorder, corder), got in memo.memo.items():
                     # distinct grades on the diagonal, placed so that
-                    # diagonalize sorts rows and columns into these orders
+                    # diagonalize_oracle sorts rows and columns into these
+                    # orders
                     rows, cols = [None] * len(rorder), [None] * len(corder)
                     for k, i in enumerate(rorder):
                         rows[i] = Point2(k, k)
                     for k, j in enumerate(corder):
                         cols[j] = Point2(k, k)
-                    ivs = diagonalize(GradedMatrix(tuple(rows), tuple(cols),
-                                                   P.nonzeros))
+                    ivs = diagonalize_oracle(
+                        GradedMatrix(tuple(rows), tuple(cols), P.nonzeros))
                     pairs = [(rorder[iv.g.x1], corder[iv.r.x1])
                              for iv in ivs if iv.r is not None]
                     free = [rorder[iv.g.x1] for iv in ivs if iv.r is None]

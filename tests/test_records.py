@@ -1,17 +1,16 @@
 import pytest
 
+from oracles import HalfOpenInterval
 from stairdist.bottleneck import CostProfile, LowerBoundReport, MatchingResult
-from stairdist.gmd import (AnchorCovering, GmdReport, GradedMatrix,
-                           HalfOpenInterval)
+from stairdist.gmd import AnchorCovering, GmdReport, GradedMatrix
 from stairdist.interleaving import DecisionReport
 from stairdist.rect_approx import RectApproxResult
 
 FIELDS = {
     CostProfile: ("costs", "triv_m", "triv_n"),
     MatchingResult: ("delta", "pairs", "unmatched_m", "unmatched_n"),
-    LowerBoundReport: ("d_b", "eps_star_m", "eps_star_n", "rects_m",
-                       "rects_n", "d_b_approx", "raw", "lower_bound",
-                       "matching"),
+    LowerBoundReport: ("d_b", "eps_star_m", "eps_star_n", "d_b_approx",
+                       "raw", "lower_bound", "matching"),
     RectApproxResult: ("rect", "epsilon"),
     GradedMatrix: ("row_grades", "col_grades", "nonzeros"),
     AnchorCovering: ("points", "intercepts", "bands"),

@@ -714,7 +714,8 @@ class TestSearchEquivalence:
 
 class TestApproxDecomposable:
     def test_aggregate(self, thick_l, thin_l):
-        rects, epss, agg = approx_decomposable([thick_l, thin_l])
-        assert epss == [HALF, HALF]
+        rects, agg = approx_decomposable([thick_l, thin_l])
+        assert [optimal_rectangle(M).epsilon for M in (thick_l, thin_l)] \
+            == [HALF, HALF]
         assert agg == HALF
         assert not rects[0].is_zero and rects[1].is_zero
