@@ -4,15 +4,17 @@ Subcommands: interval-di, rect-approx, bottleneck, lower-bound, gmd, dmatch,
 generate.  Reports go to stdout as JSON (default) or CSV; inputs are JSON
 files, with "-" reading stdin where a single input is expected.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 precondition
+Exit codes: 0 success (and -h), 2 parse error or usage error (a bad command
+line, reported with a usage line), 3 validation error, 4 precondition
 failure.
 """
 
-import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import bottleneck as bn
 from . import generate as gen
@@ -26,48 +28,199 @@ from .rect_approx import construction1, optimal_rectangle
 from .scalars import fmt, is_inf
 
 
-def _parser():
-    p = argparse.ArgumentParser(prog="stairdist")
-    sub = p.add_subparsers(dest="command", required=True)
+# subcommand -> (help, positionals, options).  An option maps to (default,
+# kind): kind is the value's converter (int or str), a tuple of its
+# choices, or None for a flag, which is False unless given.
+_OUTPUT = {"--output": ("json", ("json", "csv"))}
+_PAIR = ("pathA", "pathB")
+_SPEC = {
+    "interval-di": ("interleaving distance of two intervals", _PAIR,
+                    {"--explain": (False, None), **_OUTPUT}),
+    "rect-approx": ("rectangle approximation of a module", ("path",),
+                    {"--method": ("optimal", ("construction1", "optimal")),
+                     **_OUTPUT}),
+    "bottleneck": ("bottleneck distance of two modules", _PAIR, _OUTPUT),
+    "lower-bound": ("certified lower bound on the interleaving distance",
+                    _PAIR, _OUTPUT),
+    "gmd": ("sampled matching-distance estimate of two presentations",
+            _PAIR, {"--directions": (16, int), "--alpha": (None, str),
+                    "--explain": (False, None), **_OUTPUT}),
+    "dmatch": ("sampled matching distance of two presentations", _PAIR,
+               {"--directions": (16, int), **_OUTPUT}),
+    "generate": ("write a random instance to stdout", (),
+                 {"--kind": ("staircase",
+                             ("staircase", "rectangles", "presentation")),
+                  "--seed": (0, int), "--size": (6, int), **_OUTPUT}),
+}
+_HELP = ("-h", "--help")
+# a token shaped like a negative number is a value, never an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_END = ("--", None)  # how _parse_command reads the first "--"
 
-    def common(sp):
-        sp.add_argument("--output", choices=("json", "csv"), default="json")
 
-    sp = sub.add_parser("interval-di", help="interleaving distance of two intervals")
-    sp.add_argument("pathA")
-    sp.add_argument("pathB")
-    sp.add_argument("--explain", action="store_true")
-    common(sp)
+def _usage(command):
+    if command is None:
+        return "usage: stairdist [-h] {%s} ..." % ",".join(_SPEC)
+    _, positionals, options = _SPEC[command]
+    return " ".join(["usage: stairdist", command, "[-h]"]
+                    + ["[%s]" % _form(name, kind)
+                       for name, (_, kind) in options.items()]
+                    + list(positionals))
 
-    sp = sub.add_parser("rect-approx", help="rectangle approximation of a module")
-    sp.add_argument("path")
-    sp.add_argument("--method", choices=("construction1", "optimal"),
-                    default="optimal")
-    common(sp)
 
-    for name in ("bottleneck", "lower-bound"):
-        sp = sub.add_parser(name)
-        sp.add_argument("pathA")
-        sp.add_argument("pathB")
-        common(sp)
+def _form(name, kind):
+    if kind is None:
+        return name
+    if isinstance(kind, tuple):
+        return "%s {%s}" % (name, ",".join(kind))
+    return "%s %s" % (name, name[2:].upper())
 
-    for name in ("gmd", "dmatch"):
-        sp = sub.add_parser(name)
-        sp.add_argument("pathA")
-        sp.add_argument("pathB")
-        sp.add_argument("--directions", type=int, default=16)
-        if name == "gmd":
-            sp.add_argument("--alpha", type=str, default=None)
-            sp.add_argument("--explain", action="store_true")
-        common(sp)
 
-    sp = sub.add_parser("generate", help="write a random instance to stdout")
-    sp.add_argument("--kind", choices=("staircase", "rectangles", "presentation"),
-                    default="staircase")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--size", type=int, default=6)
-    common(sp)
-    return p
+def _help(command):
+    lines = [_usage(command), ""]
+    if command is None:
+        lines.append("commands:")
+        lines += ["  %-12s %s" % (c, spec[0]) for c, spec in _SPEC.items()]
+    else:
+        text, _, options = _SPEC[command]
+        lines += [text, "", "options:"]
+        lines += ["  " + _form(name, kind)
+                  + ("" if kind is None or default is None
+                     else " (default: %s)" % default)
+                  for name, (default, kind) in options.items()]
+    print("\n".join(lines))
+    sys.exit(0)
+
+
+def _fail(command, reason):
+    print(_usage(command), file=sys.stderr)
+    print("stairdist: error: %s" % reason, file=sys.stderr)
+    sys.exit(2)
+
+
+def _read(tok, names, command):
+    """A token before the first "--": None for a positional, else (option,
+    value after "=" or None), the option None when unknown.  A long option
+    may be cut to a unique prefix; "-h" may carry more "h"s."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    if tok in names:
+        return tok, None
+    head, eq, value = tok.partition("=")
+    if eq and head in names:
+        return head, value
+    if tok[1] == "-":
+        hits = [n for n in names if n.startswith(head)]
+        if len(hits) > 1:
+            _fail(command, "ambiguous option: %s could match %s"
+                  % (tok, ", ".join(hits)))
+        if hits:
+            return hits[0], value if eq else None
+    elif tok.startswith("-h"):
+        return "-h", tok[2:]
+    if _NEGATIVE.match(tok) or " " in tok:
+        return None
+    return None, None
+
+
+def _take_help(name, value, command):
+    # "-hh" is help twice; any other value on a flag is an error
+    if value is not None and (name == "--help" or not value
+                              or value.strip("h")):
+        _fail(command, "argument %s: ignored explicit argument %r"
+              % (name, value))
+    _help(command)
+
+
+def _parse(argv=None):
+    """Read argv (default sys.argv[1:]) against _SPEC: the subcommand, then
+    its positionals and options in any order.  Options take "--opt value"
+    or "--opt=value", "--" ends them, and the last of a repeated option
+    wins.  -h prints help and exits 0; a usage error prints the usage and
+    the reason to stderr and exits 2."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    extras = []
+    for i, tok in enumerate(argv):
+        got = None if tok == "--" else _read(tok, _HELP, None)
+        if got is None:
+            break
+        if got[0] is None:
+            extras.append(tok)
+        else:
+            _take_help(*got, None)
+    else:
+        _fail(None, "the following arguments are required: command")
+    if argv[i] not in _SPEC:
+        _fail(None, "invalid command %r (choose from %s)"
+              % (argv[i], ", ".join(_SPEC)))
+    return _parse_command(argv[i], argv[i + 1:], extras)
+
+
+def _parse_command(command, argv, extras):
+    _, positionals, options = _SPEC[command]
+    names = _HELP + tuple(options)
+    end = argv.index("--") if "--" in argv else len(argv)
+    reads = [_read(tok, names, command) for tok in argv[:end]]
+    if end < len(argv):
+        reads += [_END] + [None] * (len(argv) - end - 1)
+    args = SimpleNamespace(command=command)
+    for name, (default, _) in options.items():
+        setattr(args, name[2:], default)
+    got, last = [], None  # positional values, index of the last taken
+    i = 0
+    while i < len(argv):
+        tok, read = argv[i], reads[i]
+        i += 1
+        if read is None:
+            if len(got) < len(positionals):
+                got.append(tok)
+                last = i - 1
+            else:
+                extras.append(tok)
+            continue
+        if read is _END:
+            # "--" is dropped only next to a positional that it leads to
+            # or that it ends
+            if len(got) == len(positionals) and last != i - 2:
+                extras.append(tok)
+            continue
+        name, value = read
+        if name is None:
+            extras.append(tok)
+            continue
+        if name in _HELP:
+            _take_help(name, value, command)
+        kind = options[name][1]
+        if kind is None:
+            if value is not None:
+                _fail(command, "argument %s: ignored explicit argument %r"
+                      % (name, value))
+            setattr(args, name[2:], True)
+            continue
+        if value is None:
+            if i == len(argv) or reads[i] is not None:
+                _fail(command, "argument %s: expected one argument" % name)
+            value = argv[i]
+            i += 1
+        if isinstance(kind, tuple):
+            if value not in kind:
+                _fail(command, "argument %s: invalid choice: %r (choose "
+                      "from %s)" % (name, value, ", ".join(kind)))
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                _fail(command, "argument %s: invalid %s value: %r"
+                      % (name, kind.__name__, value))
+        setattr(args, name[2:], value)
+    if len(got) < len(positionals):
+        _fail(command, "the following arguments are required: %s"
+              % ", ".join(positionals[len(got):]))
+    if extras:
+        _fail(command, "unrecognized arguments: %s" % " ".join(extras))
+    for name, value in zip(positionals, got):
+        setattr(args, name, value)
+    return args
 
 
 def _emit(report, output):
@@ -234,7 +387,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         report = _COMMANDS[args.command](args)
     except ParseError as e:

@@ -2,15 +2,18 @@
 
 Everything here deliberately avoids the code paths under test: dense
 sampling, brute-force grid search, exhaustive enumeration, a separate
-GF(2) elimination, a bottleneck search that probes every threshold
+GF(2) elimination, the persistence pairing read off ranks instead of a
+column reduction, a bottleneck search that probes every threshold
 with a full matching on the doubled graph (delta_matched), and gmd and
 dmatch on the per-band Fraction path (push_band_oracle,
 diagonalize_oracle) instead of their int kernel (gmd.push_band,
 gmd.diagonalize), and the optimal-rectangle search on Fraction rows with
-no early stop.  Values are floats where sampling is involved and exact
+no early stop, and the command line read by the argparse parser that
+cli._parse replaced.  Values are floats where sampling is involved and exact
 rationals where enumeration is.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -22,8 +25,7 @@ from stairdist.errors import PreconditionError, ValidationError
 from stairdist.geometry import (DiagRegion, Point2, RectangleSpec,
                                 StaircaseInterval, band, intercept, point,
                                 pt_le, region_intersection, tval)
-from stairdist.gmd import (GmdReport, GradedMatrix, _pairing,
-                           _sample_intercepts, _scaled_covering, anchors,
+from stairdist.gmd import (GmdReport, GradedMatrix, _sample_intercepts, _scaled_covering, anchors,
                            refine_alpha, scale_presentation)
 from stairdist.interleaving import triv_distance
 from stairdist.pl import PL, pl_max, pl_min
@@ -495,10 +497,49 @@ class HalfOpenInterval(Record):
         self.r = r
 
 
+def _prefix_ranks(columns):
+    """[rank over GF(2) of the first k columns for k = 0..len(columns)],
+    by Gaussian elimination on 0/1 lists."""
+    basis = []  # (pivot, column): zero at every earlier basis pivot
+    ranks = [0]
+    for col in columns:
+        for p, b in basis:
+            if col[p]:
+                col = [x ^ y for x, y in zip(col, b)]
+        if any(col):
+            basis.append((col.index(1), col))
+        ranks.append(len(basis))
+    return ranks
+
+
+def pairing_oracle(nonzeros, rorder, corder):
+    """The persistence pairing of the 0/1 matrix with nonzeros at the given
+    (row, column) pairs, its rows in rorder and its columns in corder, read
+    off ranks: with r(i, j) the rank of the block of rows >= i and columns
+    <= j, row i pairs with column j exactly when r(i, j) - r(i + 1, j)
+    - r(i, j - 1) + r(i + 1, j - 1) = 1.  Returns (pairs, free) as
+    gmd._pairing does: the (row, column) pairs and the unpaired rows, both
+    in row order, as original indices."""
+    nr, nc = len(rorder), len(corder)
+    rpos = {old: new for new, old in enumerate(rorder)}
+    cpos = {old: new for new, old in enumerate(corder)}
+    M = [[0] * nc for _ in range(nr)]
+    for i, j in nonzeros:
+        M[rpos[i]][cpos[j]] = 1
+    # R[i][k]: rank of the rows >= i and the first k columns
+    R = [_prefix_ranks([[M[r][c] for r in range(i, nr)] for c in range(nc)])
+         for i in range(nr + 1)]
+    pairs = [(i, j) for i in range(nr) for j in range(nc)
+             if R[i][j + 1] - R[i + 1][j + 1] - R[i][j] + R[i + 1][j] == 1]
+    paired = {i for i, _ in pairs}
+    return ([(rorder[i], corder[j]) for i, j in pairs],
+            [rorder[i] for i in range(nr) if i not in paired])
+
+
 def diagonalize_oracle(P):
     """Split a presentation with totally ordered row grades and totally
     ordered column grades into half-open interval summands: the pairs of
-    _pairing, then the free generators.
+    pairing_oracle, then the free generators.
     """
     # birth/death order: for totally ordered grades the lexicographic sort
     # is the total order (pushing to a band may have perturbed it); sorted
@@ -513,7 +554,7 @@ def diagonalize_oracle(P):
             if not pt_le(gs[i], gs[j]):
                 raise PreconditionError("incomparable grades %r, %r"
                                         % (gs[i], gs[j]))
-    pairs, free = _pairing(P.nonzeros, rorder, corder)
+    pairs, free = pairing_oracle(P.nonzeros, rorder, corder)
     return ([HalfOpenInterval(rows[i], cols[j]) for i, j in pairs]
             + [HalfOpenInterval(rows[i], None) for i in free])
 
@@ -945,3 +986,53 @@ def reference_optimal_rectangle(M):
     if rect.is_zero or triv <= eps:
         return RectangleSpec.zero(), triv
     return rect, eps
+
+
+# --------------------------------------------------------------------------
+# the command line as argparse reads it
+
+
+def cli_parser_oracle():
+    """The argparse parser stairdist.cli read its argv with before
+    cli._parse: the reference that cli._parse is tested against."""
+    p = argparse.ArgumentParser(prog="stairdist")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def common(sp):
+        sp.add_argument("--output", choices=("json", "csv"), default="json")
+
+    sp = sub.add_parser("interval-di", help="interleaving distance of two intervals")
+    sp.add_argument("pathA")
+    sp.add_argument("pathB")
+    sp.add_argument("--explain", action="store_true")
+    common(sp)
+
+    sp = sub.add_parser("rect-approx", help="rectangle approximation of a module")
+    sp.add_argument("path")
+    sp.add_argument("--method", choices=("construction1", "optimal"),
+                    default="optimal")
+    common(sp)
+
+    for name in ("bottleneck", "lower-bound"):
+        sp = sub.add_parser(name)
+        sp.add_argument("pathA")
+        sp.add_argument("pathB")
+        common(sp)
+
+    for name in ("gmd", "dmatch"):
+        sp = sub.add_parser(name)
+        sp.add_argument("pathA")
+        sp.add_argument("pathB")
+        sp.add_argument("--directions", type=int, default=16)
+        if name == "gmd":
+            sp.add_argument("--alpha", type=str, default=None)
+            sp.add_argument("--explain", action="store_true")
+        common(sp)
+
+    sp = sub.add_parser("generate", help="write a random instance to stdout")
+    sp.add_argument("--kind", choices=("staircase", "rectangles", "presentation"),
+                    default="staircase")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--size", type=int, default=6)
+    common(sp)
+    return p

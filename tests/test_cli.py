@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from stairdist import cli
 from stairdist import generate as gen
 from stairdist import io as mio
 from stairdist.cli import main
@@ -15,6 +16,7 @@ from stairdist.geometry import point
 
 import golden_cli
 from conftest import square
+from oracles import cli_parser_oracle
 
 SQ04 = {"lower": [[0, 0]], "upper": [[4, 4]]}
 SQ13 = {"lower": [[1, 1]], "upper": [[3, 3]]}
@@ -335,15 +337,135 @@ class TestRoundTrip:
 
 
 def test_startup_imports_no_typing():
-    # typing, dataclasses and inspect cost start-up time on every call
+    # typing, dataclasses and inspect cost start-up time on every call, and
+    # so do argparse and gettext, which imports locale once a parser is built
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = ("import sys; sys.path.insert(0, %r); import stairdist.cli; "
-            "print(sorted({'typing', 'dataclasses', 'inspect'} "
-            "& set(sys.modules)))" % src)
+            "stairdist.cli._parse(['dmatch', 'P.json', 'Q.json', "
+            "'--directions', '8']); "
+            "print(sorted({'typing', 'dataclasses', 'inspect', 'argparse', "
+            "'gettext', 'locale'} & set(sys.modules)))" % src)
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# the argvs the tests above give main, with A.json and B.json for the
+# inputs they write
+MAIN_ARGVS = [
+    ["interval-di", "A.json", "B.json"],
+    ["interval-di", "A.json", "B.json", "--explain"],
+    ["gmd", "A.json", "B.json"],
+    ["gmd", "A.json", "B.json", "--alpha", "1e2000000"],
+    ["gmd", "A.json", "B.json", "--alpha", "1/2"],
+    ["gmd", "A.json", "B.json", "--alpha", "1e-9"],
+    ["gmd", "A.json", "B.json", "--directions", "4", "--explain"],
+    ["gmd", "A.json", "B.json", "--alpha", "-1"],
+    ["gmd", "A.json", "B.json", "--alpha", "2"],
+    ["gmd", "A.json", "B.json", "--alpha", "inf"],
+    ["gmd", "A.json", "B.json", "--directions", "10001"],
+    ["dmatch", "A.json", "B.json"],
+    ["dmatch", "A.json", "B.json", "--directions", "10001"],
+    ["rect-approx", "A.json"],
+    ["rect-approx", "A.json", "--method", "construction1"],
+    ["rect-approx", "A.json", "--method", "optimal"],
+    ["rect-approx", "A.json", "--output", "csv"],
+    ["bottleneck", "A.json", "B.json"],
+    ["lower-bound", "A.json", "B.json"],
+    ["generate", "--seed", "7"],
+    ["generate", "--seed", "8"],
+] + [["generate", "--kind", kind, "--seed", "3"]
+     for kind in ("staircase", "rectangles", "presentation")] + [
+    ["generate", "--kind", kind, "--size", size]
+    for kind in ("staircase", "rectangles", "presentation")
+    for size in ("0", "-3", str(gen.MAX_SIZE + 1))]
+
+# one or more per form the parser must read as argparse does
+HAND_ARGVS = [
+    [], ["bogus"], ["bogus", "A.json"], ["--output", "json", "bottleneck",
+                                         "A.json", "B.json"],
+    ["interval-di", "A.json"], ["interval-di"], ["generate", "A.json"],
+    ["interval-di", "A.json", "B.json", "C.json"],
+    ["interval-di", "A.json", "B.json", "--bogus"],
+    ["--bogus", "interval-di", "A.json", "B.json"],
+    ["generate", "--s", "3"], ["generate", "--si", "3"],
+    ["generate", "--se", "3"], ["gmd", "A.json", "B.json", "--dir", "8"],
+    ["gmd", "A.json", "B.json", "--d", "8", "--e"],
+    ["gmd", "A.json", "B.json", "--dir=8", "--al=1/2"],
+    ["rect-approx", "A.json", "--method", "midpoint"],
+    ["rect-approx", "A.json", "--output", "xml"],
+    ["rect-approx", "A.json", "--method=construction1", "--output=csv"],
+    ["dmatch", "A.json", "B.json", "--directions", "x"],
+    ["dmatch", "A.json", "B.json", "--directions", "1.5"],
+    ["dmatch", "A.json", "B.json", "--directions"],
+    ["dmatch", "A.json", "B.json", "--directions="],
+    ["gmd", "--directions", "4", "A.json", "--explain", "B.json"],
+    ["gmd", "--explain", "A.json", "--directions=4", "B.json"],
+    ["gmd", "A.json", "B.json", "--explain=yes"],
+    ["interval-di", "--", "A.json", "B.json"],
+    ["interval-di", "A.json", "--", "--explain"],
+    ["interval-di", "A.json", "B.json", "--"],
+    ["interval-di", "A.json", "B.json", "--explain", "--"],
+    ["interval-di", "--explain", "--", "-h", "B.json"],
+    ["gmd", "A.json", "B.json", "--alpha", "--", "1/2"],
+    ["generate", "--"], ["--", "generate"],
+    ["interval-di", "-", "B.json"], ["rect-approx", "-"],
+    ["dmatch", "A.json", "B.json", "--directions", "-3"],
+    ["interval-di", "-3", "B.json"],
+    ["gmd", "A.json", "B.json", "--alpha", "-1/2"],
+    ["gmd", "A.json", "B.json", "--alpha=-1/2"],
+    ["gmd", "A.json", "B.json", "--alpha", "-.5"],
+    ["gmd", "A.json", "B.json", "--alpha", "-1/2 "],
+    ["generate", "--seed", "3", "--seed", "4", "--kind", "rectangles",
+     "--kind", "presentation"],
+    ["interval-di", "A.json", "B.json", "--explain", "--explain"],
+    ["-h"], ["--help"], ["--he"], ["-hh"], ["-hx"], ["--help=x"],
+    ["bogus", "-h"], ["-h", "bogus"], ["gmd", "-h"],
+    ["gmd", "A.json", "--bogus", "-h"], ["gmd", "--directions", "x", "-h"],
+    ["generate", "--h"], ["generate", "-h", "--s", "3"],
+    ["bottleneck", "A.json", "B.json", "C.json", "--help"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """vars of the parsed argv, or (exit code, stdout written)."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as e:
+        return e.code, capsys.readouterr().out != ""
+    return vars(args)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv) or "(none)")
+    for argv in dict.fromkeys(
+        tuple(a) for a in [case["args"] for _, case in golden_cli.cases()]
+        + MAIN_ARGVS + HAND_ARGVS)])
+def test_parse_matches_argparse(argv, capsys):
+    # the same namespace, or the same exit: 2 for a usage error, 0 for help
+    want = _parsed(cli_parser_oracle().parse_args, argv, capsys)
+    assert _parsed(cli._parse, argv, capsys) == want
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["interval-di", "A.json"],
+                                  ["gmd", "A.json", "B.json", "--alpha",
+                                   "-1/2"]])
+def test_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert e.value.code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: stairdist")
+    assert error.startswith("stairdist: error: ")
+
+
+def test_attached_negative_alpha_is_validated(run):
+    # "--alpha -1/2" is a usage error (-1/2 reads as an option), while the
+    # attached form reaches gmd's own range check
+    err = run("gmd", QUAD0, QUAD1, args=["--alpha=-1/2"], code=3)
+    assert "alpha" in err
 
 
 @pytest.mark.parametrize("root, case", [

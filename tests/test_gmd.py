@@ -1,5 +1,6 @@
 import gc
 import os
+import random
 import weakref
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from oracles import (band_epsilon_oracle, band_points_oracle, closure_oracle,
                      diagonalize_oracle, dim_oracle, dmatch_oracle,
-                     exhaustive_bottleneck, gmd_oracle,
+                     exhaustive_bottleneck, gmd_oracle, pairing_oracle,
                      point_bottleneck_oracle, pointwise_dim)
 from stairdist import gmd as GMD
 from stairdist import io as mio
@@ -159,6 +160,20 @@ class TestAnchors:
 
 
 class TestDiagonalize:
+    def test_pairing_matches_rank_oracle(self):
+        # random 0/1 matrices up to 8 x 8 under random row and column orders
+        rng = random.Random(61)
+        for _ in range(400):
+            nr, nc = rng.randint(0, 8), rng.randint(0, 8)
+            density = rng.random()
+            nonzeros = [(i, j) for i in range(nr) for j in range(nc)
+                        if rng.random() < density]
+            rorder, corder = list(range(nr)), list(range(nc))
+            rng.shuffle(rorder)
+            rng.shuffle(corder)
+            assert GMD._pairing(nonzeros, rorder, corder) == \
+                pairing_oracle(nonzeros, rorder, corder)
+
     def test_named_pairing(self):
         assert diag([(0, 0), (1, 1)], [(2, 2)], {(0, 0), (1, 0)}) == \
             [(1, 1, 2, 2), (0, 0, INF, INF)]
