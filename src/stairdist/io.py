@@ -116,7 +116,7 @@ def load_json(path):
         raise ParseError("cannot read %s: %s" % (path, e))
     try:
         return json.loads(text)
-    except ValueError as e:  # also an integer past the int-string limit
+    except (ValueError, RecursionError) as e:  # a huge int; deep nesting
         raise ParseError("malformed JSON in %s: %s" % (path, e))
 
 

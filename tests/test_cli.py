@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -68,6 +69,14 @@ class TestIntervalDi:
     def test_multi_summand_rejected(self, run):
         two = {"summands": [SQ04, SQ13]}
         run("interval-di", two, SQ13, code=3)
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("rect-approx", ["[" * 1000 + "]" * 1000]),
+    ("interval-di", ["[" * 100000, SQ13])], ids=["closed", "unclosed"])
+def test_deep_nesting_is_a_parse_error(run, command, inputs):
+    # json.loads raises RecursionError past the interpreter's limit
+    assert "malformed JSON" in run(command, *inputs, code=2)
 
 
 class TestNumberGuards:
@@ -474,3 +483,94 @@ def test_attached_negative_alpha_is_validated(run):
 def test_committed_outputs(root, case):
     # stdout and exit code byte for byte against tests/data (golden_cli.py)
     assert golden_cli.run_case(root, case) is None
+
+
+def _python(args, stdout=subprocess.PIPE):
+    # stdout block-buffered, as it is by default on a pipe
+    env = dict(os.environ, PYTHONPATH=golden_cli.SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable] + args, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("argv", [["generate", "--size", "4"],
+                                  ["generate", "--size", "0"]])
+def test_main_leaves_the_collector_unfrozen(argv, capsys):
+    # only run() freezes the heap; an in-process caller keeps its collector
+    before = gc.get_freeze_count()
+    _in_process(argv, capsys)
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rect-approx", "M.json", "--output", "csv"], 0),
+    (["gmd", "A.json", "B.json", "--explain"], 0), (["-h"], 0),
+    (["interval-di", "A.json", "bad.json"], 2), (["bogus"], 2),
+    (["gmd", "A.json", "B.json", "--alpha", "2"], 3),
+    (["generate", "--size", "0"], 3)])
+def test_process_exit_matches_main(argv, code, tmp_path, capsys,
+                                   monkeypatch):
+    (tmp_path / "A.json").write_text(json.dumps(QUAD0))
+    (tmp_path / "B.json").write_text(json.dumps(QUAD1))
+    (tmp_path / "M.json").write_text(json.dumps(THICK_L))
+    (tmp_path / "bad.json").write_text("{not json")
+    monkeypatch.chdir(tmp_path)
+    proc = _python(["-m", "stairdist.cli"] + argv)
+    assert (proc.returncode, proc.stdout) == _in_process(argv, capsys)
+    assert proc.returncode == code and b"Traceback" not in proc.stderr
+
+
+def test_run_exit_4_frozen_with_atexit(capsys, monkeypatch):
+    # no command line reaches a PreconditionError (the commands validate
+    # first), so one is raised from a patched command; an atexit handler
+    # still runs after run(), and sees the heap frozen
+    def fail(args):
+        raise cli.PreconditionError("patched")
+    monkeypatch.setitem(cli._COMMANDS, "generate", fail)
+    assert _in_process(["generate"], capsys) == (4, b"")
+    script = ("import atexit, gc, sys\n"
+              "from stairdist import cli\n"
+              "atexit.register(lambda: print('frozen:', gc.get_freeze_count()"
+              " > 0, file=sys.stderr))\n"
+              "def fail(args):\n"
+              "    raise cli.PreconditionError('patched')\n"
+              "cli._COMMANDS['generate'] = fail\n"
+              "sys.argv[1:] = ['generate']\n"
+              "cli.run()\n")
+    proc = _python(["-c", script])
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr == b"precondition failed: patched\nfrozen: True\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--size", "4"], ["-h"],
+    ["generate", "--kind", "presentation", "--size", "500"]],
+    ids=["at-exit-flush", "help", "in-main"])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # a small report or the help text is still buffered when main() ends;
+    # a large report fills the buffer and is written inside main()
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _python(["-m", "stairdist.cli"] + argv, stdout=w)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == (b"stairdist: stdout was closed before the "
+                           b"report was written\n")
+
+
+def test_profiler_still_reports():
+    # the profiler prints its statistics after run() has frozen the heap
+    proc = _python(["-m", "cProfile", "-m", "stairdist.cli", "generate",
+                    "--size", "4"])
+    assert proc.returncode == 0
+    assert b'"summands"' in proc.stdout and b"function calls" in proc.stdout
