@@ -4,6 +4,10 @@ Subcommands: interval-di, rect-approx, bottleneck, lower-bound, gmd, dmatch,
 generate.  Reports go to stdout as JSON (default) or CSV; inputs are JSON
 files, with "-" reading stdin where a single input is expected.
 
+The command line is read against one table, _SPEC: a plain argv straight
+from the table, which keeps argparse out of start-up, and every other argv
+by argparse, built from the same table (see _parse).
+
 Exit codes: 0 success (and -h), 1 stdout was closed before the report was
 written, 2 parse error or usage error (a bad command line, reported with a
 usage line), 3 validation error, 4 precondition failure.
@@ -13,7 +17,6 @@ import gc
 import json
 import os
 import random
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,7 +27,6 @@ from . import io as mio
 from .gmd import (_sample_intercepts, anchors, default_directions,
                   dmatch_sampled, gmd)
 from .errors import ParseError, PreconditionError, ValidationError
-from .geometry import point
 from .interleaving import di_decision, di_interval
 from .rect_approx import construction1, optimal_rectangle
 from .scalars import fmt, is_inf
@@ -54,175 +56,106 @@ _SPEC = {
                              ("staircase", "rectangles", "presentation")),
                   "--seed": (0, int), "--size": (6, int), **_OUTPUT}),
 }
-_HELP = ("-h", "--help")
-# a token shaped like a negative number is a value, never an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-_END = ("--", None)  # how _parse_command reads the first "--"
-
-
-def _usage(command):
-    if command is None:
-        return "usage: stairdist [-h] {%s} ..." % ",".join(_SPEC)
-    _, positionals, options = _SPEC[command]
-    return " ".join(["usage: stairdist", command, "[-h]"]
-                    + ["[%s]" % _form(name, kind)
-                       for name, (_, kind) in options.items()]
-                    + list(positionals))
-
-
-def _form(name, kind):
-    if kind is None:
-        return name
-    if isinstance(kind, tuple):
-        return "%s {%s}" % (name, ",".join(kind))
-    return "%s %s" % (name, name[2:].upper())
-
-
-def _help(command):
-    lines = [_usage(command), ""]
-    if command is None:
-        lines.append("commands:")
-        lines += ["  %-12s %s" % (c, spec[0]) for c, spec in _SPEC.items()]
-    else:
-        text, _, options = _SPEC[command]
-        lines += [text, "", "options:"]
-        lines += ["  " + _form(name, kind)
-                  + ("" if kind is None or default is None
-                     else " (default: %s)" % default)
-                  for name, (default, kind) in options.items()]
-    print("\n".join(lines))
-    sys.exit(0)
-
-
-def _fail(command, reason):
-    print(_usage(command), file=sys.stderr)
-    print("stairdist: error: %s" % reason, file=sys.stderr)
-    sys.exit(2)
-
-
-def _read(tok, names, command):
-    """A token before the first "--": None for a positional, else (option,
-    value after "=" or None), the option None when unknown.  A long option
-    may be cut to a unique prefix; "-h" may carry more "h"s."""
-    if tok[:1] != "-" or tok == "-":
-        return None
-    if tok in names:
-        return tok, None
-    head, eq, value = tok.partition("=")
-    if eq and head in names:
-        return head, value
-    if tok[1] == "-":
-        hits = [n for n in names if n.startswith(head)]
-        if len(hits) > 1:
-            _fail(command, "ambiguous option: %s could match %s"
-                  % (tok, ", ".join(hits)))
-        if hits:
-            return hits[0], value if eq else None
-    elif tok.startswith("-h"):
-        return "-h", tok[2:]
-    if _NEGATIVE.match(tok) or " " in tok:
-        return None
-    return None, None
-
-
-def _take_help(name, value, command):
-    # "-hh" is help twice; any other value on a flag is an error
-    if value is not None and (name == "--help" or not value
-                              or value.strip("h")):
-        _fail(command, "argument %s: ignored explicit argument %r"
-              % (name, value))
-    _help(command)
 
 
 def _parse(argv=None):
-    """Read argv (default sys.argv[1:]) against _SPEC: the subcommand, then
-    its positionals and options in any order.  Options take "--opt value"
-    or "--opt=value", "--" ends them, and the last of a repeated option
-    wins.  -h prints help and exits 0; a usage error prints the usage and
-    the reason to stderr and exits 2."""
+    """Read argv (default sys.argv[1:]) against _SPEC.  The table reads a
+    plain argv: the subcommand, then its positionals and options in any
+    order, where a positional is "-" or a token not starting with "-",
+    and an option is a full name, as "--opt value" (the value not
+    starting with "-"), "--opt=value" or a bare flag; the last of a
+    repeated option wins.  Every other argv (help, a prefix, "--", a value
+    starting with "-", any usage error) goes to argparse, built from the
+    same table: -h prints help and exits 0, and a usage error prints the
+    usage and the reason to stderr and exits 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    extras = []
-    for i, tok in enumerate(argv):
-        got = None if tok == "--" else _read(tok, _HELP, None)
-        if got is None:
-            break
-        if got[0] is None:
-            extras.append(tok)
-        else:
-            _take_help(*got, None)
-    else:
-        _fail(None, "the following arguments are required: command")
-    if argv[i] not in _SPEC:
-        _fail(None, "invalid command %r (choose from %s)"
-              % (argv[i], ", ".join(_SPEC)))
-    return _parse_command(argv[i], argv[i + 1:], extras)
+    return _plain(argv) or _argparse(argv)
 
 
-def _parse_command(command, argv, extras):
-    _, positionals, options = _SPEC[command]
-    names = _HELP + tuple(options)
-    end = argv.index("--") if "--" in argv else len(argv)
-    reads = [_read(tok, names, command) for tok in argv[:end]]
-    if end < len(argv):
-        reads += [_END] + [None] * (len(argv) - end - 1)
-    args = SimpleNamespace(command=command)
+def _plain(argv):
+    """The namespace of a plain argv, or None for argparse to read it."""
+    spec = _SPEC.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, positionals, options = spec
+    args = SimpleNamespace(command=argv[0])
     for name, (default, _) in options.items():
         setattr(args, name[2:], default)
-    got, last = [], None  # positional values, index of the last taken
-    i = 0
-    while i < len(argv):
-        tok, read = argv[i], reads[i]
-        i += 1
-        if read is None:
-            if len(got) < len(positionals):
-                got.append(tok)
-                last = i - 1
-            else:
-                extras.append(tok)
+    got = []
+    rest = iter(argv[1:])
+    for tok in rest:
+        if tok[:1] != "-" or tok == "-":
+            got.append(tok)
             continue
-        if read is _END:
-            # "--" is dropped only next to a positional that it leads to
-            # or that it ends
-            if len(got) == len(positionals) and last != i - 2:
-                extras.append(tok)
-            continue
-        name, value = read
-        if name is None:
-            extras.append(tok)
-            continue
-        if name in _HELP:
-            _take_help(name, value, command)
+        name, eq, value = tok.partition("=")
+        if name not in options:
+            return None
         kind = options[name][1]
         if kind is None:
-            if value is not None:
-                _fail(command, "argument %s: ignored explicit argument %r"
-                      % (name, value))
-            setattr(args, name[2:], True)
-            continue
-        if value is None:
-            if i == len(argv) or reads[i] is not None:
-                _fail(command, "argument %s: expected one argument" % name)
-            value = argv[i]
-            i += 1
-        if isinstance(kind, tuple):
-            if value not in kind:
-                _fail(command, "argument %s: invalid choice: %r (choose "
-                      "from %s)" % (name, value, ", ".join(kind)))
+            if eq:
+                return None
+            value = True
         else:
-            try:
-                value = kind(value)
-            except ValueError:
-                _fail(command, "argument %s: invalid %s value: %r"
-                      % (name, kind.__name__, value))
+            if not eq:
+                value = next(rest, "-")
+                if value[:1] == "-":
+                    return None
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    return None
+            else:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    return None
         setattr(args, name[2:], value)
-    if len(got) < len(positionals):
-        _fail(command, "the following arguments are required: %s"
-              % ", ".join(positionals[len(got):]))
-    if extras:
-        _fail(command, "unrecognized arguments: %s" % " ".join(extras))
-    for name, value in zip(positionals, got):
-        setattr(args, name, value)
+    if len(got) != len(positionals):
+        return None
+    vars(args).update(zip(positionals, got))
     return args
+
+
+def _argparse(argv):
+    # imported here: argparse, gettext and locale cost every call start-up
+    # time, and a plain argv never needs them
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(2, "stairdist: error: %s\n" % message)
+
+    class Store(argparse.Action):
+        # argparse (3.11's among others) drops a "--" given as a value and
+        # passes []: read it as the literal "--", as the table path does
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = "--"
+                if self.choices or self.type is int:
+                    parser.error("argument %s: invalid value: '--'"
+                                 % option_string)
+            setattr(namespace, self.dest, values)
+
+    def unwrapped(prog):
+        # the usage on one line, whatever the terminal width
+        return argparse.HelpFormatter(prog, width=sys.maxsize)
+
+    top = Parser(prog="stairdist", formatter_class=unwrapped)
+    sub = top.add_subparsers(dest="command", required=True)
+    for command, (text, positionals, options) in _SPEC.items():
+        p = sub.add_parser(command, help=text, description=text,
+                           formatter_class=unwrapped)
+        for name in positionals:
+            p.add_argument(name, action=Store)
+        for name, (default, kind) in options.items():
+            if kind is None:
+                p.add_argument(name, action="store_true")
+            elif isinstance(kind, tuple):
+                p.add_argument(name, choices=kind, default=default,
+                               action=Store)
+            else:
+                p.add_argument(name, type=kind, default=default, action=Store)
+    return top.parse_args(argv)
 
 
 def _emit(report, output):

@@ -22,8 +22,8 @@ ints an int.
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .geometry import (DiagRegion, StaircaseInterval, region_intersection,
-                       tval)
+from .geometry import (DiagRegion, StaircaseInterval, pt_le,
+                       region_intersection, tval)
 from .pl import PL, pl_abs, pl_max, pl_min, pl_sub
 from .record import Record
 from .scalars import INF, NINF, ext, int_scale, is_inf, qdiv
@@ -432,7 +432,6 @@ def di_interval_vs_rect(M, R):
     if R.is_zero:
         return triv_distance(M)
     rb, sb = M.bounding_r, M.bounding_s
-    from .geometry import pt_le
     if not (pt_le(rb, R.r) and pt_le(R.s, sb)):
         raise PreconditionError("rectangle exceeds the bounding rectangle")
     reg = M.region()

@@ -7,6 +7,7 @@ form; reports add a float alongside for spreadsheet use.
 
 import json
 import math
+import sys
 
 from .errors import ParseError
 from .geometry import Point2, StaircaseInterval, chains_interval
@@ -107,7 +108,6 @@ def parse_presentation(obj) -> GradedMatrix:
 def load_json(path):
     try:
         if path == "-":
-            import sys
             text = sys.stdin.read()
         else:
             with open(path) as fh:

@@ -8,9 +8,11 @@ with a full matching on the doubled graph (delta_matched), and gmd and
 dmatch on the per-band Fraction path (push_band_oracle,
 diagonalize_oracle) instead of their int kernel (gmd.push_band,
 gmd.diagonalize), and the optimal-rectangle search on Fraction rows with
-no early stop, and the command line read by the argparse parser that
-cli._parse replaced.  Values are floats where sampling is involved and exact
-rationals where enumeration is.
+no early stop, and the command line read by the hand-written argparse
+parser that stairdist.cli used before its option table (cli._parse reads
+a plain argv from the table and hands any other argv to an argparse
+parser built from it).  Values are floats where sampling is involved
+and exact rationals where enumeration is.
 """
 
 import argparse
